@@ -10,10 +10,11 @@ oracle that re-derives every pairing constant.
 __version__ = "0.1.0"
 
 from .invariant_algebras import FlagContext
-from .kinematics import KinematicTable, coproduct, hug_weil_coproduct, verify_structure
+from .kinematics import KinematicTable, coproduct, hug_weil_coproduct
 from .measures import MeasureLabel, phi_label, s_label
 from .rotation_algebra import AlgebraElement, generator, graded_dimension
 from .scalars import Scalar
+from .verify import verify_structure
 
 __all__ = [
     "AlgebraElement",

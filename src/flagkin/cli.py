@@ -8,52 +8,30 @@ byte-identical across runs for identical requests.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
-import random
 import stat
 import sys
 import tempfile
 
 from . import __version__
 from .errors import FlagkinError, ValidationError
-from .invariant_algebras import FlagContext, flag_generators, invariant_dimension
+from .invariant_algebras import FlagContext, invariant_dimension
 from .kinematics import (
     KinematicTable,
-    check_phi_closed_form,
-    check_s_closed_form,
     coproduct,
     coproduct_tables,
     hug_weil_coproduct,
-    oracle_coproduct_tables,
     table_to_csv,
     table_to_json,
     table_to_latex,
-    verify_structure,
 )
-from .measures import (
-    PHI_EX,
-    MeasureLabel,
-    basis_labels,
-    dual_product,
-    phi_in_s_matrix,
-    phi_label,
-    s_in_phi_matrix,
-    s_label,
-)
-from .rotation_algebra import (
-    chord_basis,
-    chord_count,
-    generator,
-    graded_dimension,
-    narayana,
-    rotation_relation_check,
-    rotation_space_dimension,
-)
-from .scalars import Scalar, sbinom
+from .measures import PHI_EX, MeasureLabel, basis_labels, dual_product, phi_label, s_label
+from .rotation_algebra import chord_basis, graded_dimension
+from .verify import VERIFY_SUITES
 
 DEFAULT_MAX_N = 8
+ALL_FORMATS = ("text", "json", "csv", "latex")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -329,183 +307,6 @@ def cmd_table(args) -> int:
 # -- verify ----------------------------------------------------------------------
 
 
-def _suite_dimensions(ctx: FlagContext):
-    for k in range(ctx.n):
-        if not graded_dimension(ctx.n, k) == narayana(ctx.n, k) == chord_count(ctx.n, k):
-            return f"graded dimension mismatch at k={k}"
-        if rotation_space_dimension(ctx.n, k) != narayana(ctx.n, k):
-            return f"rotation space dimension mismatch at k={k}"
-    return None
-
-
-def _suite_ideal(ctx: FlagContext):
-    n = ctx.n
-    idx = range(2, n + 1)
-    if n <= 6:
-        quads = itertools.product(idx, repeat=4)
-    else:
-        rng = random.Random(20260808)
-        quads = [tuple(rng.choice(list(idx)) for _ in range(4)) for _ in range(300)]
-    for i, j, k, l in quads:
-        total = (
-            generator(n, i, j) * generator(n, k, l)
-            + generator(n, i, k) * generator(n, j, l)
-            + generator(n, i, l) * generator(n, j, k)
-        )
-        if not total.is_zero():
-            return f"ideal generator ({i},{j},{k},{l}) nonzero"
-    for a in idx:
-        for b in idx:
-            if not (generator(n, a, a) * generator(n, a, b)).is_zero():
-                return f"x_{a}{a} x_{a}{b} nonzero"
-    return None
-
-
-def _suite_base_change(ctx: FlagContext):
-    from .scalars import ONE
-
-    for k in range(ctx.n):
-        P = s_in_phi_matrix(ctx, k)
-        Q = phi_in_s_matrix(ctx, k)
-        m = len(P)
-        for i in range(m):
-            for j in range(m):
-                acc = Scalar()
-                for t in range(m):
-                    acc = acc + P[i][t] * Q[t][j]
-                if acc != (ONE if i == j else Scalar()):
-                    return f"base change not inverse at k={k}"
-    return None
-
-
-def _suite_flag_algebra(ctx: FlagContext):
-    x, y, u = flag_generators(ctx)
-    if not (x ** (ctx.p + 1)).is_zero():
-        return "x^(p+1) nonzero"
-    if not (y ** (ctx.q + 1)).is_zero():
-        return "y^(q+1) nonzero"
-    if (x**ctx.p * y**ctx.q).is_zero():
-        return "x^p y^q vanishes"
-    if u is not None:
-        if not (u * x).is_zero() or not (u * y).is_zero():
-            return "u x or u y nonzero"
-        want = (x**ctx.p * y**ctx.p).smul(
-            Scalar.of((-1) ** ctx.p * (ctx.p + 1), 2 ** (2 * ctx.p))
-        )
-        if u * u != want:
-            return "u^2 relation fails"
-    return None
-
-
-def _suite_closed_forms(ctx: FlagContext):
-    bad = check_phi_closed_form(ctx)
-    if bad:
-        return bad[0]
-    bad = check_s_closed_form(ctx)
-    if bad:
-        return bad[0]
-    for family in ("Phi", "S"):
-        if oracle_coproduct_tables(ctx, family) != coproduct_tables(ctx, family):
-            return f"{family} tables differ from the exterior-kernel oracle"
-    return None
-
-
-def _suite_structure(ctx: FlagContext):
-    report = verify_structure(ctx)
-    return None if report.ok else report.first_failure
-
-
-def _suite_convolution(ctx: FlagContext):
-    from .grassmann_oracle import convolution_cross_check
-
-    n = ctx.n
-    gens = [(i, j) for i in range(2, n + 1) for j in range(i, n + 1)]
-    rng = random.Random(20260808)
-
-    def monomials(degree):
-        if n <= 4:
-            return list(itertools.product(gens, repeat=degree))
-        return [
-            tuple(rng.choice(gens) for _ in range(degree)) for _ in range(12)
-        ]
-
-    for d1 in range(1, n - 1):
-        for d2 in range(1, n - d1):
-            for m1 in monomials(d1):
-                for m2 in monomials(d2):
-                    if not convolution_cross_check(ctx, m1, m2):
-                        return f"convolution mismatch at {m1} * {m2}"
-    return None
-
-
-def _suite_rotation_relations(ctx: FlagContext):
-    n = ctx.n
-    idx = range(2, n + 1)
-    for k in range(1, n - 1):
-        for ip in itertools.combinations(idx, k - 1):
-            for jp in itertools.combinations(idx, k + 1):
-                if not rotation_relation_check(n, ip, jp):
-                    return f"relation fails at I'={ip}, J'={jp}"
-    return None
-
-
-def _suite_oracle(ctx: FlagContext):
-    from .grassmann_oracle import (
-        eta_ex,
-        eta_hat,
-        honest_diagonal_twist,
-        honest_exceptional_pairing,
-        honest_generating_identity,
-        pairing,
-        rotation_pairing,
-        tau_ex,
-        tau_tilde,
-    )
-
-    n, p, q = ctx.n, ctx.p, ctx.q
-    for i in range(2, n + 1):
-        if rotation_pairing(n, i, i, (i,), (i,)) != Scalar.of(-1) * Scalar.vol_so(n):
-            return f"<x_{i}{i}, S_{i}{i}> != -volSO({n})"
-        for j in range(2, n + 1):
-            if i != j and rotation_pairing(n, i, j, (i,), (j,)) != Scalar.of(-1, 2) * Scalar.vol_so(n):
-                return f"<x_{i}{j}, S_{i}{j}> != -volSO({n})/2"
-    for k in range(n):
-        for a in range(max(0, k - q), min(k, p) + 1):
-            for l in range(n):
-                for b in range(max(0, l - q), min(l, p) + 1):
-                    val = pairing(ctx, tau_tilde(ctx, k, a), eta_hat(ctx, l, b))
-                    if (k, a) == (l, b):
-                        want = (
-                            honest_diagonal_twist(k)
-                            * sbinom(p, a)
-                            * sbinom(q, k - a)
-                            * Scalar.omega(n)
-                        )
-                        if val != want:
-                            return f"diagonal pairing ({k},{a}) = {val}, expected {want}"
-                    elif not val.is_zero():
-                        return f"off-diagonal pairing ({k},{a})x({l},{b}) nonzero"
-    if not honest_generating_identity(ctx):
-        return "generating identity polynomial has unexpected shape"
-    if ctx.exceptional:
-        if pairing(ctx, tau_ex(ctx), eta_ex(ctx)) != honest_exceptional_pairing(ctx):
-            return "exceptional pairing off"
-    return None
-
-
-VERIFY_SUITES = (
-    ("dimensions", _suite_dimensions),
-    ("ideal identities", _suite_ideal),
-    ("base changes", _suite_base_change),
-    ("flag algebra relations", _suite_flag_algebra),
-    ("rotation relations", _suite_rotation_relations),
-    ("closed-form agreement", _suite_closed_forms),
-    ("structural laws", _suite_structure),
-    ("convolution cross-check", _suite_convolution),
-    ("oracle pairings", _suite_oracle),
-)
-
-
 def cmd_verify(args) -> int:
     _guard(args)
     ctx = _ctx(args)
@@ -531,30 +332,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"flagkin {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_p=True):
+    def common(sp, formats, with_p=True):
         sp.add_argument("--n", type=int, required=True, help="ambient dimension")
         if with_p:
             sp.add_argument("--p", type=int, default=None, help="plane dimension minus one")
-        sp.add_argument(
-            "--format",
-            choices=("text", "json", "csv", "latex"),
-            default="text",
-        )
+        sp.add_argument("--format", choices=formats, default="text")
         sp.add_argument("--output", default=None, help="write to file instead of stdout")
         sp.add_argument("--max-n", type=int, default=None, help="override the size guard")
 
     sp = sub.add_parser("dim", help="graded dimensions")
-    common(sp)
+    common(sp, ALL_FORMATS)
     sp.set_defaults(func=cmd_dim)
 
     sp = sub.add_parser("basis", help="chord basis or measure labels")
-    common(sp)
+    common(sp, ("text", "json"))
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--basis", choices=("Phi", "S"), default="S")
     sp.set_defaults(func=cmd_basis)
 
     sp = sub.add_parser("product", help="dual basis product expansion")
-    common(sp)
+    common(sp, ("text", "json"))
     sp.add_argument("--basis", choices=("Phi", "S"), default="S")
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--a", type=int, default=None)
@@ -567,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_product)
 
     sp = sub.add_parser("coproduct", help="kinematic table of one basis measure")
-    common(sp)
+    common(sp, ALL_FORMATS)
     sp.add_argument("--basis", choices=("Phi", "S"), default="S")
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--a", type=int, default=None)
@@ -576,13 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_coproduct)
 
     sp = sub.add_parser("table", help="all kinematic tables for (n, p)")
-    common(sp)
+    common(sp, ALL_FORMATS)
     sp.add_argument("--basis", choices=("Phi", "S"), default="S")
     sp.add_argument("--hug-weil", action="store_true", help="emit the rescaled S^(p) tables")
     sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("verify", help="run all verification suites for (n, p)")
-    common(sp)
+    common(sp, ("text",))
     sp.set_defaults(func=cmd_verify)
 
     return parser

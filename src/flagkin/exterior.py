@@ -282,20 +282,30 @@ def hodge_complement(n: int, sigma_mask: int) -> tuple[int, int]:
     return sign, comp
 
 
-def hodge_star_sigma(n: int, a: Multivector) -> Multivector:
-    """Hodge star on pure sigma multivectors over sigma_1..sigma_n."""
+def _complement_sigma(n: int, a: Multivector, degree_sign) -> Multivector:
+    """Replace each blade's sigma part by its complement over sigma_1..sigma_n.
+
+    A blade with sigma-part of degree k picks up the Hodge sign of the
+    complement times degree_sign(k); the omega and rho parts are kept.
+    """
     terms: dict[Blade, Scalar] = {}
     for blade, coeff in a._terms.items():
+        hsign, comp = hodge_complement(n, blade.sigma)
+        c = coeff if hsign * degree_sign(blade.sigma_degree()) > 0 else -coeff
+        new = Blade(comp, blade.omega, blade.rho)
+        acc = terms.get(new)
+        terms[new] = c if acc is None else acc + c
+    return Multivector(terms)
+
+
+def hodge_star_sigma(n: int, a: Multivector) -> Multivector:
+    """Hodge star on pure sigma multivectors over sigma_1..sigma_n."""
+    for blade in a._terms:
         if blade.omega or blade.rho:
             raise NonSigmaInput(f"non-sigma factor in {blade.to_text()}")
         if blade.sigma & ~full_sigma_mask(n):
             raise NonSigmaInput(f"sigma index above n={n} in {blade.to_text()}")
-        sign, comp = hodge_complement(n, blade.sigma)
-        c = coeff if sign > 0 else -coeff
-        new = Blade(sigma=comp)
-        acc = terms.get(new)
-        terms[new] = c if acc is None else acc + c
-    return Multivector(terms)
+    return _complement_sigma(n, a, lambda k: 1)
 
 
 def star1(n: int, a: Multivector) -> Multivector:
@@ -304,30 +314,12 @@ def star1(n: int, a: Multivector) -> Multivector:
     On a blade with sigma-part of degree k the result is
     (-1)^binom(n-k, 2) (*sigma-part) ^ (omega/rho part).
     """
-    terms: dict[Blade, Scalar] = {}
-    for blade, coeff in a._terms.items():
-        k = blade.sigma_degree()
-        hsign, comp = hodge_complement(n, blade.sigma)
-        pref = -1 if ((n - k) * (n - k - 1) // 2) & 1 else 1
-        c = coeff if pref * hsign > 0 else -coeff
-        new = Blade(comp, blade.omega, blade.rho)
-        acc = terms.get(new)
-        terms[new] = c if acc is None else acc + c
-    return Multivector(terms)
+    return _complement_sigma(n, a, lambda k: -1 if ((n - k) * (n - k - 1) // 2) & 1 else 1)
 
 
 def star1_inv(n: int, a: Multivector) -> Multivector:
-    """Explicit inverse of star1, stored as its own sign-and-complement map."""
-    terms: dict[Blade, Scalar] = {}
-    for blade, coeff in a._terms.items():
-        j = blade.sigma_degree()
-        hsign, comp = hodge_complement(n, blade.sigma)
-        pref = -1 if (j * (j - 1) // 2 + j * (n - j)) & 1 else 1
-        c = coeff if pref * hsign > 0 else -coeff
-        new = Blade(comp, blade.omega, blade.rho)
-        acc = terms.get(new)
-        terms[new] = c if acc is None else acc + c
-    return Multivector(terms)
+    """Explicit inverse of star1: degree sign (-1)^(binom(j, 2) + j (n - j))."""
+    return _complement_sigma(n, a, lambda j: -1 if (j * (j - 1) // 2 + j * (n - j)) & 1 else 1)
 
 
 def top_blade(n: int, with_rho: bool = False) -> Blade:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 
 from .errors import DegreeMismatch, DimensionMismatch, ExceptionalUnavailable
-from .exterior import Blade, Multivector, omega1, sigma, star1, star1_inv, top_coefficient
+from .exterior import Multivector, omega1, sigma, star1, star1_inv, top_blade, top_coefficient
 from .invariant_algebras import FlagContext, u_element
 from .measures import validate_label
 from .rotation_algebra import (
@@ -221,14 +221,7 @@ def rotation_pairing(n: int, i: int, j: int, I, J) -> Scalar:
         raise BadIndexSet("only the degree-1 rotation pairing is implemented")
     tau = star1_inv(n, generator(n, i, j).body)
     product = tau.wedge(omega_IJ(n, I, J))
-    coeff = product.coefficient(
-        Blade(
-            sigma=((1 << (n + 1)) - 1) & ~1,
-            omega=((1 << (n + 1)) - 1) & ~3,
-            rho=True,
-        )
-    )
-    return Scalar.vol_so(n) * coeff
+    return Scalar.vol_so(n) * product.coefficient(top_blade(n, with_rho=True))
 
 
 # -- the honest pairing table ----------------------------------------------------

@@ -7,7 +7,7 @@ right, expand the product over the dual basis, and read off the input's
 slot.  Tables are computed in the algebra's presentation by x, y and u;
 the same sweep in the exterior kernel (oracle_coproduct_tables) and the
 closed forms of the coefficient theorems are two independent checks,
-compared term by term.
+which flagkin.verify compares term by term.
 
 The double-sum closed form for the S basis is implemented with summation
 limits m'_j, m'_{k-j} (the support of its binomial factors, as dictated by
@@ -26,7 +26,6 @@ from .errors import ExceptionalUnavailable, IndexOutOfRange, OracleMismatch
 from .invariant_algebras import FlagContext
 from .measures import (
     PHI_EX,
-    MeasureExpr,
     MeasureLabel,
     basis_labels,
     dual_element,
@@ -36,7 +35,7 @@ from .measures import (
     s_label,
     validate_label,
 )
-from .scalars import ONE, Scalar, binom, sbinom
+from .scalars import Scalar, binom, sbinom
 
 Term = tuple[MeasureLabel, MeasureLabel, Scalar]
 
@@ -223,178 +222,6 @@ def hug_weil_coproduct(ctx: FlagContext, k: int) -> KinematicTable:
         coeff = c * scale * sbinom(ctx.q, j) * sbinom(ctx.q, l) / sbinom(ctx.q, k)
         terms[(MeasureLabel("Sp", j), MeasureLabel("Sp", l))] = coeff
     return KinematicTable(ctx, MeasureLabel("Sp", k), "Sp", _sorted_terms(ctx, terms))
-
-
-# -- structural laws -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    checks: tuple[tuple[str, bool, str], ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    @property
-    def first_failure(self) -> str | None:
-        for name, ok, detail in self.checks:
-            if not ok:
-                return f"{name}: {detail}"
-        return None
-
-    def to_text(self) -> str:
-        return "\n".join(
-            f"  [{'ok' if ok else 'FAIL'}] {name}" + (f" -- {d}" if d and not ok else "")
-            for name, ok, d in self.checks
-        )
-
-
-def _global_table(ctx: FlagContext, table: KinematicTable) -> dict[tuple[int, int], Scalar]:
-    """Apply globalize (x) globalize to a table, keyed by global degrees."""
-    from .measures import globalize
-
-    out: dict[tuple[int, int], Scalar] = {}
-    for left, right, c in table.terms:
-        gl = globalize(MeasureExpr.of(ctx, {left: ONE}))
-        gr = globalize(MeasureExpr.of(ctx, {right: ONE}))
-        for ll, fl in gl.terms:
-            for rl, fr in gr.terms:
-                key = (ll.k, rl.k)
-                out[key] = out.get(key, Scalar()) + c * fl * fr
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def verify_structure(ctx: FlagContext) -> StructureReport:
-    """Check cocommutativity, coassociativity, counit behavior, globalization."""
-    checks: list[tuple[str, bool, str]] = []
-    inv_omega = Scalar.omega(ctx.n, -1)
-    for family in ("Phi", "S"):
-        tables = coproduct_tables(ctx, family)
-        zero_label = basis_labels(ctx, 0, family)[0]
-
-        bad = ""
-        for label, table in tables.items():
-            for l, r, c in table.terms:
-                if table.coefficient(r, l) != c:
-                    bad = f"A({label}) at {l} (x) {r}"
-                    break
-            if bad:
-                break
-        checks.append((f"cocommutativity[{family}]", not bad, bad))
-
-        bad = ""
-        for label, table in tables.items():
-            left_assoc: dict[tuple, Scalar] = {}
-            right_assoc: dict[tuple, Scalar] = {}
-            for l, r, c in table.terms:
-                for l2, r2, c2 in tables[l].terms:
-                    key = (l2, r2, r)
-                    left_assoc[key] = left_assoc.get(key, Scalar()) + c * c2
-                for l2, r2, c2 in tables[r].terms:
-                    key = (l, l2, r2)
-                    right_assoc[key] = right_assoc.get(key, Scalar()) + c * c2
-            left_assoc = {k: v for k, v in left_assoc.items() if not v.is_zero()}
-            right_assoc = {k: v for k, v in right_assoc.items() if not v.is_zero()}
-            if left_assoc != right_assoc:
-                bad = f"A({label})"
-                break
-        checks.append((f"coassociativity[{family}]", not bad, bad))
-
-        bad = ""
-        for label, table in tables.items():
-            if (
-                table.coefficient(zero_label, label) != inv_omega
-                or table.coefficient(label, zero_label) != inv_omega
-            ):
-                bad = f"A({label})"
-                break
-        checks.append((f"counit[{family}]", not bad, bad))
-
-        bad = ""
-        for label, table in tables.items():
-            got = _global_table(ctx, table)
-            k = label.degree(ctx)
-            if label.kind == "PhiEx":
-                want: dict[tuple[int, int], Scalar] = {}
-            else:
-                front = inv_omega
-                if label.kind == "Phi":
-                    front = front * sbinom(ctx.q, k - label.idx) * sbinom(ctx.p, label.idx)
-                want = {
-                    (j, k - j): front * sbinom(k, j)
-                    for j in range(k + 1)
-                    if not (front * sbinom(k, j)).is_zero()
-                }
-            if got != want:
-                bad = f"A({label})"
-                break
-        checks.append((f"globalization[{family}]", not bad, bad))
-    return StructureReport(tuple(checks))
-
-
-# -- agreement of tables with the closed forms ------------------------------------
-
-
-def check_phi_closed_form(ctx: FlagContext) -> list[str]:
-    """Mismatches between Phi tables and (1/omega_n) c^{k,a}_{j,b}; [] when none."""
-    bad: list[str] = []
-    inv_omega = Scalar.omega(ctx.n, -1)
-    tables = coproduct_tables(ctx, "Phi")
-    for k in range(ctx.n):
-        for input in basis_labels(ctx, k, "Phi"):
-            if input.kind != "Phi":
-                continue
-            a = input.idx
-            table = tables[input]
-            seen: set[tuple[MeasureLabel, MeasureLabel]] = set()
-            for j in range(k + 1):
-                for left in basis_labels(ctx, j, "Phi"):
-                    if left.kind != "Phi":
-                        continue
-                    b = left.idx
-                    right_ok = (
-                        max(0, k - j - ctx.q) <= a - b <= min(k - j, ctx.p)
-                        and max(0, j - k + a) <= b <= min(a, j)
-                    )
-                    if not right_ok:
-                        continue
-                    right = phi_label(k - j, a - b)
-                    want = inv_omega * closed_form_phi(ctx, k, a, j, b)
-                    got = table.coefficient(left, right)
-                    seen.add((left, right))
-                    if got != want:
-                        bad.append(f"A({input}) at {left}(x){right}: {got} != {want}")
-            for l, r, c in table.terms:
-                if (l, r) in seen:
-                    continue
-                if l.kind == "PhiEx" or r.kind == "PhiEx":
-                    continue  # exceptional corrections checked separately
-                bad.append(f"A({input}) unexpected term {l}(x){r}: {c}")
-    return bad
-
-
-def check_s_closed_form(ctx: FlagContext) -> list[str]:
-    """Mismatches between S tables and (1/omega_n) C^{k,i}_{j,b,c}; [] when none."""
-    bad: list[str] = []
-    inv_omega = Scalar.omega(ctx.n, -1)
-    tables = coproduct_tables(ctx, "S")
-    for k in range(ctx.n):
-        for input in basis_labels(ctx, k, "S"):
-            if input.kind != "S":
-                continue
-            i = input.idx
-            table = tables[input]
-            for j in range(k + 1):
-                for b in range(ctx.m(j) + 1):
-                    for c in range(ctx.m(k - j) + 1):
-                        want = inv_omega * closed_form_S(ctx, k, i, j, b, c)
-                        got = table.coefficient(s_label(j, b), s_label(k - j, c))
-                        if got != want:
-                            bad.append(
-                                f"A({input}) at S[{j},{b}](x)S[{k - j},{c}]: {got} != {want}"
-                            )
-    return bad
 
 
 # -- renderings -------------------------------------------------------------------

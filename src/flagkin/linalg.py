@@ -64,13 +64,6 @@ class SparseEchelon:
         return True
 
 
-def rank(rows) -> int:
-    ech = SparseEchelon()
-    for row in rows:
-        ech.add(row)
-    return ech.rank
-
-
 def solve_unique(columns: list[Row], rhs: Row) -> list[Fraction]:
     """Solve A x = rhs where A is given column-wise; require a unique solution.
 
@@ -104,11 +97,3 @@ def solve_unique(columns: list[Row], rhs: Row) -> list[Fraction]:
             raise SolveFailure("under-determined linear system")
         sol[col] = prow.get(RHS, Fraction(0))
     return sol
-
-
-def in_span(columns: list[Row], rhs: Row) -> bool:
-    """True when rhs lies in the column span (consistency only)."""
-    ech = SparseEchelon()
-    for col in columns:
-        ech.add(dict(col))
-    return not ech.reduce(dict(rhs))

@@ -24,7 +24,7 @@ from .errors import (
     UnitMismatch,
 )
 from .exterior import Blade, Multivector, sigma, omega1, wedge
-from .linalg import SparseEchelon, in_span, solve_unique
+from .linalg import SparseEchelon, solve_unique
 from .scalars import Scalar, Units
 
 
@@ -92,6 +92,7 @@ def zero(n: int) -> AlgebraElement:
     return AlgebraElement(n, Multivector.zero())
 
 
+@lru_cache(maxsize=None)
 def generator(n: int, i: int, j: int) -> AlgebraElement:
     """The generator x_{ij} = (sigma_i ^ omega_{j,1} + sigma_j ^ omega_{i,1})/2."""
     if not (2 <= i <= n and 2 <= j <= n):
@@ -280,6 +281,7 @@ def graded_dimension(n: int, k: int) -> int:
 # -- the primal rotation-measure space ----------------------------------------
 
 
+@lru_cache(maxsize=None)
 def dalpha(n: int) -> Multivector:
     """The symplectic form sum_i sigma_i ^ omega_{i,1}, i = 2..n (up to sign)."""
     out = Multivector.zero()
@@ -308,15 +310,21 @@ def _dalpha_image_columns(n: int, k: int) -> tuple[dict[int, Fraction], ...]:
 
 
 @lru_cache(maxsize=None)
+def _dalpha_image_echelon(n: int, k: int) -> SparseEchelon:
+    """Echelon of the wedge-by-dalpha image; callers only reduce against it."""
+    ech = SparseEchelon()
+    for col in _dalpha_image_columns(n, k):
+        ech.add(dict(col))
+    return ech
+
+
+@lru_cache(maxsize=None)
 def rotation_space_dimension(n: int, k: int) -> int:
     """dim of (sigma^k x omega^(n-1-k)) modulo the image of wedge-by-dalpha."""
     if not 0 <= k <= n - 1:
         raise IndexOutOfRange(f"degree {k} outside 0..{n - 1}")
     ambient = comb(n - 1, k) * comb(n - 1, n - 1 - k)
-    ech = SparseEchelon()
-    for col in _dalpha_image_columns(n, k):
-        ech.add(dict(col))
-    return ambient - ech.rank
+    return ambient - _dalpha_image_echelon(n, k).rank
 
 
 def _perm_sign(seq) -> int:
@@ -377,7 +385,7 @@ def rotation_relation_check(n: int, i_prime, j_prime) -> bool:
         total = total + (rep if l % 2 == 0 else -rep)
     if total.is_zero():
         return True
-    return in_span(list(_dalpha_image_columns(n, k)), _body_to_row(total))
+    return not _dalpha_image_echelon(n, k).reduce(_body_to_row(total))
 
 
 # -- classical identities ------------------------------------------------------

@@ -96,6 +96,13 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 1
 
 
+def test_unrendered_format_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "3", "--p", "1", "--format", "json"])  # verify prints text only
+    assert exc.value.code == 1
+    assert "invalid choice: 'json'" in capsys.readouterr().err
+
+
 def test_max_n_env_override(capsys, monkeypatch):
     monkeypatch.setenv("FLAGKIN_MAX_N", "9")
     code, out, _ = run(capsys, "dim", "--n", "9")

@@ -3,14 +3,9 @@ from fractions import Fraction
 import pytest
 
 from flagkin.errors import SolveFailure
-from flagkin.linalg import SparseEchelon, in_span, rank, solve_unique
+from flagkin.linalg import SparseEchelon, solve_unique
 
 F = Fraction
-
-
-def test_rank():
-    rows = [{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}, {1: F(1)}]
-    assert rank(rows) == 2
 
 
 def test_incremental_add():
@@ -37,9 +32,3 @@ def test_solve_underdetermined():
     cols = [{0: F(1)}, {0: F(2)}]
     with pytest.raises(SolveFailure):
         solve_unique(cols, {0: F(1)})
-
-
-def test_in_span():
-    cols = [{0: F(1), 1: F(1)}, {1: F(1)}]
-    assert in_span(cols, {0: F(2), 1: F(5)})
-    assert not in_span(cols, {2: F(1)})

@@ -2,8 +2,8 @@
 
 import pytest
 
-import flagkin.cli as cli
 import flagkin.kinematics as kinematics
+import flagkin.verify as verify
 from flagkin.errors import NotHomogeneous, OracleMismatch
 from flagkin.invariant_algebras import FlagContext, PresentedElement
 from flagkin.kinematics import coproduct_tables, exceptional_coproduct, oracle_coproduct_tables
@@ -78,7 +78,7 @@ def test_exceptional_mismatch_raises(monkeypatch):
 
 
 def test_verify_reports_oracle_disagreement(monkeypatch):
-    monkeypatch.setattr(cli, "oracle_coproduct_tables", lambda ctx, family: {})
-    assert cli._suite_closed_forms(FlagContext(3, 1)) == (
+    monkeypatch.setattr(kinematics, "oracle_coproduct_tables", lambda ctx, family: {})
+    assert verify._suite_closed_forms(FlagContext(3, 1)) == (
         "Phi tables differ from the exterior-kernel oracle"
     )
