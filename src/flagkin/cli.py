@@ -30,7 +30,11 @@ from .measures import PHI_EX, MeasureLabel, basis_labels, dual_product, phi_labe
 from .rotation_algebra import chord_basis, graded_dimension
 from .verify import VERIFY_SUITES
 
+# Default size guards.  verify, dim and basis build exterior forms, whose
+# cost grows like 4^n; table, coproduct and product compute in the x, y, u
+# presentation, where the slowest table at n = 20 takes one to two seconds.
 DEFAULT_MAX_N = 8
+PRESENTED_MAX_N = 20
 ALL_FORMATS = ("text", "json", "csv", "latex")
 
 
@@ -41,18 +45,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _max_n(args) -> int:
+def _max_n(args, default: int) -> int:
     if args.max_n is not None:
         return args.max_n
-    raw = os.environ.get("FLAGKIN_MAX_N", str(DEFAULT_MAX_N))
+    raw = os.environ.get("FLAGKIN_MAX_N", str(default))
     try:
         return int(raw)
     except ValueError:
         raise ValidationError(f"FLAGKIN_MAX_N={raw!r} is not an integer") from None
 
 
-def _guard(args) -> None:
-    limit = _max_n(args)
+def _guard(args, default: int = DEFAULT_MAX_N) -> None:
+    limit = _max_n(args, default)
     if args.n > limit:
         raise ValidationError(
             f"n={args.n} exceeds the budget guard max-n={limit} "
@@ -214,7 +218,7 @@ def cmd_basis(args) -> int:
 
 
 def cmd_product(args) -> int:
-    _guard(args)
+    _guard(args, PRESENTED_MAX_N)
     ctx = _ctx(args)
     left = _input_label(ctx, args)
     right_args = argparse.Namespace(
@@ -285,7 +289,7 @@ def _render_tables(args, tables: list[KinematicTable]) -> str:
 
 
 def cmd_coproduct(args) -> int:
-    _guard(args)
+    _guard(args, PRESENTED_MAX_N)
     ctx = _ctx(args)
     label = _input_label(ctx, args)
     table = coproduct(ctx, label, args.basis)
@@ -294,7 +298,7 @@ def cmd_coproduct(args) -> int:
 
 
 def cmd_table(args) -> int:
-    _guard(args)
+    _guard(args, PRESENTED_MAX_N)
     ctx = _ctx(args)
     if args.hug_weil:
         tables = [hug_weil_coproduct(ctx, k) for k in range(ctx.n - ctx.p)]

@@ -10,15 +10,20 @@ The rho marker stands for a form of unspecified degree; it is only legal
 in the rightmost factor of a wedge, which is the only position the in-scope
 formulas ever use.  The blade sigma_1 ^ ... ^ sigma_n ^ omega_{2,1} ^ ... ^
 omega_{n,1} ^ rho is the positive orientation.
+
+A multivector stores one unit monomial, shared by all its coefficients,
+and a map from blade keys to nonzero Fractions.  The key of a blade is
+``sigma << 32 | omega``, plus bit 64 for rho, so indices run up to 31.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .errors import NonSigmaInput, RhoOrdering
-from .scalars import ONE, Scalar
+from .errors import IndexOutOfRange, NonSigmaInput, RhoOrdering, UnitMismatch
+from .scalars import ONE, Scalar, Units, _merge_units
 
 
 def _inversions(a: int, b: int) -> int:
@@ -39,13 +44,6 @@ def _mask_to_indices(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def _indices_to_mask(indices) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
 
 
 def full_sigma_mask(n: int) -> int:
@@ -108,7 +106,10 @@ def blade_from_text(text: str) -> Blade:
 
 
 def wedge_blades(a: Blade, b: Blade) -> tuple[int, Blade]:
-    """Sign (0 or +-1) and canonical blade of a ^ b."""
+    """Sign (0 or +-1) and canonical blade of a ^ b, one blade pair at a time.
+
+    The reference that Multivector.wedge is tested against.
+    """
     if a.rho and b.rho:
         return 0, Blade()
     if a.rho and (b.sigma or b.omega):
@@ -124,13 +125,73 @@ def wedge_blades(a: Blade, b: Blade) -> tuple[int, Blade]:
     return sign, Blade(a.sigma | b.sigma, a.omega | b.omega, a.rho or b.rho)
 
 
-class Multivector:
-    """Finite Scalar-linear combination of blades."""
+# -- blade keys ----------------------------------------------------------------
 
-    __slots__ = ("_terms",)
+_LOW = (1 << 32) - 1
+_SIGMA = _LOW << 32
+_RHO = 1 << 64
+
+
+def _key(blade: Blade) -> int:
+    if not (0 <= blade.sigma <= _LOW and 0 <= blade.omega <= _LOW):
+        raise IndexOutOfRange(f"generator index above 31 in {blade.to_text()}")
+    return blade.sigma << 32 | blade.omega | (_RHO if blade.rho else 0)
+
+
+def _blade(key: int) -> Blade:
+    return Blade(key >> 32 & _LOW, key & _LOW, key >= _RHO)
+
+
+def _canonical(key: int) -> int:
+    """The generators of key as one mask whose bit order is the canonical order."""
+    return (key & _LOW) << 32 | key >> 32 & _LOW
+
+
+def _below_parity(mask: int) -> int:
+    """Bit x set iff an odd number of bits of mask lie below x (x < 64).
+
+    The parity of _inversions(a, mask) is then that of (a & result).bit_count().
+    """
+    p = mask << 1
+    p ^= p << 1
+    p ^= p << 2
+    p ^= p << 4
+    p ^= p << 8
+    p ^= p << 16
+    p ^= p << 32
+    return p
+
+
+class Multivector:
+    """Finite Scalar-linear combination of blades with one common unit monomial.
+
+    Internally: units, and a map from blade key to nonzero Fraction.  Blade
+    and Scalar objects are built only by terms() and coefficient().
+    """
+
+    __slots__ = ("_units", "_row")
 
     def __init__(self, terms: dict[Blade, Scalar] | None = None):
-        self._terms = {b: c for b, c in (terms or {}).items() if not c.is_zero()}
+        units = None
+        row = {}
+        for blade, coeff in (terms or {}).items():
+            if coeff.is_zero():
+                continue
+            if units is None:
+                units = coeff.units
+            elif coeff.units != units:
+                raise UnitMismatch(f"mixed unit monomials {units} vs {coeff.units}")
+            row[_key(blade)] = coeff.value
+        self._units = units or ()
+        self._row = row
+
+    @classmethod
+    def _of(cls, units: Units, row: dict[int, Fraction]) -> "Multivector":
+        """Adopt row (nonzero values only) without copying it."""
+        mv = object.__new__(cls)
+        mv._units = units if row else ()
+        mv._row = row
+        return mv
 
     # -- constructors ------------------------------------------------------
 
@@ -144,57 +205,94 @@ class Multivector:
 
     @staticmethod
     def unit() -> "Multivector":
-        return Multivector({Blade(): ONE})
+        return Multivector._of((), {0: Fraction(1)})
 
     # -- inspection --------------------------------------------------------
 
+    @property
+    def units(self) -> Units:
+        """The unit monomial shared by every coefficient; () for zero."""
+        return self._units
+
+    @property
+    def row(self) -> dict[int, Fraction]:
+        """Rational coefficients keyed by sigma << 32 | omega (| 1 << 64 for rho).
+
+        The multivector's own map, shared with the caller: read it, never
+        mutate it.
+        """
+        return self._row
+
     def terms(self) -> list[tuple[Blade, Scalar]]:
-        return sorted(self._terms.items(), key=lambda t: t[0])
+        units = self._units
+        keys = sorted(self._row, key=lambda k: (k & ~_RHO, k))
+        return [(_blade(k), Scalar(self._row[k], units)) for k in keys]
 
     def coefficient(self, blade: Blade) -> Scalar:
-        return self._terms.get(blade, Scalar())
+        value = self._row.get(_key(blade))
+        return Scalar() if value is None else Scalar(value, self._units)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._row
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._row)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._row)
 
     def sigma_degrees(self) -> set[int]:
-        return {b.sigma_degree() for b in self._terms}
+        return {(k & _SIGMA).bit_count() for k in self._row}
 
-    def degrees(self) -> set[int]:
-        return {b.degree() for b in self._terms}
+    def bidegrees(self) -> set[tuple[int, int, bool]]:
+        """(sigma degree, omega degree, rho present) of every blade."""
+        return {((k & _SIGMA).bit_count(), (k & _LOW).bit_count(), k >= _RHO) for k in self._row}
+
+    def has_sigma_factor(self, i: int) -> bool:
+        """Does every blade contain sigma_i?"""
+        bit = 1 << (32 + i)
+        return all(k & bit for k in self._row)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Multivector) and self._terms == other._terms
+        return (
+            isinstance(other, Multivector)
+            and self._units == other._units
+            and self._row == other._row
+        )
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self._units, frozenset(self._row.items())))
 
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other: "Multivector") -> "Multivector":
-        terms = dict(self._terms)
-        for b, c in other._terms.items():
-            acc = terms.get(b)
-            terms[b] = c if acc is None else acc + c
-        return Multivector(terms)
+        if self._units != other._units and self._row and other._row:
+            raise UnitMismatch(f"{self._units} vs {other._units}")
+        units = self._units or other._units
+        row = dict(self._row)
+        for k, c in other._row.items():
+            acc = row.get(k)
+            if acc is not None:
+                c += acc
+            if c:
+                row[k] = c
+            else:
+                del row[k]
+        return Multivector._of(units, row)
 
     def __neg__(self) -> "Multivector":
-        return Multivector({b: -c for b, c in self._terms.items()})
+        return Multivector._of(self._units, {k: -c for k, c in self._row.items()})
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         return self + (-other)
 
     def smul(self, s) -> "Multivector":
         s = Scalar.coerce(s)
-        if s.is_zero():
+        if s.is_zero() or not self._row:
             return Multivector()
-        return Multivector({b: c * s for b, c in self._terms.items()})
+        v = s.value
+        units = _merge_units(self._units, s.units) if s.units else self._units
+        return Multivector._of(units, {k: c * v for k, c in self._row.items()})
 
     def __rmul__(self, s) -> "Multivector":
         return self.smul(s)
@@ -202,18 +300,32 @@ class Multivector:
     # -- wedge ---------------------------------------------------------------
 
     def wedge(self, other: "Multivector") -> "Multivector":
-        terms: dict[Blade, Scalar] = {}
-        for b1, c1 in self._terms.items():
-            for b2, c2 in other._terms.items():
-                sign, blade = wedge_blades(b1, b2)
-                if sign == 0:
+        left, right = self._row, other._row
+        if not left or not right:
+            return Multivector()
+        if self._units and other._units:
+            units = _merge_units(self._units, other._units)
+        else:
+            units = self._units or other._units
+        # Per right blade: its key, the parity mask of its generators in
+        # canonical order (rho excluded) and its coefficient.
+        rights = [(k2, _below_parity(_canonical(k2)), c2) for k2, c2 in right.items()]
+        out: dict[int, Fraction] = {}
+        for k1, c1 in left.items():
+            if k1 >= _RHO and any(0 < k2 < _RHO for k2 in right):
+                raise RhoOrdering("rho marker must stay in the rightmost factor")
+            canon1 = _canonical(k1)
+            for k2, parity2, c2 in rights:
+                if k1 & k2:
                     continue
                 c = c1 * c2
-                if sign < 0:
-                    c = -c
-                acc = terms.get(blade)
-                terms[blade] = c if acc is None else acc + c
-        return Multivector(terms)
+                key = k1 | k2
+                acc = out.get(key)
+                if (canon1 & parity2).bit_count() & 1:
+                    out[key] = -c if acc is None else acc - c
+                else:
+                    out[key] = c if acc is None else acc + c
+        return Multivector._of(units, {k: c for k, c in out.items() if c})
 
     def __xor__(self, other: "Multivector") -> "Multivector":
         return self.wedge(other)
@@ -288,23 +400,30 @@ def _complement_sigma(n: int, a: Multivector, degree_sign) -> Multivector:
     A blade with sigma-part of degree k picks up the Hodge sign of the
     complement times degree_sign(k); the omega and rho parts are kept.
     """
-    terms: dict[Blade, Scalar] = {}
-    for blade, coeff in a._terms.items():
-        hsign, comp = hodge_complement(n, blade.sigma)
-        c = coeff if hsign * degree_sign(blade.sigma_degree()) > 0 else -coeff
-        new = Blade(comp, blade.omega, blade.rho)
-        acc = terms.get(new)
-        terms[new] = c if acc is None else acc + c
-    return Multivector(terms)
+    images: dict[int, tuple[int, bool]] = {}  # sigma mask -> (shifted complement, negate)
+    row: dict[int, Fraction] = {}
+    for key, c in a._row.items():
+        s = key >> 32 & _LOW
+        image = images.get(s)
+        if image is None:
+            hsign, comp = hodge_complement(n, s)
+            image = images[s] = (comp << 32, hsign * degree_sign(s.bit_count()) < 0)
+        new = image[0] | (key & ~_SIGMA)
+        if image[1]:
+            c = -c
+        acc = row.get(new)
+        row[new] = c if acc is None else acc + c
+    return Multivector._of(a._units, {k: c for k, c in row.items() if c})
 
 
 def hodge_star_sigma(n: int, a: Multivector) -> Multivector:
     """Hodge star on pure sigma multivectors over sigma_1..sigma_n."""
-    for blade in a._terms:
-        if blade.omega or blade.rho:
-            raise NonSigmaInput(f"non-sigma factor in {blade.to_text()}")
-        if blade.sigma & ~full_sigma_mask(n):
-            raise NonSigmaInput(f"sigma index above n={n} in {blade.to_text()}")
+    full = full_sigma_mask(n)
+    for key in a._row:
+        if key & ~_SIGMA:
+            raise NonSigmaInput(f"non-sigma factor in {_blade(key).to_text()}")
+        if key >> 32 & ~full:
+            raise NonSigmaInput(f"sigma index above n={n} in {_blade(key).to_text()}")
     return _complement_sigma(n, a, lambda k: 1)
 
 

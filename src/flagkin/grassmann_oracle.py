@@ -165,6 +165,24 @@ def honest_generating_identity(ctx: FlagContext) -> bool:
 # -- convolution cross-check ---------------------------------------------------
 
 
+def _sorted_monomial(m: tuple) -> tuple:
+    return tuple(sorted(tuple(sorted(pair)) for pair in m))
+
+
+@lru_cache(maxsize=4096)
+def _convolution_factor(n: int, m: tuple) -> tuple[AlgebraElement, Multivector | None]:
+    """A monomial's algebra element and star1 of its star1-inverse image.
+
+    The image is None when it fails a J-space condition (sigma_1
+    divisibility or annihilation by d alpha).
+    """
+    element = monomial(n, m)
+    tau = star1_inv(n, element.body)
+    if not tau.has_sigma_factor(1) or not dalpha(n).wedge(tau).is_zero():
+        return element, None
+    return element, star1(n, tau)
+
+
 def convolution_cross_check(ctx: FlagContext, m1, m2) -> bool:
     """Compare the algebra product with the form-level convolution.
 
@@ -174,30 +192,24 @@ def convolution_cross_check(ctx: FlagContext, m1, m2) -> bool:
     tau * tau' = star1_inv(star1 tau ^ star1 tau'), and compare against
     the star1-inverse image of the algebra product.  Both J-space
     conditions (sigma_1 divisibility and annihilation by d alpha) are
-    asserted along the way.
+    asserted along the way.  Generators commute, so each monomial's forms
+    are computed once, keyed by its sorted generator pairs.
     """
     m1, m2 = tuple(m1), tuple(m2)
     n = ctx.n
     if len(m1) + len(m2) > n - 1:
         raise DimensionMismatch(f"degrees {len(m1)}+{len(m2)} exceed n-1={n - 1}")
-    e1, e2 = monomial(n, m1), monomial(n, m2)
+    e1, star_tau1 = _convolution_factor(n, _sorted_monomial(m1))
+    e2, star_tau2 = _convolution_factor(n, _sorted_monomial(m2))
+    if star_tau1 is None or star_tau2 is None:
+        return False
     algebra_product = e1 * e2
-
-    tau1 = star1_inv(n, e1.body)
-    tau2 = star1_inv(n, e2.body)
-    da = dalpha(n)
-    for tau in (tau1, tau2):
-        for blade, _ in tau.terms():
-            if not blade.sigma & 2:  # bit 1: sigma_1
-                return False
-        if not da.wedge(tau).is_zero():
-            return False
-    convolution = star1_inv(n, star1(n, tau1).wedge(star1(n, tau2)))
+    convolution = star1_inv(n, star_tau1.wedge(star_tau2))
     if convolution != star1_inv(n, algebra_product.body):
         return False
-    if not da.wedge(convolution).is_zero():
+    if not dalpha(n).wedge(convolution).is_zero():
         return False
-    return all(blade.sigma & 2 for blade, _ in convolution.terms()) or convolution.is_zero()
+    return convolution.has_sigma_factor(1)
 
 
 # -- rotation pairings ----------------------------------------------------------

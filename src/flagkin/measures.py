@@ -135,9 +135,6 @@ class MeasureExpr:
     def degree(self) -> int | None:
         return self.terms[0][0].degree(self.ctx) if self.terms else None
 
-    def map_scalars(self, f) -> "MeasureExpr":
-        return MeasureExpr.of(self.ctx, {l: f(c) for l, c in self.terms})
-
     def __add__(self, other: "MeasureExpr") -> "MeasureExpr":
         acc = {l: c for l, c in self.terms}
         for l, c in other.terms:
@@ -156,6 +153,7 @@ class MeasureExpr:
 # -- normalization constants and base changes ---------------------------------
 
 
+@lru_cache(maxsize=None)
 def c_constant(n: int, k: int, p: int, i: int) -> Scalar:
     """c_{n,k,p,i}, the binomial normalization of the S-basis."""
     ctx = FlagContext(n, p)
@@ -304,9 +302,10 @@ def expand_in_duals(
     elif family == "S":
         mp = ctx.m_prime(k)
         for i in range(ctx.m(k) + 1):
+            c_i = c_constant(ctx.n, k, ctx.p, i)
             acc = Scalar()
             for a, c in phi_coeffs.items():
-                acc = acc + c * c_constant(ctx.n, k, ctx.p, i) * sbinom(mp - a, i)
+                acc = acc + c * c_i * sbinom(mp - a, i)
             if not acc.is_zero():
                 out[s_label(k, i)] = acc
     else:

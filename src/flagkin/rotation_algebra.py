@@ -71,11 +71,11 @@ class AlgebraElement:
 
     def degree(self) -> int:
         """Common algebra degree of all blades; NotHomogeneous otherwise."""
+        bidegrees = self.body.bidegrees()
+        if any(rho for _, _, rho in bidegrees):
+            raise NotHomogeneous("rho marker inside algebra element")
         degs = set()
-        for blade, _ in self.body.terms():
-            if blade.rho:
-                raise NotHomogeneous("rho marker inside algebra element")
-            ks, ko = blade.sigma_degree(), blade.omega_degree()
+        for ks, ko, _ in bidegrees:
             if ks != ko:
                 raise NotHomogeneous("sigma and omega degrees differ")
             degs.add(ks)
@@ -226,28 +226,16 @@ def narayana(n: int, k: int) -> int:
 # -- coordinates and graded dimensions ---------------------------------------
 
 
-def _blade_index(blade: Blade) -> int:
-    return (blade.sigma << 32) | blade.omega
-
-
 def _body_to_row(body: Multivector) -> dict[int, Fraction]:
-    row = {}
-    for blade, coeff in body.terms():
-        if coeff.units:
-            raise UnitMismatch("expected unitless coefficients")
-        row[_blade_index(blade)] = coeff.value
-    return row
+    """The body's own rational row; it must carry no units."""
+    if body.units:
+        raise UnitMismatch("expected unitless coefficients")
+    return body.row
 
 
 def split_unit(body: Multivector) -> tuple[Units, dict[int, Fraction]]:
-    """Factor the common unit monomial out of a multivector's coefficients."""
-    units = {c.units for _, c in body.terms()}
-    if not units:
-        return (), {}
-    if len(units) > 1:
-        raise UnitMismatch(f"mixed unit monomials {sorted(units)}")
-    (u,) = units
-    return u, {_blade_index(b): c.value for b, c in body.terms()}
+    """The unit monomial common to a multivector's coefficients, and its rational row."""
+    return body.units, body.row
 
 
 @lru_cache(maxsize=None)
@@ -342,7 +330,8 @@ def rotation_measure_rep(n: int, I, J, with_rho: bool = False) -> Multivector:
 
     J^c is taken ascending; the sign makes the concatenation (J, J^c)
     carry the parity of (2, ..., n).  Antisymmetry in I comes from the
-    wedge, antisymmetry in J from the completion sign.
+    parity of I (a repeated index gives zero), antisymmetry in J from the
+    completion sign.
     """
     I, J = tuple(I), tuple(J)
     if len(I) != len(J):
@@ -350,16 +339,15 @@ def rotation_measure_rep(n: int, I, J, with_rho: bool = False) -> Multivector:
     for v in I + J:
         if not 2 <= v <= n:
             raise BadIndexSet(f"index {v} outside 2..{n}")
-    if len(set(J)) != len(J):
+    if len(set(J)) != len(J) or len(set(I)) != len(I):
         return Multivector.zero()
     comp = tuple(v for v in range(2, n + 1) if v not in J)
-    jsign = _perm_sign(J + comp)
-    out = reduce(wedge, (sigma(i) for i in I), Multivector.unit())
-    for j in comp:
-        out = out.wedge(omega1(j))
-    if with_rho:
-        out = out.wedge(Multivector.from_blade(Blade(rho=True)))
-    return out.smul(Scalar.of(jsign))
+    blade = Blade(
+        sigma=sum(1 << i for i in I),
+        omega=sum(1 << j for j in comp),
+        rho=with_rho,
+    )
+    return Multivector.from_blade(blade, Scalar.of(_perm_sign(I) * _perm_sign(J + comp)))
 
 
 def rotation_relation_check(n: int, i_prime, j_prime) -> bool:

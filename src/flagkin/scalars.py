@@ -100,9 +100,6 @@ class Scalar:
     def __bool__(self) -> bool:
         return self.value != 0
 
-    def is_rational(self) -> bool:
-        return self.units == ()
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "Scalar":

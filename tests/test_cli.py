@@ -209,3 +209,15 @@ def test_output_keeps_existing_mode(tmp_path, capsys):
     assert code == 0
     assert stat.S_IMODE(target.stat().st_mode) == 0o600
     assert target.read_text().startswith("rotation algebra")
+
+
+def test_presented_commands_have_their_own_guard(capsys, monkeypatch):
+    monkeypatch.delenv("FLAGKIN_MAX_N", raising=False)
+    code, out, _ = run(capsys, "table", "--n", "12", "--p", "5")
+    assert code == 0 and out.startswith("A(S[0,0])  [n=12, p=5]")
+    code, _, err = run(capsys, "table", "--n", "21", "--p", "10")
+    assert code == 1 and "max-n=20" in err
+    code, _, err = run(capsys, "verify", "--n", "9", "--p", "4")
+    assert code == 1 and "max-n=8" in err
+    code, _, _ = run(capsys, "coproduct", "--n", "12", "--p", "5", "--k", "3", "--i", "1", "--max-n", "11")
+    assert code == 1

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagkin.errors import NonSigmaInput, RhoOrdering
+from flagkin.errors import IndexOutOfRange, NonSigmaInput, RhoOrdering, UnitMismatch
 from flagkin.exterior import (
     Blade,
     Multivector,
@@ -18,6 +18,7 @@ from flagkin.exterior import (
     top_blade,
     top_coefficient,
     wedge,
+    wedge_blades,
 )
 from flagkin.scalars import Scalar
 
@@ -128,6 +129,91 @@ def test_graded_commutativity(n, rnd):
 def test_wedge_associative(n, rnd):
     a, b, c = (_random_mv(n, rnd) for _ in range(3))
     assert a.wedge(b).wedge(c) == a.wedge(b.wedge(c))
+
+
+_UNITS = (Scalar.of(1), Scalar.omega(3), Scalar.omega(4, -1) * Scalar.vol_flag(), Scalar.vol_so(5, 2))
+
+
+def _random_unit_mv(n, rnd, rho_ok):
+    unit = rnd.choice(_UNITS)
+    terms = {}
+    for _ in range(rnd.randint(0, 5)):
+        b = Blade(
+            rnd.getrandbits(n + 1) & full_sigma_mask(n),
+            rnd.getrandbits(n + 1) & full_omega_mask(n),
+            rho_ok and rnd.random() < 0.3,
+        )
+        terms[b] = Scalar.of(rnd.randint(-4, 4), rnd.randint(1, 3)) * unit
+    return Multivector(terms)
+
+
+def _blade_by_blade(a, b):
+    terms = {}
+    for b1, c1 in a.terms():
+        for b2, c2 in b.terms():
+            sign, blade = wedge_blades(b1, b2)
+            if sign:
+                terms[blade] = terms.get(blade, Scalar()) + c1 * c2 * sign
+    return Multivector(terms)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except RhoOrdering:
+        return RhoOrdering
+
+
+@given(st.integers(2, 6), st.randoms(use_true_random=False), st.booleans())
+@settings(max_examples=150)
+def test_wedge_matches_blade_by_blade_sum(n, rnd, left_rho):
+    a = _random_unit_mv(n, rnd, left_rho)
+    b = _random_unit_mv(n, rnd, True)
+    got, want = _outcome(Multivector.wedge, a, b), _outcome(_blade_by_blade, a, b)
+    assert got == want
+    if got is not RhoOrdering:
+        assert got.terms() == want.terms()
+
+
+def test_mixed_units_raise():
+    a = sigma(2).smul(Scalar.omega(3))
+    b = sigma(3).smul(Scalar.omega(4))
+    with pytest.raises(UnitMismatch):
+        a + b
+    with pytest.raises(UnitMismatch):
+        a - b
+    with pytest.raises(UnitMismatch):
+        Multivector({Blade(sigma=4): Scalar.omega(3), Blade(sigma=8): Scalar.of(2)})
+    assert a + Multivector.zero() == a == Multivector.zero() + a
+    assert (a - a).is_zero() and (a - a).units == ()
+
+
+def test_terms_order_and_text_are_stable():
+    m = (
+        wedge(sigma(3), omega1(2), rho()).smul(Scalar.of(-3, 7))
+        + wedge(sigma(1), sigma(4))
+        + sigma(2).smul(Scalar.of(5, 2))
+        + wedge(sigma(1), sigma(4), rho())
+    ).smul(Scalar.omega(4, -1))
+    assert [b.to_text() for b, _ in m.terms()] == ["s2", "s3^w21^rho", "s1^s4", "s1^s4^rho"]
+    assert m.to_text() == (
+        "[5/2 * omega(4)^-1] s2 + [-3/7 * omega(4)^-1] s3^w21^rho"
+        " + [1/1 * omega(4)^-1] s1^s4 + [1/1 * omega(4)^-1] s1^s4^rho"
+    )
+    assert Multivector.from_text(m.to_text()) == m
+    assert Multivector.from_json(m.to_json()) == m
+    assert m.to_json()["terms"][1] == {
+        "blade": "s3^w21^rho",
+        "coeff": {"num": -3, "den": 7, "units": [{"sym": "omega(4)", "exp": -1}]},
+    }
+
+
+def test_indices_above_31_are_refused():
+    assert not sigma(31).wedge(omega1(31)).is_zero()
+    with pytest.raises(IndexOutOfRange):
+        sigma(32)
+    with pytest.raises(IndexOutOfRange):
+        omega1(32)
 
 
 def test_rho_ordering():

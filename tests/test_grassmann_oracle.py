@@ -192,3 +192,21 @@ def test_bridge_constants_rederived():
             for a in range(max(0, k - ctx.q), min(k, ctx.p) + 1):
                 value = pairing(ctx, phi_dual(ctx, k, a), eta_hat(ctx, k, a))
                 assert value == honest_diagonal_twist(k), (n, p, k, a)
+
+
+def test_convolution_suite_catches_wrong_star1_inv_sign(monkeypatch):
+    """Dropping the j (n - j) term of star1_inv's degree sign must be caught."""
+    from flagkin import exterior, grassmann_oracle
+    from flagkin.verify import _suite_convolution
+
+    def wrong_star1_inv(n, a):
+        return exterior._complement_sigma(n, a, lambda j: -1 if (j * (j - 1) // 2) & 1 else 1)
+
+    ctx = FlagContext(4, 1)
+    assert _suite_convolution(ctx) is None
+    with monkeypatch.context() as m:
+        m.setattr(grassmann_oracle, "star1_inv", wrong_star1_inv)
+        grassmann_oracle._convolution_factor.cache_clear()
+        detail = _suite_convolution(ctx)
+    grassmann_oracle._convolution_factor.cache_clear()
+    assert detail is not None and detail.startswith("convolution mismatch at")

@@ -5,7 +5,7 @@ from math import comb, factorial
 import pytest
 
 from flagkin.errors import BadIndexSet, DimensionMismatch, IndexOutOfRange, NotHomogeneous
-from flagkin.exterior import omega1, sigma, wedge
+from flagkin.exterior import Multivector, omega1, rho, sigma, wedge
 from flagkin.rotation_algebra import (
     ChordMonomial,
     chord_basis,
@@ -194,6 +194,36 @@ def test_rotation_rep_antisymmetry():
     assert rotation_measure_rep(4, (3, 2), (2, 3)) == -rotation_measure_rep(4, (2, 3), (2, 3))
     # antisymmetry in J through the completion sign
     assert rotation_measure_rep(4, (2, 3), (3, 2)) == -rotation_measure_rep(4, (2, 3), (2, 3))
+
+
+def _wedge_built_rep(n, I, J, with_rho):
+    """sigma_I ^ omega_{J^c,1} (^ rho) wedged factor by factor, times the J sign."""
+    if len(set(J)) != len(J):
+        return Multivector.zero()
+    comp = tuple(v for v in range(2, n + 1) if v not in J)
+    seq = J + comp
+    inversions = sum(1 for a in range(len(seq)) for b in range(a + 1, len(seq)) if seq[a] > seq[b])
+    factors = [sigma(i) for i in I] + [omega1(j) for j in comp] + ([rho()] if with_rho else [])
+    return wedge(*factors).smul(Scalar.of((-1) ** inversions))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_rotation_rep_matches_wedge_built(n):
+    idx = range(2, n + 1)
+    for k in range(n):
+        # every ordering of I; every ordering of J up to n = 5, both
+        # monotone orderings at n = 6; and a repeated index on either side
+        repeated = [(2,) * k] * (k >= 2)
+        I_seqs = list(itertools.permutations(idx, k)) + repeated
+        if n <= 5:
+            J_seqs = list(itertools.permutations(idx, k)) + repeated
+        else:
+            J_seqs = [o for c in itertools.combinations(idx, k) for o in (c, c[::-1])] + repeated
+        for I in I_seqs:
+            for J in J_seqs:
+                for with_rho in (False, True):
+                    want = _wedge_built_rep(n, I, J, with_rho)
+                    assert rotation_measure_rep(n, I, J, with_rho) == want, (n, I, J, with_rho)
 
 
 def test_rotation_bad_index_sets():
