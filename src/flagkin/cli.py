@@ -30,9 +30,10 @@ from .measures import PHI_EX, MeasureLabel, basis_labels, dual_product, phi_labe
 from .rotation_algebra import chord_basis, graded_dimension
 from .verify import VERIFY_SUITES
 
-# Default size guards.  verify, dim and basis build exterior forms, whose
-# cost grows like 4^n; table, coproduct and product compute in the x, y, u
-# presentation, where the slowest table at n = 20 takes one to two seconds.
+# Default size guards.  verify, dim and the chord-diagram basis build
+# exterior forms, whose cost grows like 4^n; table, coproduct and product
+# compute in the x, y, u presentation, where the slowest table at n = 20
+# takes one to two seconds, and basis --p only lists measure labels.
 DEFAULT_MAX_N = 8
 PRESENTED_MAX_N = 20
 ALL_FORMATS = ("text", "json", "csv", "latex")
@@ -169,7 +170,8 @@ def cmd_dim(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    _guard(args)
+    # measure labels (--p) are only listed; a chord basis has Narayana(n, k) lines
+    _guard(args, DEFAULT_MAX_N if args.p is None else PRESENTED_MAX_N)
     if args.k is None:
         raise ValidationError("need --k")
     if args.p is None:

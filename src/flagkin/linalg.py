@@ -3,15 +3,24 @@
 Rows are dicts mapping column index to a nonzero Fraction.  The echelon
 accumulator keeps fully reduced pivot rows, which makes rank computation
 incremental and solution read-off immediate.
+
+Ranks are first attempted as a certificate modulo the prime 2^61 - 1: an
+integer matrix has rank mod p at most its rank over Q, so full column rank
+mod p proves full column rank over Q.  When the certificate cannot decide,
+the Fraction echelon gives the rank.  No floats are used.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
+from math import lcm
 
 from .errors import SolveFailure
 
 Row = dict[int, Fraction]
+
+PRIME = (1 << 61) - 1
 
 
 class SparseEchelon:
@@ -62,6 +71,50 @@ class SparseEchelon:
                     prow[c] = new
         self.pivots[col] = row
         return True
+
+
+def full_column_rank_mod_p(columns: Sequence[Row]) -> bool:
+    """True when the columns are certified linearly independent over Q.
+
+    Each column is scaled by the lcm of its denominators to an integer
+    vector and eliminated modulo PRIME.  False only means "not certified":
+    a dependency mod PRIME need not hold over Q.
+    """
+    pivots: dict[int, dict[int, int]] = {}  # leading index -> row with leading entry 1
+    for col in columns:
+        scale = lcm(*(v.denominator for v in col.values()))
+        row = {}
+        for r, v in col.items():
+            e = v.numerator * (scale // v.denominator) % PRIME
+            if e:
+                row[r] = e
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(row[lead], -1, PRIME)
+                pivots[lead] = {r: e * inv % PRIME for r, e in row.items()}
+                break
+            factor = row[lead]
+            for r, e in pivot.items():
+                new = (row.get(r, 0) - factor * e) % PRIME
+                if new:
+                    row[r] = new
+                else:
+                    del row[r]
+        else:
+            return False
+    return True
+
+
+def column_rank(columns: Sequence[Row]) -> int:
+    """Exact rank of a sequence of columns: the mod-p certificate, else the echelon."""
+    if full_column_rank_mod_p(columns):
+        return len(columns)
+    ech = SparseEchelon()
+    for col in columns:
+        ech.add(col)
+    return ech.rank
 
 
 def solve_unique(columns: list[Row], rhs: Row) -> list[Fraction]:

@@ -23,8 +23,8 @@ from .errors import (
     NotHomogeneous,
     UnitMismatch,
 )
-from .exterior import Blade, Multivector, sigma, omega1, wedge
-from .linalg import SparseEchelon, solve_unique
+from .exterior import Blade, Multivector, full_omega_mask, sigma, omega1, wedge
+from .linalg import SparseEchelon, column_rank, solve_unique
 from .scalars import Scalar, Units
 
 
@@ -238,9 +238,36 @@ def split_unit(body: Multivector) -> tuple[Units, dict[int, Fraction]]:
     return body.units, body.row
 
 
+def _chord_column(mon: ChordMonomial) -> dict[int, Fraction]:
+    """The row of mon.evaluate(), built straight from the chord monomial.
+
+    The monomial wedges sigma_d ^ omega_{d,1} over its diagonals and
+    (sigma_a ^ omega_{b,1} + sigma_b ^ omega_{a,1}) / 2 over its m chords,
+    so it is the sum of the 2^m blades given by orienting each chord.  Each
+    carries the sign of reordering its 2-forms into canonical order, over
+    2^m.  The chords do not cross, so flipping one changes no inversion
+    parity, and the sign is that of the orientation (a, b) with a < b.
+    """
+    pairs = [(d, d) for d in mon.diagonals] + list(mon.matching)
+    smask = omask = 0
+    inversions = len(pairs) * (len(pairs) - 1) // 2  # sigmas moved past omegas
+    for s, t in pairs:
+        inversions += (smask >> (s + 1)).bit_count() + (omask >> (t + 1)).bit_count()
+        smask |= 1 << s
+        omask |= 1 << t
+    coeff = Fraction(-1 if inversions & 1 else 1, 1 << len(mon.matching))
+    diag = sum(1 << d for d in mon.diagonals)
+    blades = [(diag, diag)]
+    for a, b in mon.matching:
+        blades = [(s | 1 << a, o | 1 << b) for s, o in blades] + [
+            (s | 1 << b, o | 1 << a) for s, o in blades
+        ]
+    return {s << 32 | o: coeff for s, o in blades}
+
+
 @lru_cache(maxsize=None)
 def _chord_columns(n: int, k: int) -> tuple[dict[int, Fraction], ...]:
-    return tuple(_body_to_row(mon.evaluate().body) for mon in chord_basis(n, k))
+    return tuple(_chord_column(mon) for mon in chord_basis(n, k))
 
 
 def coordinates(a: AlgebraElement, k: int) -> list[Scalar]:
@@ -260,10 +287,7 @@ def graded_dimension(n: int, k: int) -> int:
     """Exact rank of the chord-monomial image span in degree k."""
     if not 0 <= k <= n - 1:
         raise IndexOutOfRange(f"degree {k} outside 0..{n - 1}")
-    ech = SparseEchelon()
-    for col in _chord_columns(n, k):
-        ech.add(dict(col))
-    return ech.rank
+    return column_rank(_chord_columns(n, k))
 
 
 # -- the primal rotation-measure space ----------------------------------------
@@ -278,22 +302,37 @@ def dalpha(n: int) -> Multivector:
     return out
 
 
+def _dalpha_wedge(n: int, smask: int, omask: int) -> dict[int, Fraction]:
+    """Row of dalpha ^ sigma_S ^ omega_{O,1} for the canonical blade with masks S, O.
+
+    The term sigma_i ^ omega_{i,1} of dalpha survives for i outside S and
+    O.  Its sign is that of moving omega_{i,1} past the |S| sigmas, then
+    sigma_i and omega_{i,1} into canonical position.
+    """
+    row = {}
+    lead = smask.bit_count()
+    for i in range(2, n + 1):
+        bit = 1 << i
+        if (smask | omask) & bit:
+            continue
+        below = bit - 1
+        inv = lead + (smask & below).bit_count() + (omask & below).bit_count()
+        row[(smask | bit) << 32 | omask | bit] = Fraction(-1 if inv & 1 else 1)
+    return row
+
+
 @lru_cache(maxsize=None)
 def _dalpha_image_columns(n: int, k: int) -> tuple[dict[int, Fraction], ...]:
     """Images of wedge-by-dalpha from bidegree (k-1, n-2-k)."""
     if k < 1 or n - 2 - k < 0:
         return ()
-    da = dalpha(n)
     cols = []
     for sig in itertools.combinations(range(2, n + 1), k - 1):
+        smask = sum(1 << i for i in sig)
         for om in itertools.combinations(range(2, n + 1), n - 2 - k):
-            blade = Blade(
-                sigma=sum(1 << i for i in sig),
-                omega=sum(1 << j for j in om),
-            )
-            img = da.wedge(Multivector.from_blade(blade))
-            if not img.is_zero():
-                cols.append(_body_to_row(img))
+            img = _dalpha_wedge(n, smask, sum(1 << j for j in om))
+            if img:
+                cols.append(img)
     return tuple(cols)
 
 
@@ -302,7 +341,7 @@ def _dalpha_image_echelon(n: int, k: int) -> SparseEchelon:
     """Echelon of the wedge-by-dalpha image; callers only reduce against it."""
     ech = SparseEchelon()
     for col in _dalpha_image_columns(n, k):
-        ech.add(dict(col))
+        ech.add(col)
     return ech
 
 
@@ -312,17 +351,32 @@ def rotation_space_dimension(n: int, k: int) -> int:
     if not 0 <= k <= n - 1:
         raise IndexOutOfRange(f"degree {k} outside 0..{n - 1}")
     ambient = comb(n - 1, k) * comb(n - 1, n - 1 - k)
-    return ambient - _dalpha_image_echelon(n, k).rank
+    return ambient - column_rank(_dalpha_image_columns(n, k))
 
 
 def _perm_sign(seq) -> int:
-    inv = sum(
-        1
-        for a in range(len(seq))
-        for b in range(a + 1, len(seq))
-        if seq[a] > seq[b]
-    )
+    """Sign of a sequence of non-negative integers against its sorted order; 0 on a repeat."""
+    inv = seen = 0
+    for v in seq:
+        bit = 1 << v
+        if seen & bit:
+            return 0
+        inv += (seen >> (v + 1)).bit_count()
+        seen |= bit
     return -1 if inv & 1 else 1
+
+
+def _rep_term(n: int, I: tuple, J: tuple) -> tuple[int, int, int]:
+    """Sign (0 when I or J repeats an index), sigma mask and omega mask of S_{I,J}'s blade.
+
+    The sign of (J, J^c) is that of J times one inversion for each element
+    of the ascending J^c below each element of J.
+    """
+    sign = _perm_sign(I) * _perm_sign(J)
+    comp = full_omega_mask(n) & ~sum(1 << j for j in J)
+    if sum((comp & ((1 << j) - 1)).bit_count() for j in J) & 1:
+        sign = -sign
+    return sign, sum(1 << i for i in I), comp
 
 
 def rotation_measure_rep(n: int, I, J, with_rho: bool = False) -> Multivector:
@@ -339,15 +393,41 @@ def rotation_measure_rep(n: int, I, J, with_rho: bool = False) -> Multivector:
     for v in I + J:
         if not 2 <= v <= n:
             raise BadIndexSet(f"index {v} outside 2..{n}")
-    if len(set(J)) != len(J) or len(set(I)) != len(I):
+    sign, smask, omask = _rep_term(n, I, J)
+    if not sign:
         return Multivector.zero()
-    comp = tuple(v for v in range(2, n + 1) if v not in J)
-    blade = Blade(
-        sigma=sum(1 << i for i in I),
-        omega=sum(1 << j for j in comp),
-        rho=with_rho,
-    )
-    return Multivector.from_blade(blade, Scalar.of(_perm_sign(I) * _perm_sign(J + comp)))
+    return Multivector.from_blade(Blade(smask, omask, with_rho), Scalar.of(sign))
+
+
+def _relation_sum(n: int, i_prime: tuple, j_prime: tuple) -> dict[int, Fraction]:
+    """Row of the sum over l of (-1)^l times the blade of S_{I' + j_l, J' - j_l}."""
+    acc: dict[int, int] = {}
+    for l, j in enumerate(j_prime, 1):
+        sign, smask, omask = _rep_term(n, i_prime + (j,), j_prime[: l - 1] + j_prime[l:])
+        if sign:
+            key = smask << 32 | omask
+            acc[key] = acc.get(key, 0) + (sign if l % 2 == 0 else -sign)
+    return {key: Fraction(c) for key, c in acc.items() if c}
+
+
+def _relation_witness(n: int, i_prime: tuple, j_prime: tuple) -> dict[int, Fraction]:
+    """Row of dalpha ^ sigma_{I'} ^ omega_{(J')^c,1}, in the image of wedge-by-dalpha."""
+    comp = sum(1 << v for v in range(2, n + 1) if v not in j_prime)
+    return _dalpha_wedge(n, sum(1 << i for i in i_prime), comp)
+
+
+def _in_dalpha_image(
+    n: int, k: int, total: dict[int, Fraction], witness: dict[int, Fraction]
+) -> bool:
+    """Whether the row total, of bidegree (k, n-1-k), lies in the image of wedge-by-dalpha.
+
+    witness is the row of dalpha ^ w for some form w, so total == +-witness
+    proves membership without elimination; otherwise the cached echelon
+    decides.
+    """
+    if not total or total == witness or total == {key: -c for key, c in witness.items()}:
+        return True
+    return not _dalpha_image_echelon(n, k).reduce(total)
 
 
 def rotation_relation_check(n: int, i_prime, j_prime) -> bool:
@@ -355,6 +435,8 @@ def rotation_relation_check(n: int, i_prime, j_prime) -> bool:
 
     i_prime has k-1 entries, j_prime has k+1; the relation holds iff the
     alternating sum of representatives lies in the image of wedge-by-dalpha.
+    The sum is zero or +-(dalpha ^ sigma_{I'} ^ omega_{(J')^c,1}) for every
+    pair checked up to n = 10, so the echelon is built only when neither holds.
     """
     i_prime, j_prime = tuple(i_prime), tuple(j_prime)
     k = len(j_prime) - 1
@@ -365,15 +447,8 @@ def rotation_relation_check(n: int, i_prime, j_prime) -> bool:
     for v in i_prime + j_prime:
         if not 2 <= v <= n:
             raise BadIndexSet(f"index {v} outside 2..{n}")
-    total = Multivector.zero()
-    for l in range(1, k + 2):
-        I = i_prime + (j_prime[l - 1],)
-        J = j_prime[: l - 1] + j_prime[l:]
-        rep = rotation_measure_rep(n, I, J)
-        total = total + (rep if l % 2 == 0 else -rep)
-    if total.is_zero():
-        return True
-    return not _dalpha_image_echelon(n, k).reduce(_body_to_row(total))
+    total = _relation_sum(n, i_prime, j_prime)
+    return _in_dalpha_image(n, k, total, _relation_witness(n, i_prime, j_prime))
 
 
 # -- classical identities ------------------------------------------------------

@@ -81,9 +81,9 @@ def _report(num: int, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_1_dimension_theorem():
-    for n in range(2, 8):
+    for n in range(2, 10):
         assert _suite_dimensions(FlagContext(n, 0)) is None, n
-    _report(1, True, "chord-image rank = Narayana = combinatorial count, n <= 7")
+    _report(1, True, "chord-image rank = Narayana = combinatorial count, n <= 9")
 
 
 def test_criterion_2_ideal_identities():
@@ -323,6 +323,6 @@ def test_criterion_8_convolution_cross_check():
 def test_criterion_9_rotation_relations():
     for n in range(2, 7):
         assert _suite_dimensions(FlagContext(n, 0)) is None, n
-    for n in range(3, 6):
+    for n in range(3, 9):
         assert _suite_rotation_relations(FlagContext(n, 0)) is None, n
-    _report(9, True, "quotient dimensions for n <= 6, alternating relations for n <= 5")
+    _report(9, True, "quotient dimensions for n <= 6, alternating relations for n <= 8")

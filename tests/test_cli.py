@@ -221,3 +221,13 @@ def test_presented_commands_have_their_own_guard(capsys, monkeypatch):
     assert code == 1 and "max-n=8" in err
     code, _, _ = run(capsys, "coproduct", "--n", "12", "--p", "5", "--k", "3", "--i", "1", "--max-n", "11")
     assert code == 1
+
+
+def test_basis_guard_depends_on_the_form(capsys, monkeypatch):
+    monkeypatch.delenv("FLAGKIN_MAX_N", raising=False)
+    code, out, _ = run(capsys, "basis", "--n", "12", "--p", "5", "--k", "5", "--basis", "S")
+    assert code == 0 and out.splitlines()[0].startswith("S[")
+    code, _, err = run(capsys, "basis", "--n", "21", "--p", "5", "--k", "5", "--basis", "S")
+    assert code == 1 and "max-n=20" in err
+    code, out, err = run(capsys, "basis", "--n", "12", "--k", "5")
+    assert code == 1 and out == "" and "max-n=8" in err

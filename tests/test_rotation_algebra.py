@@ -5,12 +5,20 @@ from math import comb, factorial
 import pytest
 
 from flagkin.errors import BadIndexSet, DimensionMismatch, IndexOutOfRange, NotHomogeneous
-from flagkin.exterior import Multivector, omega1, rho, sigma, wedge
+from flagkin.exterior import Blade, Multivector, omega1, rho, sigma, wedge
+from flagkin.linalg import SparseEchelon, full_column_rank_mod_p
 from flagkin.rotation_algebra import (
     ChordMonomial,
+    _chord_columns,
+    _dalpha_image_columns,
+    _dalpha_image_echelon,
+    _in_dalpha_image,
+    _relation_sum,
+    _relation_witness,
     chord_basis,
     chord_count,
     coordinates,
+    dalpha,
     determinant,
     elementary_symmetric,
     generator,
@@ -188,6 +196,88 @@ def test_rotation_relations_exhaustive(n):
         for ip in itertools.combinations(idx, k - 1):
             for jp in itertools.combinations(idx, k + 1):
                 assert rotation_relation_check(n, ip, jp), (n, ip, jp)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_chord_columns_match_evaluate(n):
+    for k in range(n):
+        for mon, col in zip(chord_basis(n, k), _chord_columns(n, k), strict=True):
+            assert col == mon.evaluate().body.row, (n, mon.to_text())
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_dalpha_image_columns_match_wedge(n):
+    idx = range(2, n + 1)
+    for k in range(1, n - 1):
+        want = []
+        for sig in itertools.combinations(idx, k - 1):
+            for om in itertools.combinations(idx, n - 2 - k):
+                blade = Blade(sigma=sum(1 << i for i in sig), omega=sum(1 << j for j in om))
+                img = dalpha(n).wedge(Multivector.from_blade(blade))
+                if img:
+                    want.append(img.row)
+        assert list(_dalpha_image_columns(n, k)) == want, (n, k)
+
+
+def _echelon_rank(columns):
+    ech = SparseEchelon()
+    for col in columns:
+        ech.add(col)
+    return ech.rank
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_mod_p_certificate_matches_echelon(n):
+    for k in range(n):
+        for cols in (_chord_columns(n, k), _dalpha_image_columns(n, k)):
+            full = _echelon_rank(cols) == len(cols)
+            assert full_column_rank_mod_p(cols) == full, (n, k)
+            assert full, (n, k)
+
+
+def _rep_sum(n, ip, jp):
+    """The alternating sum of representatives, added up as multivectors."""
+    total = Multivector.zero()
+    for l in range(1, len(jp) + 1):
+        rep = rotation_measure_rep(n, ip + (jp[l - 1],), jp[: l - 1] + jp[l:])
+        total = total + (rep if l % 2 == 0 else -rep)
+    return total
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_relation_witness_matches_echelon(n):
+    idx = range(2, n + 1)
+    for k in range(1, n - 1):
+        ech = _dalpha_image_echelon(n, k)
+        for ip in itertools.combinations(idx, k - 1):
+            for jp in itertools.combinations(idx, k + 1):
+                total = _relation_sum(n, ip, jp)
+                assert total == _rep_sum(n, ip, jp).row, (ip, jp)
+                witness = _relation_witness(n, ip, jp)
+                negated = {key: -c for key, c in witness.items()}
+                by_witness = not total or total in (witness, negated)
+                by_echelon = not ech.reduce(total)
+                assert by_witness and by_echelon, (n, ip, jp)
+
+
+def test_relation_fallback_decides_without_a_witness():
+    da = dalpha(3).row
+    # 2 dalpha lies in the image but is not +-dalpha: the echelon decides
+    twice = {key: 2 * c for key, c in da.items()}
+    assert _in_dalpha_image(3, 1, twice, da)
+    # sigma_2 ^ omega_{2,1} alone is not in the image
+    single = wedge(sigma(2), omega1(2)).row
+    assert not _in_dalpha_image(3, 1, single, da)
+    # a sum of two images in degree 2 at n = 5 is in the image
+    w1 = _relation_witness(5, (2,), (2, 3, 4))  # dalpha ^ sigma_2 ^ omega_{5,1}
+    assert w1 == dalpha(5).wedge(wedge(sigma(2), omega1(5))).row
+    both = (dalpha(5).wedge(wedge(sigma(2), omega1(5))) + dalpha(5).wedge(wedge(sigma(3), omega1(2)))).row
+    assert both not in (w1, {key: -c for key, c in w1.items()})
+    assert _in_dalpha_image(5, 2, both, w1)
+    # and moving one blade of it off the image is detected
+    off = dict(both)
+    off[min(off)] += 1
+    assert not _in_dalpha_image(5, 2, off, w1)
 
 
 def test_rotation_rep_antisymmetry():
