@@ -5,16 +5,27 @@ the rotation algebra R[X]/I realized inside an exterior kernel, its
 invariant subalgebras, the Phi/S measure bases with their duals, local
 additive kinematic coefficient tables, and an independent exterior-algebra
 oracle that re-derives every pairing constant.
+
+Each exported name is imported from its module on first access, so
+``import flagkin`` alone loads none of the modules.
 """
 
 __version__ = "0.1.0"
 
-from .invariant_algebras import FlagContext
-from .kinematics import KinematicTable, coproduct, hug_weil_coproduct
-from .measures import MeasureLabel, phi_label, s_label
-from .rotation_algebra import AlgebraElement, generator, graded_dimension
-from .scalars import Scalar
-from .verify import verify_structure
+_EXPORTS = {
+    "AlgebraElement": "rotation_algebra",
+    "FlagContext": "invariant_algebras",
+    "KinematicTable": "kinematics",
+    "MeasureLabel": "measures",
+    "Scalar": "scalars",
+    "coproduct": "kinematics",
+    "generator": "rotation_algebra",
+    "graded_dimension": "rotation_algebra",
+    "hug_weil_coproduct": "kinematics",
+    "phi_label": "measures",
+    "s_label": "measures",
+    "verify_structure": "verify",
+}
 
 __all__ = [
     "AlgebraElement",
@@ -31,3 +42,17 @@ __all__ = [
     "s_label",
     "verify_structure",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

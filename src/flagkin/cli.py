@@ -8,12 +8,14 @@ byte-identical across runs for identical requests.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import stat
 import sys
 import tempfile
 
+# Only the presented engine is imported here, which is all that table,
+# coproduct, product and basis --p use; dim, verify and the chord basis
+# import the exterior modules they need when they run.
 from . import __version__
 from .errors import FlagkinError, ValidationError
 from .invariant_algebras import FlagContext, invariant_dimension
@@ -26,9 +28,15 @@ from .kinematics import (
     table_to_json,
     table_to_latex,
 )
-from .measures import PHI_EX, MeasureLabel, basis_labels, dual_product, phi_label, s_label
-from .rotation_algebra import chord_basis, graded_dimension
-from .verify import VERIFY_SUITES
+from .measures import (
+    PHI_EX,
+    MeasureLabel,
+    basis_labels,
+    dual_product,
+    phi_label,
+    s_label,
+    validate_label,
+)
 
 # Default size guards.  verify, dim and the chord-diagram basis build
 # exterior forms, whose cost grows like 4^n; table, coproduct and product
@@ -105,6 +113,12 @@ def _emit(args, text: str) -> None:
         raise ValidationError(f"cannot write {args.output}: {exc.strerror or exc}") from None
 
 
+def _json_text(data) -> str:
+    import json  # imported here, so that only JSON output pays for it
+
+    return json.dumps(data, indent=2) + "\n"
+
+
 def _ctx(args) -> FlagContext:
     if args.p is None:
         raise ValidationError("this request needs --p")
@@ -128,8 +142,6 @@ def _input_label(ctx: FlagContext, args) -> MeasureLabel:
         raise ValidationError(f"need {flag} for basis {args.basis}")
     label = phi_label(args.k, idx) if args.basis == "Phi" else s_label(args.k, idx)
     try:
-        from .measures import validate_label
-
         validate_label(ctx, label)
     except FlagkinError as exc:
         raise ValidationError(str(exc)) from exc
@@ -142,6 +154,8 @@ def _input_label(ctx: FlagContext, args) -> MeasureLabel:
 def cmd_dim(args) -> int:
     _guard(args)
     if args.p is None:
+        from .rotation_algebra import graded_dimension
+
         rows = [
             {"k": k, "dimension": graded_dimension(args.n, k)} for k in range(args.n)
         ]
@@ -153,7 +167,7 @@ def cmd_dim(args) -> int:
         ]
         title = f"flag invariant subalgebra dimensions, n={args.n}, p={args.p}"
     if args.format == "json":
-        _emit(args, json.dumps({"title": title, "rows": rows}, indent=2) + "\n")
+        _emit(args, _json_text({"title": title, "rows": rows}))
     elif args.format == "csv":
         lines = ["k,dimension"] + [f"{r['k']},{r['dimension']}" for r in rows]
         _emit(args, "\n".join(lines) + "\n")
@@ -177,21 +191,17 @@ def cmd_basis(args) -> int:
     if args.p is None:
         if not 0 <= args.k <= args.n - 1:
             raise ValidationError(f"k={args.k} outside 0..{args.n - 1}")
+        from .rotation_algebra import chord_basis
+
         mons = chord_basis(args.n, args.k)
         if args.format == "json":
-            _emit(
-                args,
-                json.dumps(
-                    {
-                        "n": args.n,
-                        "k": args.k,
-                        "count": len(mons),
-                        "monomials": [m.to_text() for m in mons],
-                    },
-                    indent=2,
-                )
-                + "\n",
-            )
+            data = {
+                "n": args.n,
+                "k": args.k,
+                "count": len(mons),
+                "monomials": [m.to_text() for m in mons],
+            }
+            _emit(args, _json_text(data))
         else:
             lines = [f"chord basis n={args.n} k={args.k} ({len(mons)} monomials)"]
             lines += [f"  {m.to_text()}" for m in mons]
@@ -200,20 +210,14 @@ def cmd_basis(args) -> int:
     ctx = _ctx(args)
     labels = basis_labels(ctx, args.k, args.basis)
     if args.format == "json":
-        _emit(
-            args,
-            json.dumps(
-                {
-                    "n": ctx.n,
-                    "p": ctx.p,
-                    "k": args.k,
-                    "basis": args.basis,
-                    "labels": [l.to_text() for l in labels],
-                },
-                indent=2,
-            )
-            + "\n",
-        )
+        data = {
+            "n": ctx.n,
+            "p": ctx.p,
+            "k": args.k,
+            "basis": args.basis,
+            "labels": [l.to_text() for l in labels],
+        }
+        _emit(args, _json_text(data))
     else:
         _emit(args, "\n".join(l.to_text() for l in labels) + "\n")
     return 0
@@ -232,24 +236,16 @@ def cmd_product(args) -> int:
         raise ValidationError(f"total degree {deg} exceeds n-1={ctx.n - 1}")
     terms = sorted(dual_product(ctx, left, right, args.basis).items())
     if args.format == "json":
-        _emit(
-            args,
-            json.dumps(
-                {
-                    "schema": "flagkin/product/v1",
-                    "n": ctx.n,
-                    "p": ctx.p,
-                    "basis": args.basis,
-                    "left": left.to_text(),
-                    "right": right.to_text(),
-                    "terms": [
-                        {"label": l.to_text(), "coeff": c.to_json()} for l, c in terms
-                    ],
-                },
-                indent=2,
-            )
-            + "\n",
-        )
+        data = {
+            "schema": "flagkin/product/v1",
+            "n": ctx.n,
+            "p": ctx.p,
+            "basis": args.basis,
+            "left": left.to_text(),
+            "right": right.to_text(),
+            "terms": [{"label": l.to_text(), "coeff": c.to_json()} for l, c in terms],
+        }
+        _emit(args, _json_text(data))
     else:
         lines = [f"{left.to_text()}* . {right.to_text()}*  [n={ctx.n}, p={ctx.p}]"]
         lines += [f"  {l.to_text()}* : {c.to_text()}" for l, c in terms]
@@ -260,18 +256,14 @@ def cmd_product(args) -> int:
 def _render_tables(args, tables: list[KinematicTable]) -> str:
     if args.format == "json":
         if len(tables) == 1:
-            return json.dumps(table_to_json(tables[0]), indent=2) + "\n"
-        return (
-            json.dumps(
-                {
-                    "schema": "flagkin/tables/v1",
-                    "n": tables[0].ctx.n,
-                    "p": tables[0].ctx.p,
-                    "tables": [table_to_json(t) for t in tables],
-                },
-                indent=2,
-            )
-            + "\n"
+            return _json_text(table_to_json(tables[0]))
+        return _json_text(
+            {
+                "schema": "flagkin/tables/v1",
+                "n": tables[0].ctx.n,
+                "p": tables[0].ctx.p,
+                "tables": [table_to_json(t) for t in tables],
+            }
         )
     if args.format == "csv":
         if len(tables) == 1:
@@ -313,12 +305,23 @@ def cmd_table(args) -> int:
 # -- verify ----------------------------------------------------------------------
 
 
+def __getattr__(name: str):
+    # VERIFY_SUITES is imported from flagkin.verify on first use, because that
+    # module loads the exterior oracle; a VERIFY_SUITES set on this module
+    # (by a test or a tracer) takes precedence.
+    if name == "VERIFY_SUITES":
+        from .verify import VERIFY_SUITES
+
+        return VERIFY_SUITES
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def cmd_verify(args) -> int:
     _guard(args)
     ctx = _ctx(args)
     lines = [f"verify n={ctx.n} p={ctx.p}"]
     failure = None
-    for name, suite in VERIFY_SUITES:
+    for name, suite in sys.modules[__name__].VERIFY_SUITES:
         detail = suite(ctx)
         ok = detail is None
         lines.append(f"  [{'ok' if ok else 'FAIL'}] {name}")

@@ -19,11 +19,10 @@ and a map from blade keys to nonzero Fractions.  The key of a blade is
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IndexOutOfRange, NonSigmaInput, RhoOrdering, UnitMismatch
-from .scalars import ONE, Scalar, Units, _merge_units
+from .scalars import ONE, Record, Scalar, Units, _merge_units, _set
 
 
 def _inversions(a: int, b: int) -> int:
@@ -54,11 +53,13 @@ def full_omega_mask(n: int) -> int:
     return ((1 << (n + 1)) - 1) & ~3  # bits 2..n
 
 
-@dataclass(frozen=True, order=True)
-class Blade:
-    sigma: int = 0
-    omega: int = 0
-    rho: bool = False
+class Blade(Record, order=True):
+    __slots__ = ("sigma", "omega", "rho")
+
+    def __init__(self, sigma: int = 0, omega: int = 0, rho: bool = False) -> None:
+        _set(self, "sigma", sigma)
+        _set(self, "omega", omega)
+        _set(self, "rho", rho)
 
     def sigma_degree(self) -> int:
         return self.sigma.bit_count()

@@ -5,38 +5,34 @@ H = SO(n-1), and the flag algebra on x, y (plus u when p == q) for
 H = S(O(p) x O(q)).  The first block of diagonal indices is {2..p+1},
 the second {p+2..n}.  The flag algebra also has its presentation by x, y
 and u (PresentedElement), in which production tables are computed; its
-realization by forms is the oracle that checks it.
+realization by forms is the oracle that checks it.  The realization's
+modules (rotation_algebra, linalg) are imported by the functions that use
+them, so the presented path never loads the exterior kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ExceptionalUnavailable, NotHomogeneous, NotInSubalgebra, SolveFailure
-from .linalg import solve_unique
-from .rotation_algebra import (
-    AlgebraElement,
-    _body_to_row,
-    determinant,
-    elementary_symmetric,
-    generator,
-    split_unit,
-)
-from .scalars import Scalar, factorial
+from .scalars import Record, Scalar, _set, factorial
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from .rotation_algebra import AlgebraElement
 
 
-@dataclass(frozen=True)
-class FlagContext:
+class FlagContext(Record):
     """Ambient dimension n and block split p + q = n - 1."""
 
-    n: int
-    p: int
+    __slots__ = ("n", "p")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.p <= self.n - 1:
-            raise ValueError(f"p={self.p} outside 0..{self.n - 1}")
+    def __init__(self, n: int, p: int) -> None:
+        if not 0 <= p <= n - 1:
+            raise ValueError(f"p={p} outside 0..{n - 1}")
+        _set(self, "n", n)
+        _set(self, "p", p)
 
     @property
     def q(self) -> int:
@@ -65,16 +61,22 @@ class FlagContext:
 
 def t_element(n: int) -> AlgebraElement:
     """E_1(x_22, ..., x_nn); the area algebra map sends t^i to i! E_i."""
+    from .rotation_algebra import elementary_symmetric
+
     return elementary_symmetric(n, range(2, n + 1), 1)
 
 
 @lru_cache(maxsize=None)
 def x_element(ctx: FlagContext) -> AlgebraElement:
+    from .rotation_algebra import elementary_symmetric
+
     return elementary_symmetric(ctx.n, ctx.block1(), 1)
 
 
 @lru_cache(maxsize=None)
 def y_element(ctx: FlagContext) -> AlgebraElement:
+    from .rotation_algebra import elementary_symmetric
+
     return elementary_symmetric(ctx.n, ctx.block2(), 1)
 
 
@@ -83,6 +85,8 @@ def u_element(ctx: FlagContext) -> AlgebraElement:
     """The exceptional generator: det of the off-diagonal block of X."""
     if not ctx.exceptional:
         raise ExceptionalUnavailable(f"n={ctx.n}, p={ctx.p} is not exceptional")
+    from .rotation_algebra import determinant, generator
+
     rows = list(ctx.block1())
     cols = list(ctx.block2())
     entries = [[generator(ctx.n, i, j) for j in cols] for i in rows]
@@ -98,6 +102,8 @@ def flag_generators(ctx: FlagContext):
 @lru_cache(maxsize=None)
 def embed_monomial(ctx: FlagContext, i: int, j: int) -> AlgebraElement:
     """Image of x^i y^j: i! E_i(first block) * j! E_j(second block)."""
+    from .rotation_algebra import elementary_symmetric
+
     ei = elementary_symmetric(ctx.n, ctx.block1(), i)
     ej = elementary_symmetric(ctx.n, ctx.block2(), j)
     return (ei * ej).smul(Scalar(factorial(i) * factorial(j)))
@@ -107,10 +113,14 @@ def monomial_exponents(ctx: FlagContext, k: int) -> list[tuple[int, int]]:
     return [(i, k - i) for i in range(max(0, k - ctx.q), min(k, ctx.p) + 1)]
 
 
-@dataclass(frozen=True)
-class InvariantCoords:
-    xy: tuple[tuple[tuple[int, int], Scalar], ...]
-    u: Scalar | None
+class InvariantCoords(Record):
+    """Coefficients over x^i y^j, as ((i, j), c) pairs, and of u (None without u)."""
+
+    __slots__ = ("xy", "u")
+
+    def __init__(self, xy: tuple[tuple[tuple[int, int], Scalar], ...], u: Scalar | None) -> None:
+        _set(self, "xy", xy)
+        _set(self, "u", u)
 
     def coefficient(self, i: int, j: int) -> Scalar:
         for (a, b), c in self.xy:
@@ -121,6 +131,8 @@ class InvariantCoords:
 
 @lru_cache(maxsize=None)
 def _invariant_columns(ctx: FlagContext, k: int):
+    from .rotation_algebra import _body_to_row
+
     exps = monomial_exponents(ctx, k)
     cols = [_body_to_row(embed_monomial(ctx, i, j).body) for i, j in exps]
     has_u = ctx.exceptional and k == ctx.middle
@@ -141,6 +153,9 @@ def invariant_coordinates(ctx: FlagContext, a: AlgebraElement, k: int) -> Invari
         return InvariantCoords(tuple(((i, j), zero) for i, j in exps), zero if has_u else None)
     if a.degree() != k:
         raise NotHomogeneous(f"element has degree {a.degree()}, expected {k}")
+    from .linalg import solve_unique
+    from .rotation_algebra import split_unit
+
     units, rhs = split_unit(a.body)
     try:
         sol = solve_unique(list(cols), rhs)
@@ -152,8 +167,7 @@ def invariant_coordinates(ctx: FlagContext, a: AlgebraElement, k: int) -> Invari
     return InvariantCoords(xy, vals[-1] if has_u else None)
 
 
-@dataclass(frozen=True)
-class PresentedElement:
+class PresentedElement(Record):
     """An element of the flag algebra in its presentation by x, y and u.
 
     The algebra is Q[x,y]/(x^(p+1), y^(q+1)), plus Q u when n is odd and
@@ -163,9 +177,14 @@ class PresentedElement:
     x^a y^b; unit factors are left to the caller.
     """
 
-    ctx: FlagContext
-    xy: dict[tuple[int, int], Fraction]
-    u: Fraction = Fraction(0)
+    __slots__ = ("ctx", "xy", "u")
+
+    def __init__(
+        self, ctx: FlagContext, xy: dict[tuple[int, int], Fraction], u: Fraction = Fraction(0)
+    ) -> None:
+        _set(self, "ctx", ctx)
+        _set(self, "xy", xy)
+        _set(self, "u", u)
 
     def __mul__(self, other: "PresentedElement") -> "PresentedElement":
         p, q = self.ctx.p, self.ctx.q

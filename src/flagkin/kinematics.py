@@ -18,7 +18,6 @@ coefficient, so the support limits are the ones asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -35,7 +34,7 @@ from .measures import (
     s_label,
     validate_label,
 )
-from .scalars import Scalar, binom, sbinom
+from .scalars import Record, Scalar, _set, binom, sbinom
 
 Term = tuple[MeasureLabel, MeasureLabel, Scalar]
 
@@ -44,12 +43,16 @@ def _label_sort_key(ctx: FlagContext, label: MeasureLabel):
     return (label.degree(ctx), 1 if label.kind == "PhiEx" else 0, label.idx)
 
 
-@dataclass(frozen=True)
-class KinematicTable:
-    ctx: FlagContext
-    input: MeasureLabel
-    family: str
-    terms: tuple[Term, ...]
+class KinematicTable(Record):
+    __slots__ = ("ctx", "input", "family", "terms")
+
+    def __init__(
+        self, ctx: FlagContext, input: MeasureLabel, family: str, terms: tuple[Term, ...]
+    ) -> None:
+        _set(self, "ctx", ctx)
+        _set(self, "input", input)
+        _set(self, "family", family)
+        _set(self, "terms", terms)
 
     def coefficient(self, left: MeasureLabel, right: MeasureLabel) -> Scalar:
         for l, r, c in self.terms:

@@ -10,13 +10,12 @@ constants), so that every kinematic coefficient is computed purely inside
 the algebra.  The same formulas are given twice: over the x, y, u
 presentation (presented_dual, dual_product), which products and tables
 use, and over the exterior realization (dual_element, expand_in_duals),
-which is the oracle.
+which is the oracle and loads the exterior kernel on its first call.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -29,15 +28,20 @@ from .invariant_algebras import (
     monomial_exponents,
     u_element,
 )
-from .rotation_algebra import AlgebraElement
-from .scalars import ONE, Scalar, binom, factorial, omega_sym, sbinom
+from .scalars import ONE, Record, Scalar, _set, binom, factorial, omega_sym, sbinom
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from .rotation_algebra import AlgebraElement
 
 
-@dataclass(frozen=True, order=True)
-class MeasureLabel:
-    kind: str  # "Phi" | "S" | "PhiEx" | "GlobS" | "Sp"
-    k: int = 0
-    idx: int = 0
+class MeasureLabel(Record, order=True):
+    __slots__ = ("kind", "k", "idx")
+
+    def __init__(self, kind: str, k: int = 0, idx: int = 0) -> None:
+        _set(self, "kind", kind)  # "Phi" | "S" | "PhiEx" | "GlobS" | "Sp"
+        _set(self, "k", k)
+        _set(self, "idx", idx)
 
     def degree(self, ctx: FlagContext) -> int:
         return ctx.middle if self.kind == "PhiEx" else self.k
@@ -107,20 +111,19 @@ def basis_labels(ctx: FlagContext, k: int, family: str) -> list[MeasureLabel]:
     return out
 
 
-@dataclass(frozen=True)
-class MeasureExpr:
+class MeasureExpr(Record):
     """Homogeneous Scalar-linear combination of basis measures."""
 
-    ctx: FlagContext
-    terms: tuple[tuple[MeasureLabel, Scalar], ...]
+    __slots__ = ("ctx", "terms")
 
-    def __post_init__(self) -> None:
-        for label, _ in self.terms:
-            validate_label(self.ctx, label)
-        degs = {label.degree(self.ctx) for label, c in self.terms if not c.is_zero()}
+    def __init__(self, ctx: FlagContext, terms: tuple[tuple[MeasureLabel, Scalar], ...]) -> None:
+        for label, _ in terms:
+            validate_label(ctx, label)
+        degs = {label.degree(ctx) for label, c in terms if not c.is_zero()}
         if len(degs) > 1:
             raise ValueError(f"mixed degrees {sorted(degs)}")
-        object.__setattr__(self, "terms", tuple(sorted(self.terms)))
+        _set(self, "ctx", ctx)
+        _set(self, "terms", tuple(sorted(terms)))
 
     @staticmethod
     def of(ctx: FlagContext, mapping: dict[MeasureLabel, Scalar]) -> "MeasureExpr":

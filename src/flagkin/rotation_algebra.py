@@ -11,7 +11,6 @@ solves against their images.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb
@@ -25,15 +24,17 @@ from .errors import (
 )
 from .exterior import Blade, Multivector, full_omega_mask, sigma, omega1, wedge
 from .linalg import SparseEchelon, column_rank, solve_unique
-from .scalars import Scalar, Units
+from .scalars import Record, Scalar, Units, _set
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(Record):
     """Element of R[X]/I over ambient dimension n, stored as its form body."""
 
-    n: int
-    body: Multivector
+    __slots__ = ("n", "body")
+
+    def __init__(self, n: int, body: Multivector) -> None:
+        _set(self, "n", n)
+        _set(self, "body", body)
 
     def _check(self, other: "AlgebraElement") -> None:
         if self.n != other.n:
@@ -115,28 +116,29 @@ def monomial(n: int, pairs) -> AlgebraElement:
 # -- chord monomials ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChordMonomial:
+class ChordMonomial(Record):
     """Diagonal factors x_dd for d in diagonals, times non-crossing chords x_ab."""
 
-    n: int
-    diagonals: tuple[int, ...]
-    matching: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "diagonals", "matching")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "diagonals", tuple(sorted(self.diagonals)))
-        chords = tuple(sorted(tuple(sorted(c)) for c in self.matching))
-        object.__setattr__(self, "matching", chords)
-        support = set(self.diagonals)
+    def __init__(
+        self, n: int, diagonals: tuple[int, ...], matching: tuple[tuple[int, int], ...]
+    ) -> None:
+        diagonals = tuple(sorted(diagonals))
+        chords = tuple(sorted(tuple(sorted(c)) for c in matching))
+        support = set(diagonals)
         for a, b in chords:
             if a == b or {a, b} & support:
                 raise ValueError("overlapping chord endpoints")
             support |= {a, b}
-        if any(not 2 <= v <= self.n for v in support):
-            raise IndexOutOfRange(f"index outside 2..{self.n}")
+        if any(not 2 <= v <= n for v in support):
+            raise IndexOutOfRange(f"index outside 2..{n}")
         for (a, b), (c, d) in itertools.combinations(chords, 2):
             if a < c < b < d or c < a < d < b:
                 raise ValueError(f"crossing chords ({a},{b}) and ({c},{d})")
+        _set(self, "n", n)
+        _set(self, "diagonals", diagonals)
+        _set(self, "matching", chords)
 
     def degree(self) -> int:
         return len(self.diagonals) + len(self.matching)

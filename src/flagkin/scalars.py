@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter, ge, gt, le, lt
 
 from .errors import DivisionByZero, UnitMismatch
 
@@ -47,24 +47,81 @@ def _merge_units(a: Units, b: Units, flip_b: bool = False) -> Units:
     return tuple(sorted((s, e) for s, e in acc.items() if e != 0))
 
 
-@dataclass(frozen=True)
-class Scalar:
+_set = object.__setattr__
+
+
+def _compare(op):
+    def compare(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return op(self._fields(self), other._fields(other))
+
+    return compare
+
+
+class Record:
+    """Base of the immutable value records: the fields are the __slots__ (two or more).
+
+    Equality needs the same class and equal field tuples, the hash is the
+    field tuple's hash and the repr is ``Name(field=value, ...)``.  A
+    subclass sets its fields once, in __init__, through ``_set``; assigning
+    or deleting a field afterwards raises AttributeError.  ``order=True``
+    in the class statement adds the field tuple's ordering.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, order: bool = False, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = attrgetter(*cls.__slots__)
+        if order:
+            cls.__lt__, cls.__le__ = _compare(lt), _compare(le)
+            cls.__gt__, cls.__ge__ = _compare(gt), _compare(ge)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == other._fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = zip(self.__slots__, self._fields(self))
+        return f"{self.__class__.__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields(self)
+
+
+class Scalar(Record):
     """An exact rational times a monomial in formal unit symbols."""
 
-    value: Fraction = Fraction(0)
-    units: Units = ()
+    __slots__ = ("value", "units")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
-        if self.value == 0:
-            object.__setattr__(self, "units", ())
+    def __init__(self, value: Fraction = Fraction(0), units: Units = ()) -> None:
+        self.__post_init__(value, units)
+
+    def __post_init__(self, value, units) -> None:
+        """Store value as a Fraction and units sorted, with no units on zero."""
+        if not isinstance(value, Fraction):
+            value = Fraction(value)
+        if value == 0:
+            units = ()
         else:
-            for sym, exp in self.units:
+            for sym, exp in units:
                 _check_sym(sym)
                 if exp == 0:
                     raise ValueError("zero exponent stored in unit map")
-            object.__setattr__(self, "units", tuple(sorted(self.units)))
+            units = tuple(sorted(units))
+        _set(self, "value", value)
+        _set(self, "units", units)
 
     # -- constructors ------------------------------------------------------
 

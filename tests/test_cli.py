@@ -1,9 +1,14 @@
+import functools
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flagkin
 from flagkin.cli import main
 
 
@@ -231,3 +236,54 @@ def test_basis_guard_depends_on_the_form(capsys, monkeypatch):
     assert code == 1 and "max-n=20" in err
     code, out, err = run(capsys, "basis", "--n", "12", "--k", "5")
     assert code == 1 and out == "" and "max-n=8" in err
+
+
+# Modules a presented request must not load: the dataclass machinery (with
+# inspect behind it), which no module uses, and the exterior oracle, which
+# only dim, verify and the chord basis need.
+ORACLE_MODULES = {
+    "dataclasses",
+    "inspect",
+    "flagkin.exterior",
+    "flagkin.rotation_algebra",
+    "flagkin.linalg",
+    "flagkin.verify",
+    "flagkin.grassmann_oracle",
+}
+
+PRESENTED_REQUESTS = {
+    "version": ["-m", "flagkin.cli", "--version"],
+    "table": ["-m", "flagkin.cli", "table", "--n", "5", "--p", "2", "--format", "json"],
+    "coproduct": ["-m", "flagkin.cli", "coproduct", "--n", "5", "--p", "2", "--k", "2", "--i", "1"],
+    "product": [
+        "-m", "flagkin.cli", "product", "--n", "5", "--p", "2", "--basis", "Phi",
+        "--k", "1", "--a", "0", "--k2", "1", "--a2", "1",
+    ],
+    "basis --p": ["-m", "flagkin.cli", "basis", "--n", "5", "--p", "2", "--k", "2"],
+}
+
+
+def _loaded_modules(*args) -> set[str]:
+    """Every module a fresh interpreter imports to run args, read from -X importtime."""
+    src = str(Path(flagkin.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [l for l in proc.stderr.splitlines() if l.startswith("import time:")]
+    assert lines, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in lines[1:]}
+
+
+@functools.lru_cache(maxsize=None)
+def _bare_interpreter_modules() -> frozenset[str]:
+    return frozenset(_loaded_modules("-c", "pass"))
+
+
+@pytest.mark.parametrize("request_name", sorted(PRESENTED_REQUESTS))
+def test_presented_requests_load_no_oracle(request_name):
+    loaded = _loaded_modules(*PRESENTED_REQUESTS[request_name]) - _bare_interpreter_modules()
+    assert "flagkin.measures" in loaded  # the presented engine itself is seen
+    assert not loaded & ORACLE_MODULES, sorted(loaded & ORACLE_MODULES)
