@@ -188,9 +188,9 @@ def cmd_basis(args) -> int:
     _guard(args, DEFAULT_MAX_N if args.p is None else PRESENTED_MAX_N)
     if args.k is None:
         raise ValidationError("need --k")
+    if not 0 <= args.k <= args.n - 1:
+        raise ValidationError(f"k={args.k} outside 0..{args.n - 1}")
     if args.p is None:
-        if not 0 <= args.k <= args.n - 1:
-            raise ValidationError(f"k={args.k} outside 0..{args.n - 1}")
         from .rotation_algebra import chord_basis
 
         mons = chord_basis(args.n, args.k)

@@ -1,24 +1,26 @@
 """Exact sparse linear algebra over the rationals.
 
-Rows are dicts mapping column index to a nonzero Fraction.  The echelon
-accumulator keeps fully reduced pivot rows, which makes rank computation
-incremental and solution read-off immediate.
+Rows are dicts mapping column index to a nonzero rational, an int or a
+Fraction.  The echelon accumulator turns every entry into a Fraction and
+keeps fully reduced pivot rows, which makes rank computation incremental
+and solution read-off immediate.
 
 Ranks are first attempted as a certificate modulo the prime 2^61 - 1: an
 integer matrix has rank mod p at most its rank over Q, so full column rank
-mod p proves full column rank over Q.  When the certificate cannot decide,
-the Fraction echelon gives the rank.  No floats are used.
+mod p proves full column rank over Q.  The certificate reads its columns
+once, as a stream, and keeps integer entries as they are.  When it cannot
+decide, the Fraction echelon gives the rank.  No floats are used.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from math import lcm
 
 from .errors import SolveFailure
 
-Row = dict[int, Fraction]
+Row = dict[int, Fraction]  # or dict[int, int]: the entries only need to be rational
 
 PRIME = (1 << 61) - 1
 
@@ -57,7 +59,7 @@ class SparseEchelon:
         if not row:
             return False
         col = min(row)
-        inv = 1 / row[col]
+        inv = 1 / Fraction(row[col])
         row = {c: v * inv for c, v in row.items()}
         for prow in self.pivots.values():
             factor = prow.get(col)
@@ -73,46 +75,71 @@ class SparseEchelon:
         return True
 
 
-def full_column_rank_mod_p(columns: Sequence[Row]) -> bool:
-    """True when the columns are certified linearly independent over Q.
+def _integer_row(col: Row) -> dict[int, int]:
+    """col itself when its entries are ints, else col scaled by the lcm of its denominators."""
+    if all(type(v) is int for v in col.values()):
+        return col
+    scale = lcm(*(v.denominator for v in col.values()))
+    return {r: v.numerator * (scale // v.denominator) for r, v in col.items()}
 
-    Each column is scaled by the lcm of its denominators to an integer
-    vector and eliminated modulo PRIME.  False only means "not certified":
-    a dependency mod PRIME need not hold over Q.
+
+def certified_rank(columns: Iterable[Row]) -> int | None:
+    """The number of columns when they are certified linearly independent over Q.
+
+    Each column becomes an integer vector (see _integer_row) and is
+    eliminated modulo PRIME.  A pivot is kept as the row itself plus the
+    inverse of its leading entry; a column whose leading index is new and
+    whose leading entry is a unit mod PRIME is stored without a copy.
+    None only means "not certified": a dependency mod PRIME need not hold
+    over Q.
     """
-    pivots: dict[int, dict[int, int]] = {}  # leading index -> row with leading entry 1
+    pivots: dict[int, tuple[dict[int, int], int]] = {}  # leading index -> (row, 1/lead mod p)
+    count = 0
     for col in columns:
-        scale = lcm(*(v.denominator for v in col.values()))
-        row = {}
-        for r, v in col.items():
-            e = v.numerator * (scale // v.denominator) % PRIME
-            if e:
-                row[r] = e
+        count += 1
+        row = _integer_row(col)
+        lead = min(row, default=None)
+        if lead is not None and lead not in pivots and row[lead] % PRIME:
+            pivots[lead] = (row, pow(row[lead], -1, PRIME))
+            continue
+        row = {r: e % PRIME for r, e in row.items() if e % PRIME}
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
-                inv = pow(row[lead], -1, PRIME)
-                pivots[lead] = {r: e * inv % PRIME for r, e in row.items()}
+                pivots[lead] = (row, pow(row[lead], -1, PRIME))
                 break
-            factor = row[lead]
-            for r, e in pivot.items():
+            prow, inv = pivot
+            factor = row[lead] * inv % PRIME
+            for r, e in prow.items():
                 new = (row.get(r, 0) - factor * e) % PRIME
                 if new:
                     row[r] = new
                 else:
-                    del row[r]
+                    row.pop(r, None)
         else:
-            return False
-    return True
+            return None
+    return count
 
 
-def column_rank(columns: Sequence[Row]) -> int:
-    """Exact rank of a sequence of columns: the mod-p certificate, else the echelon."""
-    if full_column_rank_mod_p(columns):
-        return len(columns)
+def full_column_rank_mod_p(columns: Iterable[Row]) -> bool:
+    """True when the columns, any iterable of rows, are certified independent over Q."""
+    return certified_rank(columns) is not None
+
+
+def column_rank(
+    columns: Iterable[Row], exact: Callable[[], Iterable[Row]] | None = None
+) -> int:
+    """Exact rank of the columns: the mod-p certificate, else the Fraction echelon.
+
+    columns may be a one-pass stream; exact() then gives the same columns
+    again for the echelon, which only runs when the certificate fails.
+    """
+    rank = certified_rank(columns)
+    if rank is not None:
+        return rank
     ech = SparseEchelon()
-    for col in columns:
+    for col in columns if exact is None else exact():
         ech.add(col)
     return ech.rank
 

@@ -5,7 +5,9 @@ Generators x_{ij} (2 <= i, j <= n) are represented by the invariant forms
 products, so the ideal relations hold identically instead of by rewriting.
 Chord monomials (diagonal factors plus a non-crossing perfect matching)
 give a basis in each degree; normal forms are recovered by exact linear
-solves against their images.
+solves against their images.  Graded dimensions are certified from +-1
+integer rows built straight from index sets and streamed into a rank
+certificate, with no basis records or cached columns.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import (
     UnitMismatch,
 )
 from .exterior import Blade, Multivector, full_omega_mask, sigma, omega1, wedge
-from .linalg import SparseEchelon, column_rank, solve_unique
+from .linalg import Row, SparseEchelon, column_rank, solve_unique
 from .scalars import Record, Scalar, Units, _set
 
 
@@ -194,19 +196,22 @@ def _noncrossing_matchings(points: tuple[int, ...]):
                 yield ((first, partner),) + m1 + m2
 
 
-@lru_cache(maxsize=None)
-def chord_basis(n: int, k: int) -> tuple[ChordMonomial, ...]:
+def _chord_index_sets(n: int, k: int):
+    """Diagonals and matching of each chord monomial of degree k, in chord_basis order."""
     if not 0 <= k <= n - 1:
         raise IndexOutOfRange(f"degree {k} outside 0..{n - 1}")
-    out = []
     indices = range(2, n + 1)
     for chords in range(k + 1):
         for diag in itertools.combinations(indices, k - chords):
             rest = [v for v in indices if v not in diag]
             for points in itertools.combinations(rest, 2 * chords):
                 for matching in _noncrossing_matchings(points):
-                    out.append(ChordMonomial(n, diag, matching))
-    return tuple(out)
+                    yield diag, matching
+
+
+@lru_cache(maxsize=None)
+def chord_basis(n: int, k: int) -> tuple[ChordMonomial, ...]:
+    return tuple(ChordMonomial(n, diag, matching) for diag, matching in _chord_index_sets(n, k))
 
 
 def catalan(l: int) -> int:
@@ -240,8 +245,8 @@ def split_unit(body: Multivector) -> tuple[Units, dict[int, Fraction]]:
     return body.units, body.row
 
 
-def _chord_column(mon: ChordMonomial) -> dict[int, Fraction]:
-    """The row of mon.evaluate(), built straight from the chord monomial.
+def _chord_row(diagonals: tuple[int, ...], matching: tuple[tuple[int, int], ...]) -> dict[int, int]:
+    """The row of a chord monomial's evaluation times 2^m, m = len(matching); entries are +-1.
 
     The monomial wedges sigma_d ^ omega_{d,1} over its diagonals and
     (sigma_a ^ omega_{b,1} + sigma_b ^ omega_{a,1}) / 2 over its m chords,
@@ -250,26 +255,33 @@ def _chord_column(mon: ChordMonomial) -> dict[int, Fraction]:
     2^m.  The chords do not cross, so flipping one changes no inversion
     parity, and the sign is that of the orientation (a, b) with a < b.
     """
-    pairs = [(d, d) for d in mon.diagonals] + list(mon.matching)
+    pairs = [(d, d) for d in diagonals] + list(matching)
     smask = omask = 0
     inversions = len(pairs) * (len(pairs) - 1) // 2  # sigmas moved past omegas
     for s, t in pairs:
         inversions += (smask >> (s + 1)).bit_count() + (omask >> (t + 1)).bit_count()
         smask |= 1 << s
         omask |= 1 << t
-    coeff = Fraction(-1 if inversions & 1 else 1, 1 << len(mon.matching))
-    diag = sum(1 << d for d in mon.diagonals)
-    blades = [(diag, diag)]
-    for a, b in mon.matching:
-        blades = [(s | 1 << a, o | 1 << b) for s, o in blades] + [
-            (s | 1 << b, o | 1 << a) for s, o in blades
-        ]
-    return {s << 32 | o: coeff for s, o in blades}
+    diag = sum(1 << d for d in diagonals)
+    keys = [diag << 32 | diag]
+    for a, b in matching:
+        ab, ba = 1 << a << 32 | 1 << b, 1 << b << 32 | 1 << a
+        keys = [key | ab for key in keys] + [key | ba for key in keys]
+    return dict.fromkeys(keys, -1 if inversions & 1 else 1)
+
+
+def _chord_rows(n: int, k: int):
+    """_chord_row of each chord monomial of degree k, in chord_basis order, built on demand."""
+    return (_chord_row(diag, matching) for diag, matching in _chord_index_sets(n, k))
 
 
 @lru_cache(maxsize=None)
 def _chord_columns(n: int, k: int) -> tuple[dict[int, Fraction], ...]:
-    return tuple(_chord_column(mon) for mon in chord_basis(n, k))
+    """The row of each chord_basis(n, k) monomial's evaluation, over Fraction."""
+    return tuple(
+        {key: Fraction(e, 1 << len(matching)) for key, e in _chord_row(diag, matching).items()}
+        for diag, matching in _chord_index_sets(n, k)
+    )
 
 
 def coordinates(a: AlgebraElement, k: int) -> list[Scalar]:
@@ -286,10 +298,12 @@ def coordinates(a: AlgebraElement, k: int) -> list[Scalar]:
 
 @lru_cache(maxsize=None)
 def graded_dimension(n: int, k: int) -> int:
-    """Exact rank of the chord-monomial image span in degree k."""
-    if not 0 <= k <= n - 1:
-        raise IndexOutOfRange(f"degree {k} outside 0..{n - 1}")
-    return column_rank(_chord_columns(n, k))
+    """Exact rank of the chord-monomial image span in degree k.
+
+    The scaled rows stream into the certificate; the Fraction columns are
+    built only if it fails.
+    """
+    return column_rank(_chord_rows(n, k), lambda: _chord_columns(n, k))
 
 
 # -- the primal rotation-measure space ----------------------------------------
@@ -304,12 +318,12 @@ def dalpha(n: int) -> Multivector:
     return out
 
 
-def _dalpha_wedge(n: int, smask: int, omask: int) -> dict[int, Fraction]:
+def _dalpha_wedge(n: int, smask: int, omask: int) -> dict[int, int]:
     """Row of dalpha ^ sigma_S ^ omega_{O,1} for the canonical blade with masks S, O.
 
     The term sigma_i ^ omega_{i,1} of dalpha survives for i outside S and
     O.  Its sign is that of moving omega_{i,1} past the |S| sigmas, then
-    sigma_i and omega_{i,1} into canonical position.
+    sigma_i and omega_{i,1} into canonical position.  Entries are +-1.
     """
     row = {}
     lead = smask.bit_count()
@@ -319,23 +333,26 @@ def _dalpha_wedge(n: int, smask: int, omask: int) -> dict[int, Fraction]:
             continue
         below = bit - 1
         inv = lead + (smask & below).bit_count() + (omask & below).bit_count()
-        row[(smask | bit) << 32 | omask | bit] = Fraction(-1 if inv & 1 else 1)
+        row[(smask | bit) << 32 | omask | bit] = -1 if inv & 1 else 1
     return row
 
 
-@lru_cache(maxsize=None)
-def _dalpha_image_columns(n: int, k: int) -> tuple[dict[int, Fraction], ...]:
-    """Images of wedge-by-dalpha from bidegree (k-1, n-2-k)."""
+def _dalpha_rows(n: int, k: int):
+    """Nonzero images of wedge-by-dalpha from bidegree (k-1, n-2-k), built on demand."""
     if k < 1 or n - 2 - k < 0:
-        return ()
-    cols = []
+        return
     for sig in itertools.combinations(range(2, n + 1), k - 1):
         smask = sum(1 << i for i in sig)
         for om in itertools.combinations(range(2, n + 1), n - 2 - k):
             img = _dalpha_wedge(n, smask, sum(1 << j for j in om))
             if img:
-                cols.append(img)
-    return tuple(cols)
+                yield img
+
+
+@lru_cache(maxsize=None)
+def _dalpha_image_columns(n: int, k: int) -> tuple[dict[int, Fraction], ...]:
+    """The rows of _dalpha_rows(n, k) over Fraction."""
+    return tuple({key: Fraction(e) for key, e in row.items()} for row in _dalpha_rows(n, k))
 
 
 @lru_cache(maxsize=None)
@@ -353,7 +370,7 @@ def rotation_space_dimension(n: int, k: int) -> int:
     if not 0 <= k <= n - 1:
         raise IndexOutOfRange(f"degree {k} outside 0..{n - 1}")
     ambient = comb(n - 1, k) * comb(n - 1, n - 1 - k)
-    return ambient - column_rank(_dalpha_image_columns(n, k))
+    return ambient - column_rank(_dalpha_rows(n, k), lambda: _dalpha_image_columns(n, k))
 
 
 def _perm_sign(seq) -> int:
@@ -401,7 +418,7 @@ def rotation_measure_rep(n: int, I, J, with_rho: bool = False) -> Multivector:
     return Multivector.from_blade(Blade(smask, omask, with_rho), Scalar.of(sign))
 
 
-def _relation_sum(n: int, i_prime: tuple, j_prime: tuple) -> dict[int, Fraction]:
+def _relation_sum(n: int, i_prime: tuple, j_prime: tuple) -> dict[int, int]:
     """Row of the sum over l of (-1)^l times the blade of S_{I' + j_l, J' - j_l}."""
     acc: dict[int, int] = {}
     for l, j in enumerate(j_prime, 1):
@@ -409,18 +426,16 @@ def _relation_sum(n: int, i_prime: tuple, j_prime: tuple) -> dict[int, Fraction]
         if sign:
             key = smask << 32 | omask
             acc[key] = acc.get(key, 0) + (sign if l % 2 == 0 else -sign)
-    return {key: Fraction(c) for key, c in acc.items() if c}
+    return {key: c for key, c in acc.items() if c}
 
 
-def _relation_witness(n: int, i_prime: tuple, j_prime: tuple) -> dict[int, Fraction]:
+def _relation_witness(n: int, i_prime: tuple, j_prime: tuple) -> dict[int, int]:
     """Row of dalpha ^ sigma_{I'} ^ omega_{(J')^c,1}, in the image of wedge-by-dalpha."""
     comp = sum(1 << v for v in range(2, n + 1) if v not in j_prime)
     return _dalpha_wedge(n, sum(1 << i for i in i_prime), comp)
 
 
-def _in_dalpha_image(
-    n: int, k: int, total: dict[int, Fraction], witness: dict[int, Fraction]
-) -> bool:
+def _in_dalpha_image(n: int, k: int, total: Row, witness: Row) -> bool:
     """Whether the row total, of bidegree (k, n-1-k), lies in the image of wedge-by-dalpha.
 
     witness is the row of dalpha ^ w for some form w, so total == +-witness

@@ -81,9 +81,9 @@ def _report(num: int, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_1_dimension_theorem():
-    for n in range(2, 10):
+    for n in range(2, 11):
         assert _suite_dimensions(FlagContext(n, 0)) is None, n
-    _report(1, True, "chord-image rank = Narayana = combinatorial count, n <= 9")
+    _report(1, True, "chord-image rank = Narayana = combinatorial count, n <= 10")
 
 
 def test_criterion_2_ideal_identities():

@@ -238,6 +238,15 @@ def test_basis_guard_depends_on_the_form(capsys, monkeypatch):
     assert code == 1 and out == "" and "max-n=8" in err
 
 
+
+@pytest.mark.parametrize("k", ["9", "4", "-1"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_basis_refuses_a_degree_out_of_range_in_both_forms(capsys, k, fmt):
+    for form in ((), ("--p", "1")):
+        code, out, err = run(capsys, "basis", "--n", "4", *form, "--k", k, "--format", fmt)
+        assert (code, out) == (1, ""), form
+        assert err == f"flagkin: error: k={k} outside 0..3\n", form
+
 # Modules a presented request must not load: the dataclass machinery (with
 # inspect behind it), which no module uses, and the exterior oracle, which
 # only dim, verify and the chord basis need.

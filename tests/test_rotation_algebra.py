@@ -10,7 +10,9 @@ from flagkin.linalg import SparseEchelon, full_column_rank_mod_p
 from flagkin.rotation_algebra import (
     ChordMonomial,
     _chord_columns,
+    _chord_rows,
     _dalpha_image_columns,
+    _dalpha_rows,
     _dalpha_image_echelon,
     _in_dalpha_image,
     _relation_sum,
@@ -233,6 +235,34 @@ def test_mod_p_certificate_matches_echelon(n):
             full = _echelon_rank(cols) == len(cols)
             assert full_column_rank_mod_p(cols) == full, (n, k)
             assert full, (n, k)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_streamed_rows_match_the_cached_columns(n):
+    for k in range(n):
+        rows = list(_chord_rows(n, k))
+        scales = [1 << len(mon.matching) for mon in chord_basis(n, k)]
+        cols = zip(_chord_columns(n, k), scales, strict=True)
+        want = [{key: v * s for key, v in col.items()} for col, s in cols]
+        assert rows == want, (n, k)
+        assert {type(v) for row in rows for v in row.values()} == {int}
+        assert {abs(v) for row in rows for v in row.values()} == {1}
+        dalpha_rows = list(_dalpha_rows(n, k))
+        assert dalpha_rows == list(_dalpha_image_columns(n, k)), (n, k)
+        assert all(type(v) is int and abs(v) == 1 for row in dalpha_rows for v in row.values())
+        for stream, cached in ((_chord_rows, _chord_columns), (_dalpha_rows, _dalpha_image_columns)):
+            certified = full_column_rank_mod_p(stream(n, k))
+            assert certified == full_column_rank_mod_p(list(stream(n, k)))
+            assert certified == full_column_rank_mod_p(cached(n, k)), (n, k)
+
+
+def test_dimensions_build_no_basis_records_or_columns():
+    cached = (chord_basis, _chord_columns, _dalpha_image_columns, _dalpha_image_echelon)
+    for fn in cached + (graded_dimension, rotation_space_dimension):
+        fn.cache_clear()
+    for k in range(8):
+        assert graded_dimension(8, k) == narayana(8, k) == rotation_space_dimension(8, k)
+    assert [fn.cache_info().currsize for fn in cached] == [0, 0, 0, 0]
 
 
 def _rep_sum(n, ip, jp):
