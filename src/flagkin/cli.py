@@ -23,6 +23,7 @@ from .kinematics import (
     KinematicTable,
     coproduct,
     coproduct_tables,
+    csv_rows,
     hug_weil_coproduct,
     table_to_csv,
     table_to_json,
@@ -270,12 +271,7 @@ def _render_tables(args, tables: list[KinematicTable]) -> str:
             return table_to_csv(tables[0])
         lines = ["input,left,right,num,den,units"]
         for t in tables:
-            for l, r, c in t.terms:
-                units = " ".join(f"{sym}^{exp}" for sym, exp in c.units)
-                lines.append(
-                    f"{t.input.to_text()},{l.to_text()},{r.to_text()},"
-                    f"{c.value.numerator},{c.value.denominator},{units}"
-                )
+            lines += [f"{t.input.to_text()},{row}" for row in csv_rows(t)]
         return "\n".join(lines) + "\n"
     if args.format == "latex":
         return "\n".join(table_to_latex(t) for t in tables) + "\n"
@@ -399,9 +395,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ValidationError as exc:
-        print(f"flagkin: error: {exc}", file=sys.stderr)
-        return 1
     except FlagkinError as exc:
         print(f"flagkin: error: {exc}", file=sys.stderr)
         return 1

@@ -22,18 +22,12 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 
-from .errors import DegreeMismatch, DimensionMismatch, ExceptionalUnavailable
+from .errors import BadIndexSet, DegreeMismatch, DimensionMismatch, ExceptionalUnavailable
 from .exterior import Multivector, omega1, sigma, star1, star1_inv, top_blade, top_coefficient
-from .invariant_algebras import FlagContext, u_element
-from .measures import validate_label
-from .rotation_algebra import (
-    AlgebraElement,
-    dalpha,
-    elementary_symmetric,
-    monomial,
-    rotation_measure_rep,
-)
-from .scalars import Scalar, sbinom
+from .invariant_algebras import FlagContext, embed_monomial, u_element
+from .measures import phi_label, validate_label
+from .rotation_algebra import AlgebraElement, dalpha, generator, monomial, rotation_measure_rep
+from .scalars import Scalar, factorial, sbinom
 
 Poly2 = dict[tuple[int, int], Multivector]
 
@@ -63,8 +57,6 @@ def eta_poly(ctx: FlagContext) -> tuple[tuple[tuple[int, int], Multivector], ...
 
 def eta_hat(ctx: FlagContext, k: int, a: int) -> Multivector:
     """Coefficient of alpha^a beta^(k-a) in the eta generating product."""
-    from .measures import phi_label
-
     validate_label(ctx, phi_label(k, a))
     for key, mv in eta_poly(ctx):
         if key == (a, k - a):
@@ -82,10 +74,8 @@ def eta_ex(ctx: FlagContext) -> Multivector:
 
 @lru_cache(maxsize=None)
 def tau_tilde(ctx: FlagContext, k: int, a: int) -> AlgebraElement:
-    """The algebra element E_a(first block) E_{k-a}(second block)."""
-    ea = elementary_symmetric(ctx.n, ctx.block1(), a)
-    eb = elementary_symmetric(ctx.n, ctx.block2(), k - a)
-    return ea * eb
+    """The algebra element E_a(first block) E_{k-a}(second block), x^a y^(k-a) / (a! (k-a)!)."""
+    return embed_monomial(ctx, a, k - a).smul(Scalar(1 / (factorial(a) * factorial(k - a))))
 
 
 def pairing(ctx: FlagContext, dual: AlgebraElement, primal: Multivector) -> Scalar:
@@ -225,9 +215,6 @@ def rotation_pairing(n: int, i: int, j: int, I, J) -> Scalar:
 
     Only |I| = |J| = 1 is implemented.
     """
-    from .errors import BadIndexSet
-    from .rotation_algebra import generator
-
     I, J = tuple(I), tuple(J)
     if len(I) != 1 or len(J) != 1:
         raise BadIndexSet("only the degree-1 rotation pairing is implemented")
@@ -249,8 +236,6 @@ def honest_exceptional_pairing(ctx: FlagContext) -> Scalar:
     if not ctx.exceptional:
         raise ExceptionalUnavailable(f"n={ctx.n}, p={ctx.p} is not exceptional")
     p = ctx.p
-    from .scalars import factorial
-
     return Scalar((-1) ** p * factorial(p) / 2**p) * Scalar.omega(ctx.n)
 
 

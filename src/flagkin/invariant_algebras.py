@@ -58,26 +58,19 @@ class FlagContext(Record):
     def block2(self) -> range:
         return range(self.p + 2, self.n + 1)
 
+    def phi_indices(self, k: int) -> range:
+        """The a with Phi_{k,a} a basis label: max(0, k - q) <= a <= min(k, p).
+
+        The range is empty unless 0 <= k <= n - 1.
+        """
+        return range(max(0, k - self.q), min(k, self.p) + 1)
+
 
 def t_element(n: int) -> AlgebraElement:
     """E_1(x_22, ..., x_nn); the area algebra map sends t^i to i! E_i."""
     from .rotation_algebra import elementary_symmetric
 
     return elementary_symmetric(n, range(2, n + 1), 1)
-
-
-@lru_cache(maxsize=None)
-def x_element(ctx: FlagContext) -> AlgebraElement:
-    from .rotation_algebra import elementary_symmetric
-
-    return elementary_symmetric(ctx.n, ctx.block1(), 1)
-
-
-@lru_cache(maxsize=None)
-def y_element(ctx: FlagContext) -> AlgebraElement:
-    from .rotation_algebra import elementary_symmetric
-
-    return elementary_symmetric(ctx.n, ctx.block2(), 1)
 
 
 @lru_cache(maxsize=None)
@@ -96,7 +89,7 @@ def u_element(ctx: FlagContext) -> AlgebraElement:
 def flag_generators(ctx: FlagContext):
     """(x, y, u) with u = None outside the exceptional case."""
     u = u_element(ctx) if ctx.exceptional else None
-    return x_element(ctx), y_element(ctx), u
+    return embed_monomial(ctx, 1, 0), embed_monomial(ctx, 0, 1), u
 
 
 @lru_cache(maxsize=None)
@@ -110,7 +103,7 @@ def embed_monomial(ctx: FlagContext, i: int, j: int) -> AlgebraElement:
 
 
 def monomial_exponents(ctx: FlagContext, k: int) -> list[tuple[int, int]]:
-    return [(i, k - i) for i in range(max(0, k - ctx.q), min(k, ctx.p) + 1)]
+    return [(i, k - i) for i in ctx.phi_indices(k)]
 
 
 class InvariantCoords(Record):
@@ -154,14 +147,12 @@ def invariant_coordinates(ctx: FlagContext, a: AlgebraElement, k: int) -> Invari
     if a.degree() != k:
         raise NotHomogeneous(f"element has degree {a.degree()}, expected {k}")
     from .linalg import solve_unique
-    from .rotation_algebra import split_unit
 
-    units, rhs = split_unit(a.body)
     try:
-        sol = solve_unique(list(cols), rhs)
+        sol = solve_unique(list(cols), a.body.row)
     except SolveFailure as exc:
         raise NotInSubalgebra(str(exc)) from exc
-    unit = Scalar(Fraction(1), units)
+    unit = Scalar(Fraction(1), a.body.units)
     vals = [Scalar(v) * unit for v in sol]
     xy = tuple((exp, val) for exp, val in zip(exps, vals[: len(exps)]))
     return InvariantCoords(xy, vals[-1] if has_u else None)

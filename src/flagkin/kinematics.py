@@ -27,9 +27,11 @@ from .measures import (
     PHI_EX,
     MeasureLabel,
     basis_labels,
+    c_constant,
     dual_element,
     dual_product,
     expand_in_duals,
+    phi_ex_dual,
     phi_label,
     s_label,
     validate_label,
@@ -177,8 +179,6 @@ def closed_form_S(ctx: FlagContext, k: int, i: int, j: int, b: int, c: int) -> S
             )
         total += (-1) ** t * binom(mpk - t, i) * inner
     sign = (-1) ** (b + c + mpj + mpl)
-    from .measures import c_constant
-
     ratio = c_constant(ctx.n, k, p, i) / (
         c_constant(ctx.n, j, p, b) * c_constant(ctx.n, k - j, p, c)
     )
@@ -196,8 +196,6 @@ def exceptional_coproduct(ctx: FlagContext) -> tuple[KinematicTable, KinematicTa
         raise ExceptionalUnavailable(f"n={ctx.n}, p={ctx.p} is not exceptional")
     top = coproduct(ctx, phi_label(ctx.n - 1, ctx.p), "Phi")
     ex = coproduct(ctx, PHI_EX, "Phi")
-    from .measures import phi_ex_dual
-
     square = phi_ex_dual(ctx) * phi_ex_dual(ctx)
     expansion = expand_in_duals(ctx, square, ctx.n - 1, "Phi")
     correction = expansion.get(phi_label(ctx.n - 1, ctx.p), Scalar())
@@ -243,14 +241,18 @@ def table_to_json(table: KinematicTable) -> dict:
     }
 
 
-def table_to_csv(table: KinematicTable) -> str:
-    lines = ["left,right,num,den,units"]
+def csv_rows(table: KinematicTable) -> list[str]:
+    """One "left,right,num,den,units" line per term of the table."""
+    rows = []
     for l, r, c in table.terms:
         units = " ".join(f"{sym}^{exp}" for sym, exp in c.units)
-        lines.append(
-            f"{l.to_text()},{r.to_text()},{c.value.numerator},{c.value.denominator},{units}"
-        )
-    return "\n".join(lines) + "\n"
+        value = c.value
+        rows.append(f"{l.to_text()},{r.to_text()},{value.numerator},{value.denominator},{units}")
+    return rows
+
+
+def table_to_csv(table: KinematicTable) -> str:
+    return "\n".join(["left,right,num,den,units", *csv_rows(table)]) + "\n"
 
 
 def _label_to_latex(label: MeasureLabel) -> str:

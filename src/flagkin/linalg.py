@@ -5,18 +5,17 @@ Fraction.  The echelon accumulator turns every entry into a Fraction and
 keeps fully reduced pivot rows, which makes rank computation incremental
 and solution read-off immediate.
 
-Ranks are first attempted as a certificate modulo the prime 2^61 - 1: an
-integer matrix has rank mod p at most its rank over Q, so full column rank
-mod p proves full column rank over Q.  The certificate reads its columns
-once, as a stream, and keeps integer entries as they are.  When it cannot
-decide, the Fraction echelon gives the rank.  No floats are used.
+Ranks of integer rows are first attempted as a certificate modulo the
+prime 2^61 - 1: an integer matrix has rank mod p at most its rank over Q,
+so full rank mod p proves full rank over Q.  The certificate reads the
+rows once, as a stream.  When it cannot decide, the echelon reads the same
+rows again and gives the rank.  No floats are used.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from fractions import Fraction
-from math import lcm
 
 from .errors import SolveFailure
 
@@ -75,29 +74,19 @@ class SparseEchelon:
         return True
 
 
-def _integer_row(col: Row) -> dict[int, int]:
-    """col itself when its entries are ints, else col scaled by the lcm of its denominators."""
-    if all(type(v) is int for v in col.values()):
-        return col
-    scale = lcm(*(v.denominator for v in col.values()))
-    return {r: v.numerator * (scale // v.denominator) for r, v in col.items()}
+def certified_rank(rows: Iterable[dict[int, int]]) -> int | None:
+    """The number of integer rows when they are certified linearly independent over Q.
 
-
-def certified_rank(columns: Iterable[Row]) -> int | None:
-    """The number of columns when they are certified linearly independent over Q.
-
-    Each column becomes an integer vector (see _integer_row) and is
-    eliminated modulo PRIME.  A pivot is kept as the row itself plus the
-    inverse of its leading entry; a column whose leading index is new and
-    whose leading entry is a unit mod PRIME is stored without a copy.
+    The rows are eliminated modulo PRIME.  A pivot is kept as the row itself
+    plus the inverse of its leading entry; a row whose leading index is new
+    and whose leading entry is a unit mod PRIME is stored without a copy.
     None only means "not certified": a dependency mod PRIME need not hold
     over Q.
     """
     pivots: dict[int, tuple[dict[int, int], int]] = {}  # leading index -> (row, 1/lead mod p)
     count = 0
-    for col in columns:
+    for row in rows:
         count += 1
-        row = _integer_row(col)
         lead = min(row, default=None)
         if lead is not None and lead not in pivots and row[lead] % PRIME:
             pivots[lead] = (row, pow(row[lead], -1, PRIME))
@@ -122,25 +111,18 @@ def certified_rank(columns: Iterable[Row]) -> int | None:
     return count
 
 
-def full_column_rank_mod_p(columns: Iterable[Row]) -> bool:
-    """True when the columns, any iterable of rows, are certified independent over Q."""
-    return certified_rank(columns) is not None
+def column_rank(make_rows: Callable[[], Iterable[dict[int, int]]]) -> int:
+    """Exact rank of the integer rows that make_rows() yields.
 
-
-def column_rank(
-    columns: Iterable[Row], exact: Callable[[], Iterable[Row]] | None = None
-) -> int:
-    """Exact rank of the columns: the mod-p certificate, else the Fraction echelon.
-
-    columns may be a one-pass stream; exact() then gives the same columns
-    again for the echelon, which only runs when the certificate fails.
+    The certificate reads make_rows() once; only when it cannot decide does
+    the echelon read make_rows() a second time.
     """
-    rank = certified_rank(columns)
+    rank = certified_rank(make_rows())
     if rank is not None:
         return rank
     ech = SparseEchelon()
-    for col in columns if exact is None else exact():
-        ech.add(col)
+    for row in make_rows():
+        ech.add(row)
     return ech.rank
 
 

@@ -83,7 +83,7 @@ PHI_EX = MeasureLabel("PhiEx")
 def validate_label(ctx: FlagContext, label: MeasureLabel) -> None:
     k = label.k
     if label.kind == "Phi":
-        if not (0 <= k <= ctx.n - 1 and max(0, k - ctx.q) <= label.idx <= min(k, ctx.p)):
+        if label.idx not in ctx.phi_indices(k):
             raise IndexOutOfRange(f"{label} invalid for n={ctx.n}, p={ctx.p}")
     elif label.kind == "S":
         if not (0 <= k <= ctx.n - 1 and 0 <= label.idx <= ctx.m(k)):
@@ -101,7 +101,7 @@ def validate_label(ctx: FlagContext, label: MeasureLabel) -> None:
 def basis_labels(ctx: FlagContext, k: int, family: str) -> list[MeasureLabel]:
     """All family labels in degree k; PhiEx joins both families in the middle."""
     if family == "Phi":
-        out = [phi_label(k, a) for a in range(max(0, k - ctx.q), min(k, ctx.p) + 1)]
+        out = [phi_label(k, a) for a in ctx.phi_indices(k)]
     elif family == "S":
         out = [s_label(k, i) for i in range(ctx.m(k) + 1)]
     else:
@@ -160,8 +160,7 @@ class MeasureExpr(Record):
 def c_constant(n: int, k: int, p: int, i: int) -> Scalar:
     """c_{n,k,p,i}, the binomial normalization of the S-basis."""
     ctx = FlagContext(n, p)
-    if not (0 <= k <= n - 1 and 0 <= i <= ctx.m(k)):
-        raise IndexOutOfRange(f"c_({n},{k},{p},{i})")
+    validate_label(ctx, s_label(k, i))
     m_k = ctx.m(k)
     value = (
         ONE
@@ -175,8 +174,7 @@ def c_constant(n: int, k: int, p: int, i: int) -> Scalar:
 
 def s_in_phi(ctx: FlagContext, k: int, i: int) -> MeasureExpr:
     """S_k^(p),i as a combination of the Phi_{k,a}."""
-    if not (0 <= k <= ctx.n - 1 and 0 <= i <= ctx.m(k)):
-        raise IndexOutOfRange(f"S[{k},{i}] invalid for n={ctx.n}, p={ctx.p}")
+    validate_label(ctx, s_label(k, i))
     c = c_constant(ctx.n, k, ctx.p, i)
     mp, m = ctx.m_prime(k), ctx.m(k)
     terms = {}
@@ -187,8 +185,7 @@ def s_in_phi(ctx: FlagContext, k: int, i: int) -> MeasureExpr:
 
 def phi_in_s(ctx: FlagContext, j: int, a: int) -> MeasureExpr:
     """Phi_{j,a} as the alternating combination of the S_j^(p),s."""
-    if not (0 <= j <= ctx.n - 1 and max(0, j - ctx.q) <= a <= min(j, ctx.p)):
-        raise IndexOutOfRange(f"Phi[{j},{a}] invalid for n={ctx.n}, p={ctx.p}")
+    validate_label(ctx, phi_label(j, a))
     mp, m = ctx.m_prime(j), ctx.m(j)
     terms = {}
     for s in range(mp - a, m + 1):
@@ -201,19 +198,17 @@ def phi_in_s(ctx: FlagContext, j: int, a: int) -> MeasureExpr:
 
 def s_in_phi_matrix(ctx: FlagContext, k: int) -> list[list[Scalar]]:
     """Rows indexed by i, columns by the a-range of valid Phi labels."""
-    a_vals = [l.idx for l in basis_labels(ctx, k, "Phi") if l.kind == "Phi"]
     return [
-        [s_in_phi(ctx, k, i).coefficient(phi_label(k, a)) for a in a_vals]
+        [s_in_phi(ctx, k, i).coefficient(phi_label(k, a)) for a in ctx.phi_indices(k)]
         for i in range(ctx.m(k) + 1)
     ]
 
 
 def phi_in_s_matrix(ctx: FlagContext, k: int) -> list[list[Scalar]]:
     """Rows indexed by a, columns by i."""
-    a_vals = [l.idx for l in basis_labels(ctx, k, "Phi") if l.kind == "Phi"]
     return [
         [phi_in_s(ctx, k, a).coefficient(s_label(k, i)) for i in range(ctx.m(k) + 1)]
-        for a in a_vals
+        for a in ctx.phi_indices(k)
     ]
 
 
@@ -223,8 +218,7 @@ def phi_in_s_matrix(ctx: FlagContext, k: int) -> list[list[Scalar]]:
 @lru_cache(maxsize=None)
 def phi_dual(ctx: FlagContext, k: int, a: int) -> AlgebraElement:
     """Phi_{k,a}^* = x^a y^(k-a) / (omega_n C(q,k-a) C(p,a) a! (k-a)!)."""
-    if not (0 <= k <= ctx.n - 1 and max(0, k - ctx.q) <= a <= min(k, ctx.p)):
-        raise IndexOutOfRange(f"Phi[{k},{a}] invalid for n={ctx.n}, p={ctx.p}")
+    validate_label(ctx, phi_label(k, a))
     coeff = (
         Scalar.omega(ctx.n, -1)
         / sbinom(ctx.q, k - a)
@@ -237,8 +231,7 @@ def phi_dual(ctx: FlagContext, k: int, a: int) -> AlgebraElement:
 @lru_cache(maxsize=None)
 def s_dual(ctx: FlagContext, k: int, i: int) -> AlgebraElement:
     """S_k^(p),i,* as the alternating combination of x^a y^(k-a)."""
-    if not (0 <= k <= ctx.n - 1 and 0 <= i <= ctx.m(k)):
-        raise IndexOutOfRange(f"S[{k},{i}] invalid for n={ctx.n}, p={ctx.p}")
+    validate_label(ctx, s_label(k, i))
     mp = ctx.m_prime(k)
     front = Scalar.of((-1) ** (i + mp)) * Scalar.omega(ctx.n, -1) / c_constant(
         ctx.n, k, ctx.p, i

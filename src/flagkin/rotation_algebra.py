@@ -26,7 +26,7 @@ from .errors import (
 )
 from .exterior import Blade, Multivector, full_omega_mask, sigma, omega1, wedge
 from .linalg import Row, SparseEchelon, column_rank, solve_unique
-from .scalars import Record, Scalar, Units, _set
+from .scalars import Record, Scalar, _set
 
 
 class AlgebraElement(Record):
@@ -240,11 +240,6 @@ def _body_to_row(body: Multivector) -> dict[int, Fraction]:
     return body.row
 
 
-def split_unit(body: Multivector) -> tuple[Units, dict[int, Fraction]]:
-    """The unit monomial common to a multivector's coefficients, and its rational row."""
-    return body.units, body.row
-
-
 def _chord_row(diagonals: tuple[int, ...], matching: tuple[tuple[int, int], ...]) -> dict[int, int]:
     """The row of a chord monomial's evaluation times 2^m, m = len(matching); entries are +-1.
 
@@ -290,20 +285,15 @@ def coordinates(a: AlgebraElement, k: int) -> list[Scalar]:
         return [Scalar() for _ in chord_basis(a.n, k)]
     if a.degree() != k:
         raise NotHomogeneous(f"element has degree {a.degree()}, expected {k}")
-    units, rhs = split_unit(a.body)
-    sol = solve_unique(list(_chord_columns(a.n, k)), rhs)
-    unit = Scalar(Fraction(1), units)
+    sol = solve_unique(list(_chord_columns(a.n, k)), a.body.row)
+    unit = Scalar(Fraction(1), a.body.units)
     return [Scalar(v) * unit for v in sol]
 
 
 @lru_cache(maxsize=None)
 def graded_dimension(n: int, k: int) -> int:
-    """Exact rank of the chord-monomial image span in degree k.
-
-    The scaled rows stream into the certificate; the Fraction columns are
-    built only if it fails.
-    """
-    return column_rank(_chord_rows(n, k), lambda: _chord_columns(n, k))
+    """Exact rank of the chord-monomial image span in degree k, from the scaled rows."""
+    return column_rank(lambda: _chord_rows(n, k))
 
 
 # -- the primal rotation-measure space ----------------------------------------
@@ -370,7 +360,7 @@ def rotation_space_dimension(n: int, k: int) -> int:
     if not 0 <= k <= n - 1:
         raise IndexOutOfRange(f"degree {k} outside 0..{n - 1}")
     ambient = comb(n - 1, k) * comb(n - 1, n - 1 - k)
-    return ambient - column_rank(_dalpha_rows(n, k), lambda: _dalpha_image_columns(n, k))
+    return ambient - column_rank(lambda: _dalpha_rows(n, k))
 
 
 def _perm_sign(seq) -> int:

@@ -151,9 +151,9 @@ def _suite_oracle(ctx: FlagContext):
             if i != j and rotation_pairing(n, i, j, (i,), (j,)) != Scalar.of(-1, 2) * Scalar.vol_so(n):
                 return f"<x_{i}{j}, S_{i}{j}> != -volSO({n})/2"
     for k in range(n):
-        for a in range(max(0, k - q), min(k, p) + 1):
+        for a in ctx.phi_indices(k):
             for l in range(n):
-                for b in range(max(0, l - q), min(l, p) + 1):
+                for b in ctx.phi_indices(l):
                     val = pairing(ctx, tau_tilde(ctx, k, a), eta_hat(ctx, l, b))
                     if (k, a) == (l, b):
                         want = (
@@ -251,25 +251,18 @@ def check_phi_closed_form(ctx: FlagContext) -> str | None:
     """First mismatch between the Phi tables and (1/omega_n) c^{k,a}_{j,b}."""
     inv_omega = Scalar.omega(ctx.n, -1)
     tables = kinematics.coproduct_tables(ctx, "Phi")
+    phi_label = measures.phi_label
     for k in range(ctx.n):
-        for input in measures.basis_labels(ctx, k, "Phi"):
-            if input.kind != "Phi":
-                continue
-            a = input.idx
+        for a in ctx.phi_indices(k):
+            input = phi_label(k, a)
             table = tables[input]
             seen: set[tuple[measures.MeasureLabel, measures.MeasureLabel]] = set()
             for j in range(k + 1):
-                for left in measures.basis_labels(ctx, j, "Phi"):
-                    if left.kind != "Phi":
+                for b in ctx.phi_indices(j):
+                    # both labels valid implies the theorem's range for b
+                    if a - b not in ctx.phi_indices(k - j):
                         continue
-                    b = left.idx
-                    right_ok = (
-                        max(0, k - j - ctx.q) <= a - b <= min(k - j, ctx.p)
-                        and max(0, j - k + a) <= b <= min(a, j)
-                    )
-                    if not right_ok:
-                        continue
-                    right = measures.phi_label(k - j, a - b)
+                    left, right = phi_label(j, b), phi_label(k - j, a - b)
                     want = inv_omega * kinematics.closed_form_phi(ctx, k, a, j, b)
                     got = table.coefficient(left, right)
                     seen.add((left, right))

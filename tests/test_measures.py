@@ -1,7 +1,9 @@
+from functools import partial
+
 import pytest
 
 from flagkin.errors import ExceptionalUnavailable, IndexOutOfRange
-from flagkin.invariant_algebras import FlagContext, embed_monomial, u_element, y_element
+from flagkin.invariant_algebras import FlagContext, embed_monomial, u_element
 from flagkin.measures import (
     PHI_EX,
     MeasureExpr,
@@ -21,8 +23,9 @@ from flagkin.measures import (
     s_in_phi,
     s_in_phi_matrix,
     s_label,
+    validate_label,
 )
-from flagkin.rotation_algebra import one
+from flagkin.rotation_algebra import elementary_symmetric, one
 from flagkin.scalars import ONE, Scalar, factorial, sbinom
 
 CONTEXTS = [(n, p) for n in range(2, 8) for p in range(n)]
@@ -87,7 +90,8 @@ def test_dual_base_change_is_inverse_transpose(n, p):
 
 def test_phi_dual_examples():
     ctx = FlagContext(5, 2)
-    assert phi_dual(ctx, 1, 0) == y_element(ctx).smul(Scalar.omega(5, -1) / Scalar.of(ctx.q))
+    y = elementary_symmetric(5, ctx.block2(), 1)
+    assert phi_dual(ctx, 1, 0) == y.smul(Scalar.omega(5, -1) / Scalar.of(ctx.q))
     assert phi_dual(ctx, 0, 0) == one(5).smul(Scalar.omega(5, -1))
     want = embed_monomial(ctx, 2, 2).smul(Scalar.omega(5, -1) * Scalar.of(1, 4))
     assert phi_dual(ctx, 4, 2) == want
@@ -173,3 +177,34 @@ def test_basis_labels():
         "PhiEx",
     ]
     assert [l.to_text() for l in basis_labels(ctx, 3, "S")] == ["S[3,0]", "S[3,1]"]
+
+
+@pytest.mark.parametrize("n,p", [(n, p) for n in range(2, 7) for p in range(n)])
+def test_one_label_rule(n, p):
+    """validate_label accepts exactly the listed labels; the (k, idx) functions agree."""
+    ctx = FlagContext(n, p)
+    families = {
+        "Phi": (phi_label, (partial(phi_dual, ctx), partial(phi_in_s, ctx))),
+        "S": (
+            s_label,
+            (partial(s_dual, ctx), partial(s_in_phi, ctx), lambda k, i: c_constant(n, k, p, i)),
+        ),
+    }
+    degrees = range(-1, n + 1)
+    for family, (make, functions) in families.items():
+        listed = {l for k in degrees for l in basis_labels(ctx, k, family) if l.kind == family}
+        for k in degrees:
+            for idx in degrees:
+                label = make(k, idx)
+                try:
+                    validate_label(ctx, label)
+                    valid = True
+                except IndexOutOfRange:
+                    valid = False
+                assert valid == (label in listed), label
+                for fn in functions:
+                    if valid:
+                        fn(k, idx)
+                    else:
+                        with pytest.raises(IndexOutOfRange):
+                            fn(k, idx)

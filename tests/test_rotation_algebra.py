@@ -4,9 +4,10 @@ from math import comb, factorial
 
 import pytest
 
+from flagkin import linalg
 from flagkin.errors import BadIndexSet, DimensionMismatch, IndexOutOfRange, NotHomogeneous
 from flagkin.exterior import Blade, Multivector, omega1, rho, sigma, wedge
-from flagkin.linalg import SparseEchelon, full_column_rank_mod_p
+from flagkin.linalg import SparseEchelon, certified_rank
 from flagkin.rotation_algebra import (
     ChordMonomial,
     _chord_columns,
@@ -231,10 +232,8 @@ def _echelon_rank(columns):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_mod_p_certificate_matches_echelon(n):
     for k in range(n):
-        for cols in (_chord_columns(n, k), _dalpha_image_columns(n, k)):
-            full = _echelon_rank(cols) == len(cols)
-            assert full_column_rank_mod_p(cols) == full, (n, k)
-            assert full, (n, k)
+        for rows in (list(_chord_rows(n, k)), list(_dalpha_rows(n, k))):
+            assert certified_rank(rows) == len(rows) == _echelon_rank(rows), (n, k)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -250,10 +249,9 @@ def test_streamed_rows_match_the_cached_columns(n):
         dalpha_rows = list(_dalpha_rows(n, k))
         assert dalpha_rows == list(_dalpha_image_columns(n, k)), (n, k)
         assert all(type(v) is int and abs(v) == 1 for row in dalpha_rows for v in row.values())
-        for stream, cached in ((_chord_rows, _chord_columns), (_dalpha_rows, _dalpha_image_columns)):
-            certified = full_column_rank_mod_p(stream(n, k))
-            assert certified == full_column_rank_mod_p(list(stream(n, k)))
-            assert certified == full_column_rank_mod_p(cached(n, k)), (n, k)
+        for stream in (_chord_rows, _dalpha_rows):
+            certified = certified_rank(stream(n, k))
+            assert certified == certified_rank(list(stream(n, k))) == len(list(stream(n, k)))
 
 
 def test_dimensions_build_no_basis_records_or_columns():
@@ -263,6 +261,22 @@ def test_dimensions_build_no_basis_records_or_columns():
     for k in range(8):
         assert graded_dimension(8, k) == narayana(8, k) == rotation_space_dimension(8, k)
     assert [fn.cache_info().currsize for fn in cached] == [0, 0, 0, 0]
+
+
+def test_dimensions_fall_back_to_the_echelon_on_the_same_rows(monkeypatch):
+    monkeypatch.setattr(linalg, "certified_rank", lambda rows: None)
+    cached = (_chord_columns, _dalpha_image_columns)
+    for fn in cached + (graded_dimension, rotation_space_dimension):
+        fn.cache_clear()
+    try:
+        for n in range(2, 8):
+            for k in range(n):
+                want = narayana(n, k)
+                assert graded_dimension(n, k) == want == rotation_space_dimension(n, k), (n, k)
+        assert [fn.cache_info().currsize for fn in cached] == [0, 0]
+    finally:
+        graded_dimension.cache_clear()
+        rotation_space_dimension.cache_clear()
 
 
 def _rep_sum(n, ip, jp):
