@@ -14,8 +14,8 @@ import sys
 import tempfile
 
 # Only the presented engine is imported here, which is all that table,
-# coproduct, product and basis --p use; dim, verify and the chord basis
-# import the exterior modules they need when they run.
+# coproduct, product, basis --p and dim --p use; dim without --p, verify
+# and the chord basis import the exterior modules they need when they run.
 from . import __version__
 from .errors import FlagkinError, ValidationError
 from .invariant_algebras import FlagContext, invariant_dimension
@@ -42,7 +42,8 @@ from .measures import (
 # Default size guards.  verify, dim and the chord-diagram basis build
 # exterior forms, whose cost grows like 4^n; table, coproduct and product
 # compute in the x, y, u presentation, where the slowest table at n = 20
-# takes one to two seconds, and basis --p only lists measure labels.
+# takes one to two seconds, and basis --p and dim --p only list measure
+# labels or count them.
 DEFAULT_MAX_N = 8
 PRESENTED_MAX_N = 20
 ALL_FORMATS = ("text", "json", "csv", "latex")
@@ -153,7 +154,8 @@ def _input_label(ctx: FlagContext, args) -> MeasureLabel:
 
 
 def cmd_dim(args) -> int:
-    _guard(args)
+    # invariant dimensions (--p) are counted; rotation dimensions build a rank
+    _guard(args, DEFAULT_MAX_N if args.p is None else PRESENTED_MAX_N)
     if args.p is None:
         from .rotation_algebra import graded_dimension
 

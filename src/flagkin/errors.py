@@ -33,10 +33,6 @@ class NotHomogeneous(FlagkinError):
     """Operation requires a homogeneous element."""
 
 
-class SolveFailure(FlagkinError):
-    """An exact linear solve was inconsistent or under-determined."""
-
-
 class BadIndexSet(FlagkinError):
     """Malformed index sequence for a rotation measure."""
 
@@ -45,17 +41,9 @@ class ExceptionalUnavailable(FlagkinError):
     """Exceptional element requested outside the odd, p == q case."""
 
 
-class NotInSubalgebra(FlagkinError):
-    """Element does not lie in the span of the invariant subalgebra basis."""
-
-
 class DegreeMismatch(FlagkinError):
     """Pairing operands have incompatible degrees."""
 
 
 class ValidationError(FlagkinError):
     """Bad request arguments (CLI layer)."""
-
-
-class OracleMismatch(FlagkinError):
-    """A production result disagrees with the exterior-algebra oracle."""

@@ -1,5 +1,15 @@
 """Independent verification layer built directly from the invariant forms.
 
+realize sends an element of the presented flag algebra to its form:
+x^a y^b to embed_monomial(ctx, a, b), the product of elementary symmetric
+forms, and u to u_element(ctx), a determinant of generator forms.  The
+flag algebra suite checks that this is an injective ring map on the basis
+monomials.  The check is independent of the presentation it tests:
+forms are multiplied by wedges, and PresentedElement.__mul__ enters only
+as the product under test.  The normalizations of the duals, which the
+ring map cannot see, are pinned separately by the closed forms, by the
+acceptance criteria 4 and 6 and by the eta pairing of the Phi duals.
+
 The primal basis forms eta_hat_{k,a} and eta_ex are expanded from their
 generating products; dual forms are the star1-inverse images of algebra
 elements (carrying the explicit sigma_1 factor).  The pairing integral
@@ -22,14 +32,43 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 
-from .errors import BadIndexSet, DegreeMismatch, DimensionMismatch, ExceptionalUnavailable
+from .errors import (
+    BadIndexSet,
+    DegreeMismatch,
+    DimensionMismatch,
+    ExceptionalUnavailable,
+    IndexOutOfRange,
+)
 from .exterior import Multivector, omega1, sigma, star1, star1_inv, top_blade, top_coefficient
-from .invariant_algebras import FlagContext, embed_monomial, u_element
+from .invariant_algebras import FlagContext, PresentedElement, embed_monomial, u_element
 from .measures import phi_label, validate_label
-from .rotation_algebra import AlgebraElement, dalpha, generator, monomial, rotation_measure_rep
+from .rotation_algebra import (
+    AlgebraElement,
+    dalpha,
+    generator,
+    monomial,
+    rotation_measure_rep,
+    zero,
+)
 from .scalars import Scalar, factorial, sbinom
 
 Poly2 = dict[tuple[int, int], Multivector]
+
+
+def realize(ctx: FlagContext, element: PresentedElement) -> AlgebraElement:
+    """The form of a presented element: x^a y^b -> embed_monomial(ctx, a, b), u -> u_element(ctx).
+
+    A key outside 0 <= a <= p, 0 <= b <= q is no basis monomial and raises
+    IndexOutOfRange, so a product that keeps x^(p+1) cannot realize to zero.
+    """
+    out = zero(ctx.n)
+    for (a, b), c in element.xy.items():
+        if not (0 <= a <= ctx.p and 0 <= b <= ctx.q):
+            raise IndexOutOfRange(f"x^{a} y^{b} is no basis monomial for p={ctx.p}, q={ctx.q}")
+        out = out + embed_monomial(ctx, a, b).smul(c)
+    if element.u:
+        out = out + u_element(ctx).smul(element.u)
+    return out
 
 
 def _poly_mul(a: Poly2, b: Poly2) -> Poly2:

@@ -1,13 +1,11 @@
-"""H-invariant subalgebras of the rotation algebra.
+"""The flag algebra, the H-invariant subalgebra for H = S(O(p) x O(q)).
 
-Two cases are materialized: the area-measure algebra R[t]/<t^n> for
-H = SO(n-1), and the flag algebra on x, y (plus u when p == q) for
-H = S(O(p) x O(q)).  The first block of diagonal indices is {2..p+1},
-the second {p+2..n}.  The flag algebra also has its presentation by x, y
-and u (PresentedElement), in which production tables are computed; its
-realization by forms is the oracle that checks it.  The realization's
-modules (rotation_algebra, linalg) are imported by the functions that use
-them, so the presented path never loads the exterior kernel.
+Production tables are computed in its presentation by x, y and u
+(PresentedElement).  The oracle checks that presentation against the
+realization by forms: x^i y^j is embed_monomial(ctx, i, j), built on the
+diagonal index blocks {2..p+1} and {p+2..n}, and u is u_element(ctx).
+Those two functions import rotation_algebra when they run, so the
+presented path never loads the exterior kernel.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ExceptionalUnavailable, NotHomogeneous, NotInSubalgebra, SolveFailure
+from .errors import ExceptionalUnavailable
 from .scalars import Record, Scalar, _set, factorial
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
@@ -66,13 +64,6 @@ class FlagContext(Record):
         return range(max(0, k - self.q), min(k, self.p) + 1)
 
 
-def t_element(n: int) -> AlgebraElement:
-    """E_1(x_22, ..., x_nn); the area algebra map sends t^i to i! E_i."""
-    from .rotation_algebra import elementary_symmetric
-
-    return elementary_symmetric(n, range(2, n + 1), 1)
-
-
 @lru_cache(maxsize=None)
 def u_element(ctx: FlagContext) -> AlgebraElement:
     """The exceptional generator: det of the off-diagonal block of X."""
@@ -84,12 +75,6 @@ def u_element(ctx: FlagContext) -> AlgebraElement:
     cols = list(ctx.block2())
     entries = [[generator(ctx.n, i, j) for j in cols] for i in rows]
     return determinant(entries)
-
-
-def flag_generators(ctx: FlagContext):
-    """(x, y, u) with u = None outside the exceptional case."""
-    u = u_element(ctx) if ctx.exceptional else None
-    return embed_monomial(ctx, 1, 0), embed_monomial(ctx, 0, 1), u
 
 
 @lru_cache(maxsize=None)
@@ -106,66 +91,14 @@ def monomial_exponents(ctx: FlagContext, k: int) -> list[tuple[int, int]]:
     return [(i, k - i) for i in ctx.phi_indices(k)]
 
 
-class InvariantCoords(Record):
-    """Coefficients over x^i y^j, as ((i, j), c) pairs, and of u (None without u)."""
-
-    __slots__ = ("xy", "u")
-
-    def __init__(self, xy: tuple[tuple[tuple[int, int], Scalar], ...], u: Scalar | None) -> None:
-        _set(self, "xy", xy)
-        _set(self, "u", u)
-
-    def coefficient(self, i: int, j: int) -> Scalar:
-        for (a, b), c in self.xy:
-            if (a, b) == (i, j):
-                return c
-        return Scalar()
-
-
-@lru_cache(maxsize=None)
-def _invariant_columns(ctx: FlagContext, k: int):
-    from .rotation_algebra import _body_to_row
-
-    exps = monomial_exponents(ctx, k)
-    cols = [_body_to_row(embed_monomial(ctx, i, j).body) for i, j in exps]
-    has_u = ctx.exceptional and k == ctx.middle
-    if has_u:
-        cols.append(_body_to_row(u_element(ctx).body))
-    return exps, cols, has_u
-
-
-def invariant_coordinates(ctx: FlagContext, a: AlgebraElement, k: int) -> InvariantCoords:
-    """Coordinates of a over the monomial basis x^i y^j (plus u in the middle).
-
-    Membership in the invariant subalgebra is certified by solvability of
-    the exact linear system; inconsistency raises NotInSubalgebra.
-    """
-    exps, cols, has_u = _invariant_columns(ctx, k)
-    if a.is_zero():
-        zero = Scalar()
-        return InvariantCoords(tuple(((i, j), zero) for i, j in exps), zero if has_u else None)
-    if a.degree() != k:
-        raise NotHomogeneous(f"element has degree {a.degree()}, expected {k}")
-    from .linalg import solve_unique
-
-    try:
-        sol = solve_unique(list(cols), a.body.row)
-    except SolveFailure as exc:
-        raise NotInSubalgebra(str(exc)) from exc
-    unit = Scalar(Fraction(1), a.body.units)
-    vals = [Scalar(v) * unit for v in sol]
-    xy = tuple((exp, val) for exp, val in zip(exps, vals[: len(exps)]))
-    return InvariantCoords(xy, vals[-1] if has_u else None)
-
-
 class PresentedElement(Record):
     """An element of the flag algebra in its presentation by x, y and u.
 
     The algebra is Q[x,y]/(x^(p+1), y^(q+1)), plus Q u when n is odd and
     p == q, with u x = u y = 0 and u^2 = (-1)^p (p+1)/4^p x^p y^p
-    (the relations checked on the exterior realization by the flag
-    algebra suite).  xy maps (a, b) to the rational coefficient of
-    x^a y^b; unit factors are left to the caller.
+    (relations the flag algebra suite checks on the exterior realization).
+    xy maps (a, b) to the rational coefficient of x^a y^b; unit factors
+    are left to the caller.
     """
 
     __slots__ = ("ctx", "xy", "u")

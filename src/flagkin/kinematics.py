@@ -2,12 +2,11 @@
 
 A table row (left, right, c) of the coproduct of a basis measure is the
 coefficient of left (x) right in the kinematic expansion.  It is computed
-purely inside the flag algebra: multiply the dual elements of left and
-right, expand the product over the dual basis, and read off the input's
-slot.  Tables are computed in the algebra's presentation by x, y and u;
-the same sweep in the exterior kernel (oracle_coproduct_tables) and the
-closed forms of the coefficient theorems are two independent checks,
-which flagkin.verify compares term by term.
+purely inside the flag algebra, in its presentation by x, y and u:
+multiply the dual elements of left and right, expand the product over the
+dual basis, and read off the input's slot.  flagkin.verify checks the
+presentation against the exterior realization of the algebra and the
+tables term by term against the closed forms of the coefficient theorems.
 
 The double-sum closed form for the S basis is implemented with summation
 limits m'_j, m'_{k-j} (the support of its binomial factors, as dictated by
@@ -21,17 +20,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ExceptionalUnavailable, IndexOutOfRange, OracleMismatch
+from .errors import IndexOutOfRange
 from .invariant_algebras import FlagContext
 from .measures import (
-    PHI_EX,
     MeasureLabel,
     basis_labels,
     c_constant,
-    dual_element,
     dual_product,
-    expand_in_duals,
-    phi_ex_dual,
     phi_label,
     s_label,
     validate_label,
@@ -77,20 +72,8 @@ def _sorted_terms(ctx: FlagContext, terms: dict[tuple[MeasureLabel, MeasureLabel
     return tuple(items)
 
 
-def _exterior_dual_product(
-    ctx: FlagContext, left: MeasureLabel, right: MeasureLabel, family: str
-) -> dict[MeasureLabel, Scalar]:
-    """dual_product recomputed by wedging exterior forms and solving for coordinates."""
-    product = dual_element(ctx, left) * dual_element(ctx, right)
-    if product.is_zero():
-        return {}
-    return expand_in_duals(ctx, product, left.degree(ctx) + right.degree(ctx), family)
-
-
-def _degree_tables(
-    ctx: FlagContext, family: str, k: int, product
-) -> dict[MeasureLabel, KinematicTable]:
-    """Coproducts of the family labels of degree k, from product(ctx, left, right, family).
+def _degree_tables(ctx: FlagContext, family: str, k: int) -> dict[MeasureLabel, KinematicTable]:
+    """Coproducts of the family labels of degree k.
 
     Only pairs of degrees j + l = k contribute, and each dual product
     feeds one coefficient into every input of degree k.
@@ -101,7 +84,7 @@ def _degree_tables(
     for j in range(k + 1):
         for left in basis_labels(ctx, j, family):
             for right in basis_labels(ctx, k - j, family):
-                for slot, coeff in product(ctx, left, right, family).items():
+                for slot, coeff in dual_product(ctx, left, right, family).items():
                     acc[slot][(left, right)] = coeff
     return {
         label: KinematicTable(ctx, label, family, _sorted_terms(ctx, terms))
@@ -114,16 +97,7 @@ def coproduct_tables(ctx: FlagContext, family: str) -> dict[MeasureLabel, Kinema
     """Coproducts of every basis label in the family, in the x, y, u presentation."""
     tables: dict[MeasureLabel, KinematicTable] = {}
     for k in range(ctx.n):
-        tables.update(_degree_tables(ctx, family, k, dual_product))
-    return tables
-
-
-@lru_cache(maxsize=None)
-def oracle_coproduct_tables(ctx: FlagContext, family: str) -> dict[MeasureLabel, KinematicTable]:
-    """coproduct_tables recomputed in the exterior kernel, as the oracle."""
-    tables: dict[MeasureLabel, KinematicTable] = {}
-    for k in range(ctx.n):
-        tables.update(_degree_tables(ctx, family, k, _exterior_dual_product))
+        tables.update(_degree_tables(ctx, family, k))
     return tables
 
 
@@ -132,7 +106,7 @@ def coproduct(ctx: FlagContext, input: MeasureLabel, family: str | None = None) 
     validate_label(ctx, input)
     if family is None:
         family = input.kind if input.kind in ("Phi", "S") else "Phi"
-    return _degree_tables(ctx, family, input.degree(ctx), dual_product)[input]
+    return _degree_tables(ctx, family, input.degree(ctx))[input]
 
 
 # -- closed forms ---------------------------------------------------------------
@@ -183,28 +157,6 @@ def closed_form_S(ctx: FlagContext, k: int, i: int, j: int, b: int, c: int) -> S
         c_constant(ctx.n, j, p, b) * c_constant(ctx.n, k - j, p, c)
     )
     return Scalar.of(sign) * ratio * Scalar(total)
-
-
-def exceptional_coproduct(ctx: FlagContext) -> tuple[KinematicTable, KinematicTable]:
-    """Tables of Phi_{n-1,(n-1)/2} and Phi_ex in the exceptional case.
-
-    The Phi_ex (x) Phi_ex correction in the first table must equal the
-    exterior dual-basis expansion of phi_ex_dual squared; both are computed
-    and compared, a mismatch raises OracleMismatch.
-    """
-    if not ctx.exceptional:
-        raise ExceptionalUnavailable(f"n={ctx.n}, p={ctx.p} is not exceptional")
-    top = coproduct(ctx, phi_label(ctx.n - 1, ctx.p), "Phi")
-    ex = coproduct(ctx, PHI_EX, "Phi")
-    square = phi_ex_dual(ctx) * phi_ex_dual(ctx)
-    expansion = expand_in_duals(ctx, square, ctx.n - 1, "Phi")
-    correction = expansion.get(phi_label(ctx.n - 1, ctx.p), Scalar())
-    if top.coefficient(PHI_EX, PHI_EX) != correction:
-        raise OracleMismatch(
-            f"exceptional correction mismatch: table {top.coefficient(PHI_EX, PHI_EX)}"
-            f" vs dual-square {correction}"
-        )
-    return top, ex
 
 
 def hug_weil_coproduct(ctx: FlagContext, k: int) -> KinematicTable:

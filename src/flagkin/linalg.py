@@ -1,9 +1,9 @@
 """Exact sparse linear algebra over the rationals.
 
 Rows are dicts mapping column index to a nonzero rational, an int or a
-Fraction.  The echelon accumulator turns every entry into a Fraction and
-keeps fully reduced pivot rows, which makes rank computation incremental
-and solution read-off immediate.
+Fraction.  The echelon accumulator turns every pivot row into Fractions
+with leading entry 1, which makes rank computation incremental and
+membership in the span a reduction to zero.
 
 Ranks of integer rows are first attempted as a certificate modulo the
 prime 2^61 - 1: an integer matrix has rank mod p at most its rank over Q,
@@ -14,10 +14,9 @@ rows again and gives the rank.  No floats are used.
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Callable, Iterable
 from fractions import Fraction
-
-from .errors import SolveFailure
 
 Row = dict[int, Fraction]  # or dict[int, int]: the entries only need to be rational
 
@@ -25,7 +24,7 @@ PRIME = (1 << 61) - 1
 
 
 class SparseEchelon:
-    """Incremental reduced row echelon form over Fraction."""
+    """Incremental row echelon form over Fraction: pivot rows keyed by their leading column."""
 
     def __init__(self) -> None:
         self.pivots: dict[int, Row] = {}
@@ -35,22 +34,29 @@ class SparseEchelon:
         return len(self.pivots)
 
     def reduce(self, row: Row) -> Row:
-        """Return row minus its projection onto the accumulated pivot rows."""
-        row = dict(row)
-        for col in sorted(row):
-            if row.get(col, 0) == 0:
+        """Return row minus a combination of pivot rows that clears every pivot column.
+
+        A pivot row has entries only after its leading column, so
+        subtracting it can fill in a later pivot column; the columns are
+        cleared in increasing order, fill-in included.
+        """
+        row = {c: v for c, v in row.items() if v != 0}
+        todo = [c for c in row if c in self.pivots]
+        heapq.heapify(todo)
+        while todo:
+            col = heapq.heappop(todo)
+            factor = row.get(col)
+            if factor is None:  # cleared by an earlier pivot row, or pushed twice
                 continue
-            pivot_row = self.pivots.get(col)
-            if pivot_row is None:
-                continue
-            factor = row[col]
-            for c, v in pivot_row.items():
-                new = row.get(c, Fraction(0)) - factor * v
+            for c, v in self.pivots[col].items():
+                new = row.get(c, 0) - factor * v
                 if new == 0:
                     row.pop(c, None)
                 else:
+                    if c not in row and c in self.pivots:
+                        heapq.heappush(todo, c)
                     row[c] = new
-        return {c: v for c, v in row.items() if v != 0}
+        return row
 
     def add(self, row: Row) -> bool:
         """Absorb a row; return True when it enlarged the span."""
@@ -59,18 +65,7 @@ class SparseEchelon:
             return False
         col = min(row)
         inv = 1 / Fraction(row[col])
-        row = {c: v * inv for c, v in row.items()}
-        for prow in self.pivots.values():
-            factor = prow.get(col)
-            if factor is None:
-                continue
-            for c, v in row.items():
-                new = prow.get(c, Fraction(0)) - factor * v
-                if new == 0:
-                    prow.pop(c, None)
-                else:
-                    prow[c] = new
-        self.pivots[col] = row
+        self.pivots[col] = {c: v * inv for c, v in row.items()}
         return True
 
 
@@ -124,38 +119,3 @@ def column_rank(make_rows: Callable[[], Iterable[dict[int, int]]]) -> int:
     for row in make_rows():
         ech.add(row)
     return ech.rank
-
-
-def solve_unique(columns: list[Row], rhs: Row) -> list[Fraction]:
-    """Solve A x = rhs where A is given column-wise; require a unique solution.
-
-    Column entries and rhs are keyed by arbitrary shared row indices.
-    Raises SolveFailure when the system is inconsistent or under-determined.
-    """
-    ncols = len(columns)
-    rows_idx: set[int] = set(rhs)
-    for col in columns:
-        rows_idx.update(col)
-    ech = SparseEchelon()
-    RHS = ncols  # augmented column holding the right-hand side
-    for r in sorted(rows_idx):
-        row: Row = {}
-        for j, col in enumerate(columns):
-            v = col.get(r)
-            if v:
-                row[j] = v
-        v = rhs.get(r)
-        if v:
-            row[RHS] = v
-        ech.add(row)
-    if RHS in ech.pivots:
-        raise SolveFailure("inconsistent linear system")
-    if len(ech.pivots) < ncols:
-        raise SolveFailure("under-determined linear system")
-    sol = [Fraction(0)] * ncols
-    for col, prow in ech.pivots.items():
-        extra = [c for c in prow if c not in (col, RHS)]
-        if extra:
-            raise SolveFailure("under-determined linear system")
-        sol[col] = prow.get(RHS, Fraction(0))
-    return sol

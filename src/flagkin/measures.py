@@ -3,14 +3,11 @@
 Labels: Phi[k,a] and S[k,i] index the two bases of flag area measures,
 PhiEx the exceptional one (only for odd n with p == q), GlobS[k] the
 globalized area measures and Sp[k] the rescaled family of Corollary-style
-binomial tables.  Dual elements are stored as algebra elements through the
-invariant-subalgebra embedding; their normalizations are the closed
-formulas of the source basis (x^a y^(k-a) times explicit binomial
-constants), so that every kinematic coefficient is computed purely inside
-the algebra.  The same formulas are given twice: over the x, y, u
-presentation (presented_dual, dual_product), which products and tables
-use, and over the exterior realization (dual_element, expand_in_duals),
-which is the oracle and loads the exterior kernel on its first call.
+binomial tables.  Dual elements are elements of the flag algebra in its
+presentation by x, y and u (presented_dual); their normalizations are the
+closed formulas of the source basis (x^a y^(k-a) times explicit binomial
+constants), written once there and inverted once in expand_presented, so
+that every kinematic coefficient is computed purely inside the algebra.
 """
 
 from __future__ import annotations
@@ -20,19 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ExceptionalUnavailable, IndexOutOfRange, NotHomogeneous
-from .invariant_algebras import (
-    FlagContext,
-    PresentedElement,
-    embed_monomial,
-    invariant_coordinates,
-    monomial_exponents,
-    u_element,
-)
+from .invariant_algebras import FlagContext, PresentedElement, monomial_exponents
 from .scalars import ONE, Record, Scalar, _set, binom, factorial, omega_sym, sbinom
-
-TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
-if TYPE_CHECKING:
-    from .rotation_algebra import AlgebraElement
 
 
 class MeasureLabel(Record, order=True):
@@ -212,116 +198,11 @@ def phi_in_s_matrix(ctx: FlagContext, k: int) -> list[list[Scalar]]:
     ]
 
 
-# -- dual algebra elements -----------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def phi_dual(ctx: FlagContext, k: int, a: int) -> AlgebraElement:
-    """Phi_{k,a}^* = x^a y^(k-a) / (omega_n C(q,k-a) C(p,a) a! (k-a)!)."""
-    validate_label(ctx, phi_label(k, a))
-    coeff = (
-        Scalar.omega(ctx.n, -1)
-        / sbinom(ctx.q, k - a)
-        / sbinom(ctx.p, a)
-        / Scalar(factorial(a) * factorial(k - a))
-    )
-    return embed_monomial(ctx, a, k - a).smul(coeff)
-
-
-@lru_cache(maxsize=None)
-def s_dual(ctx: FlagContext, k: int, i: int) -> AlgebraElement:
-    """S_k^(p),i,* as the alternating combination of x^a y^(k-a)."""
-    validate_label(ctx, s_label(k, i))
-    mp = ctx.m_prime(k)
-    front = Scalar.of((-1) ** (i + mp)) * Scalar.omega(ctx.n, -1) / c_constant(
-        ctx.n, k, ctx.p, i
-    )
-    from .rotation_algebra import zero
-
-    out = zero(ctx.n)
-    for a in range(mp - i, mp + 1):
-        coeff = (
-            Scalar.of((-1) ** a)
-            / Scalar(factorial(a) * factorial(k - a))
-            * sbinom(i, mp - a)
-            / sbinom(ctx.q, k - a)
-            / sbinom(ctx.p, a)
-        )
-        out = out + embed_monomial(ctx, a, k - a).smul(coeff)
-    return out.smul(front)
-
-
-@lru_cache(maxsize=None)
-def phi_ex_dual(ctx: FlagContext) -> AlgebraElement:
-    """Phi_ex^* = (-1)^p u / (omega_n p!)."""
-    if not ctx.exceptional:
-        raise ExceptionalUnavailable(f"n={ctx.n}, p={ctx.p} is not exceptional")
-    coeff = Scalar.of((-1) ** ctx.p) * Scalar.omega(ctx.n, -1) / Scalar(factorial(ctx.p))
-    return u_element(ctx).smul(coeff)
-
-
-def dual_element(ctx: FlagContext, label: MeasureLabel) -> AlgebraElement:
-    validate_label(ctx, label)
-    if label.kind == "Phi":
-        return phi_dual(ctx, label.k, label.idx)
-    if label.kind == "S":
-        return s_dual(ctx, label.k, label.idx)
-    if label.kind == "PhiEx":
-        return phi_ex_dual(ctx)
-    raise ValueError(f"no dual element for {label}")
-
-
-def expand_in_duals(
-    ctx: FlagContext, element: AlgebraElement, k: int, family: str
-) -> dict[MeasureLabel, Scalar]:
-    """Coefficients of a degree-k algebra element over the dual basis.
-
-    Inverts the explicit dual formulas: the x^a y^(k-a) coordinate is
-    rescaled into the Phi-dual coefficient, then base-changed for the
-    S family; a u coordinate becomes the PhiEx-dual coefficient.
-    """
-    coords = invariant_coordinates(ctx, element, k)
-    phi_coeffs: dict[int, Scalar] = {}
-    for (a, b), c in coords.xy:
-        phi_coeffs[a] = (
-            c
-            * Scalar.omega(ctx.n)
-            * sbinom(ctx.q, b)
-            * sbinom(ctx.p, a)
-            * Scalar(factorial(a) * factorial(b))
-        )
-    out: dict[MeasureLabel, Scalar] = {}
-    if family == "Phi":
-        for a, c in phi_coeffs.items():
-            if not c.is_zero():
-                out[phi_label(k, a)] = c
-    elif family == "S":
-        mp = ctx.m_prime(k)
-        for i in range(ctx.m(k) + 1):
-            c_i = c_constant(ctx.n, k, ctx.p, i)
-            acc = Scalar()
-            for a, c in phi_coeffs.items():
-                acc = acc + c * c_i * sbinom(mp - a, i)
-            if not acc.is_zero():
-                out[s_label(k, i)] = acc
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    if coords.u is not None and not coords.u.is_zero():
-        out[PHI_EX] = (
-            coords.u
-            * Scalar.of((-1) ** ctx.p)
-            * Scalar(factorial(ctx.p))
-            * Scalar.omega(ctx.n)
-        )
-    return out
-
-
 # -- duals in the x, y, u presentation -----------------------------------------
 #
 # Every dual carries the same unit omega_n^-1, so it is factored out:
-# presented_dual(L) is omega_n times the dual of L, with the formulas of
-# phi_dual, s_dual and phi_ex_dual over rationals, and dual_product puts the
-# unit back once per output coefficient.
+# presented_dual(L) is omega_n times the dual of L, over rationals, and
+# dual_product puts the unit back once per output coefficient.
 
 
 def _phi_scale(ctx: FlagContext, a: int, b: int) -> Fraction:
@@ -331,7 +212,12 @@ def _phi_scale(ctx: FlagContext, a: int, b: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def presented_dual(ctx: FlagContext, label: MeasureLabel) -> PresentedElement:
-    """omega_n times the dual element of label, in the x, y, u presentation."""
+    """omega_n times the dual element of label, in the x, y, u presentation.
+
+    Phi_{k,a}^* = x^a y^(k-a) / (omega_n C(q,k-a) C(p,a) a! (k-a)!),
+    S_k^(p),i,* = (-1)^(i+m'_k) / c_{n,k,p,i} sum_a (-1)^a C(i, m'_k - a) Phi_{k,a}^*
+    and Phi_ex^* = (-1)^p u / (omega_n p!).
+    """
     validate_label(ctx, label)
     k = label.k
     if label.kind == "Phi":
@@ -390,10 +276,7 @@ def expand_presented(
 def dual_product(
     ctx: FlagContext, left: MeasureLabel, right: MeasureLabel, family: str
 ) -> dict[MeasureLabel, Scalar]:
-    """The product of the duals of left and right over the dual basis of family.
-
-    Equals expand_in_duals(dual_element(left) * dual_element(right)).
-    """
+    """The product of the duals of left and right over the dual basis of family."""
     product = presented_dual(ctx, left) * presented_dual(ctx, right)
     deg = left.degree(ctx) + right.degree(ctx)
     unit = ((omega_sym(ctx.n), -1),)

@@ -4,8 +4,7 @@ Generators x_{ij} (2 <= i, j <= n) are represented by the invariant forms
 (sigma_i ^ omega_{j,1} + sigma_j ^ omega_{i,1}) / 2, and products are wedge
 products, so the ideal relations hold identically instead of by rewriting.
 Chord monomials (diagonal factors plus a non-crossing perfect matching)
-give a basis in each degree; normal forms are recovered by exact linear
-solves against their images.  Graded dimensions are certified from +-1
+give a basis in each degree.  Graded dimensions are certified from +-1
 integer rows built straight from index sets and streamed into a rank
 certificate, with no basis records or cached columns.
 """
@@ -17,15 +16,9 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb
 
-from .errors import (
-    BadIndexSet,
-    DimensionMismatch,
-    IndexOutOfRange,
-    NotHomogeneous,
-    UnitMismatch,
-)
+from .errors import BadIndexSet, DimensionMismatch, IndexOutOfRange, NotHomogeneous
 from .exterior import Blade, Multivector, full_omega_mask, sigma, omega1, wedge
-from .linalg import Row, SparseEchelon, column_rank, solve_unique
+from .linalg import Row, SparseEchelon, column_rank
 from .scalars import Record, Scalar, _set
 
 
@@ -230,14 +223,7 @@ def narayana(n: int, k: int) -> int:
     return comb(n, k) * comb(n, k + 1) // n
 
 
-# -- coordinates and graded dimensions ---------------------------------------
-
-
-def _body_to_row(body: Multivector) -> dict[int, Fraction]:
-    """The body's own rational row; it must carry no units."""
-    if body.units:
-        raise UnitMismatch("expected unitless coefficients")
-    return body.row
+# -- graded dimensions -------------------------------------------------------
 
 
 def _chord_row(diagonals: tuple[int, ...], matching: tuple[tuple[int, int], ...]) -> dict[int, int]:
@@ -272,22 +258,15 @@ def _chord_rows(n: int, k: int):
 
 @lru_cache(maxsize=None)
 def _chord_columns(n: int, k: int) -> tuple[dict[int, Fraction], ...]:
-    """The row of each chord_basis(n, k) monomial's evaluation, over Fraction."""
+    """The row of each chord_basis(n, k) monomial's evaluation, over Fraction.
+
+    Nothing in flagkin calls it; perfbench/tracer.py reads its cache
+    statistics, and the tests compare it with the evaluated monomials.
+    """
     return tuple(
         {key: Fraction(e, 1 << len(matching)) for key, e in _chord_row(diag, matching).items()}
         for diag, matching in _chord_index_sets(n, k)
     )
-
-
-def coordinates(a: AlgebraElement, k: int) -> list[Scalar]:
-    """Coefficient vector of a over chord_basis(a.n, k)."""
-    if a.is_zero():
-        return [Scalar() for _ in chord_basis(a.n, k)]
-    if a.degree() != k:
-        raise NotHomogeneous(f"element has degree {a.degree()}, expected {k}")
-    sol = solve_unique(list(_chord_columns(a.n, k)), a.body.row)
-    unit = Scalar(Fraction(1), a.body.units)
-    return [Scalar(v) * unit for v in sol]
 
 
 @lru_cache(maxsize=None)

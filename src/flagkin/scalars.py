@@ -1,9 +1,7 @@
 """Exact scalars: rationals times a Laurent monomial in formal volume units.
 
 The unit symbols omega(m) (volume of the (m-1)-sphere), volSO(n) and
-volFlag are opaque and commute; they are never given numeric values in any
-verification path.  An optional floating-point evaluation of the omega
-units is provided for display only.
+volFlag are opaque and commute; they are never given numeric values.
 """
 
 from __future__ import annotations
@@ -257,36 +255,12 @@ class Scalar(Record):
             body += tex if exp == 1 else f"{tex}^{{{exp}}}"
         return body
 
-    def approximate(self) -> float:
-        """Display-only float, substituting omega(m) -> 2 pi^(m/2) / Gamma(m/2)."""
-        out = float(self.value)
-        for sym, exp in self.units:
-            m = _SYM_RE.match(sym)
-            if m.group(1) != "omega":
-                raise ValueError(f"no numeric value for {sym}")
-            mm = int(m.group(2))
-            out *= (2 * math.pi ** (mm / 2) / math.gamma(mm / 2)) ** exp
-        return out
-
     def __str__(self) -> str:
         return self.to_text()
 
 
 ZERO = Scalar()
 ONE = Scalar.of(1)
-
-
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Dispatch arithmetic by name: one of add, sub, mul, div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def binom(m: int, r: int) -> Fraction:

@@ -238,6 +238,16 @@ def test_basis_guard_depends_on_the_form(capsys, monkeypatch):
     assert code == 1 and out == "" and "max-n=8" in err
 
 
+def test_dim_guard_depends_on_the_form(capsys, monkeypatch):
+    monkeypatch.delenv("FLAGKIN_MAX_N", raising=False)
+    code, out, _ = run(capsys, "dim", "--n", "12", "--p", "5")
+    assert code == 0 and out.startswith("flag invariant subalgebra dimensions, n=12, p=5")
+    code, _, err = run(capsys, "dim", "--n", "21", "--p", "5")
+    assert code == 1 and "max-n=20" in err
+    code, out, err = run(capsys, "dim", "--n", "12")
+    assert code == 1 and out == "" and "max-n=8" in err
+
+
 
 @pytest.mark.parametrize("k", ["9", "4", "-1"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -249,7 +259,7 @@ def test_basis_refuses_a_degree_out_of_range_in_both_forms(capsys, k, fmt):
 
 # Modules a presented request must not load: the dataclass machinery (with
 # inspect behind it), which no module uses, and the exterior oracle, which
-# only dim, verify and the chord basis need.
+# only dim without --p, verify and the chord basis need.
 ORACLE_MODULES = {
     "dataclasses",
     "inspect",
@@ -269,6 +279,7 @@ PRESENTED_REQUESTS = {
         "--k", "1", "--a", "0", "--k2", "1", "--a2", "1",
     ],
     "basis --p": ["-m", "flagkin.cli", "basis", "--n", "5", "--p", "2", "--k", "2"],
+    "dim --p": ["-m", "flagkin.cli", "dim", "--n", "5", "--p", "2"],
 }
 
 

@@ -183,14 +183,17 @@ def test_pairing_rejects_inhomogeneous_dual():
 
 def test_bridge_constants_rederived():
     # The dual normalization used by the measures module, rederived through
-    # the oracle: <phi_dual(k,a), eta_hat(k,a)> equals the (-1)^k twist of 1.
-    from flagkin.measures import phi_dual
+    # the oracle: the realized Phi dual, over omega_n, pairs with eta_hat(k,a)
+    # to the (-1)^k twist of 1.
+    from flagkin.grassmann_oracle import realize
+    from flagkin.measures import phi_label, presented_dual
 
     for n, p in ((4, 1), (5, 2), (3, 1)):
         ctx = FlagContext(n, p)
         for k in range(n):
             for a in range(max(0, k - ctx.q), min(k, ctx.p) + 1):
-                value = pairing(ctx, phi_dual(ctx, k, a), eta_hat(ctx, k, a))
+                dual = realize(ctx, presented_dual(ctx, phi_label(k, a))).smul(Scalar.omega(n, -1))
+                value = pairing(ctx, dual, eta_hat(ctx, k, a))
                 assert value == honest_diagonal_twist(k), (n, p, k, a)
 
 

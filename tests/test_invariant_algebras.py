@@ -1,19 +1,37 @@
+from fractions import Fraction
+
 import pytest
 
-from flagkin.errors import ExceptionalUnavailable, NotInSubalgebra
+from flagkin.errors import ExceptionalUnavailable
+from flagkin.grassmann_oracle import realize
 from flagkin.invariant_algebras import (
     FlagContext,
+    PresentedElement,
     embed_monomial,
-    flag_generators,
-    invariant_coordinates,
     invariant_dimension,
-    t_element,
+    monomial_exponents,
     u_element,
-    _invariant_columns,
 )
 from flagkin.linalg import SparseEchelon
 from flagkin.rotation_algebra import elementary_symmetric, generator
-from flagkin.scalars import ONE, Scalar
+from flagkin.scalars import Scalar
+
+
+def _t(n):
+    """E_1(x_22, ..., x_nn); the area algebra map sends t^i to i! E_i."""
+    return elementary_symmetric(n, range(2, n + 1), 1)
+
+
+def _generators(ctx):
+    return embed_monomial(ctx, 1, 0), embed_monomial(ctx, 0, 1), u_element(ctx)
+
+
+def _realized_basis_rows(ctx, k):
+    """Rows of the realized basis of degree k: x^a y^(k-a), then u in the exceptional middle."""
+    rows = [embed_monomial(ctx, a, b).body.row for a, b in monomial_exponents(ctx, k)]
+    if ctx.exceptional and k == ctx.middle:
+        rows.append(u_element(ctx).body.row)
+    return rows
 
 
 def test_context_invariants():
@@ -32,76 +50,68 @@ def test_m_and_m_prime():
 
 
 def test_t_square():
-    t = t_element(3)
+    t = _t(3)
     assert t * t == elementary_symmetric(3, range(2, 4), 2).smul(Scalar.of(2))
 
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_t_nilpotency(n):
-    t = t_element(n)
+    t = _t(n)
     assert (t**n).is_zero()
     assert not (t ** (n - 1)).is_zero()
 
 
 def test_flag_relations_n5():
-    ctx = FlagContext(5, 2)
-    x, y, u = flag_generators(ctx)
+    x, y, u = _generators(FlagContext(5, 2))
     assert (x**3).is_zero() and (y**3).is_zero()
     assert (u * x).is_zero() and (u * y).is_zero()
 
 
 def test_u_square_n3():
-    ctx = FlagContext(3, 1)
-    x, y, u = flag_generators(ctx)
+    x, y, u = _generators(FlagContext(3, 1))
     assert u == generator(3, 2, 3)
     assert u * u == (x * y).smul(Scalar.of(-1, 2))
 
 
 @pytest.mark.parametrize("n,p", [(3, 1), (5, 2), (7, 3)])
 def test_u_square_general(n, p):
-    ctx = FlagContext(n, p)
-    x, y, u = flag_generators(ctx)
+    x, y, u = _generators(FlagContext(n, p))
     want = (x**p * y**p).smul(Scalar.of((-1) ** p * (p + 1), 2 ** (2 * p)))
     assert u * u == want
 
 
 def test_u_unavailable():
-    with pytest.raises(ExceptionalUnavailable):
-        u_element(FlagContext(5, 1))
-    x, y, u = flag_generators(FlagContext(4, 1))
-    assert u is None
+    for n, p in ((5, 1), (4, 1)):
+        with pytest.raises(ExceptionalUnavailable):
+            u_element(FlagContext(n, p))
 
 
 def test_coordinates_basis_monomial():
     ctx = FlagContext(5, 2)
-    x, y, _ = flag_generators(ctx)
-    coords = invariant_coordinates(ctx, x * y, 2)
-    assert coords.coefficient(1, 1) == ONE
-    assert coords.coefficient(2, 0).is_zero()
-    assert coords.u == Scalar()  # exceptional middle degree carries a u slot
+    x, y, _ = _generators(ctx)
+    assert realize(ctx, PresentedElement(ctx, {(1, 1): Fraction(1)})) == x * y
 
 
 @pytest.mark.parametrize("n,p", [(5, 2), (4, 1), (6, 3), (3, 1)])
 def test_t_maps_to_x_plus_y(n, p):
     ctx = FlagContext(n, p)
-    coords = invariant_coordinates(ctx, t_element(n), 1)
-    assert coords.coefficient(1, 0) == ONE
-    assert coords.coefficient(0, 1) == ONE
+    assert _t(n) == embed_monomial(ctx, 1, 0) + embed_monomial(ctx, 0, 1)
 
 
 def test_u_square_coordinates():
     ctx = FlagContext(3, 1)
-    _, _, u = flag_generators(ctx)
-    coords = invariant_coordinates(ctx, u * u, 2)
-    assert coords.coefficient(1, 1) == Scalar.of(-1, 2)
-    assert coords.u is None  # degree 2 is not the middle degree for n=3
+    u = PresentedElement(ctx, {}, Fraction(1))
+    assert u * u == PresentedElement(ctx, {(1, 1): Fraction(-1, 2)})
+    assert realize(ctx, u * u) == u_element(ctx) * u_element(ctx)
 
 
 def test_not_in_subalgebra():
     ctx = FlagContext(4, 1)
     stray = generator(4, 2, 3)  # not H-invariant: no combination of x, y
-    with pytest.raises(NotInSubalgebra):
-        invariant_coordinates(ctx, stray, 1)
+    ech = SparseEchelon()
+    for row in _realized_basis_rows(ctx, 1):
+        ech.add(row)
+    assert ech.reduce(stray.body.row)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -109,19 +119,19 @@ def test_invariant_dimension_and_independence(n):
     for p in range(n):
         ctx = FlagContext(n, p)
         for k in range(n):
-            _, cols, _ = _invariant_columns(ctx, k)
+            rows = _realized_basis_rows(ctx, k)
             ech = SparseEchelon()
-            added = sum(ech.add(dict(col)) for col in cols)
-            assert added == len(cols) == invariant_dimension(ctx, k), (n, p, k)
+            added = sum(ech.add(row) for row in rows)
+            assert added == len(rows) == invariant_dimension(ctx, k), (n, p, k)
 
 
 def test_exceptional_middle_independence_even_p():
     # p = 2: u and x^1 y^1 both live in the middle degree and are independent
     ctx = FlagContext(5, 2)
-    _, cols, has_u = _invariant_columns(ctx, 2)
-    assert has_u
+    rows = _realized_basis_rows(ctx, 2)
+    assert len(rows) == 4
     ech = SparseEchelon()
-    assert all(ech.add(dict(col)) for col in cols)
+    assert all(ech.add(row) for row in rows)
 
 
 @pytest.mark.parametrize("n,p", [(5, 2), (6, 2), (7, 3)])

@@ -9,7 +9,6 @@ from flagkin.kinematics import (
     closed_form_phi,
     coproduct,
     coproduct_tables,
-    exceptional_coproduct,
     hug_weil_coproduct,
     table_to_csv,
     table_to_json,
@@ -79,7 +78,8 @@ def test_tables_match_closed_forms(n, p):
 )
 def test_exceptional_corrections(n, p):
     ctx = FlagContext(n, p)
-    top, ex = exceptional_coproduct(ctx)
+    top = coproduct(ctx, phi_label(n - 1, p), "Phi")
+    ex = coproduct(ctx, PHI_EX, "Phi")
     corr = top.coefficient(PHI_EX, PHI_EX)
     assert corr == Scalar.of((-1) ** p * (p + 1), 2 ** (2 * p)) * inv_omega(n)
     assert corr == Scalar.of((-1) ** ((n - 1) // 2) * (n + 1), 2**n) * inv_omega(n)
@@ -88,7 +88,7 @@ def test_exceptional_corrections(n, p):
 
 def test_exceptional_unavailable():
     with pytest.raises(ExceptionalUnavailable):
-        exceptional_coproduct(FlagContext(4, 1))
+        coproduct(FlagContext(4, 1), PHI_EX)
 
 
 def test_n3_S_table_exceptional_value():

@@ -1,15 +1,6 @@
 from fractions import Fraction
 
-import pytest
-
-from flagkin.errors import SolveFailure
-from flagkin.linalg import (
-    PRIME,
-    SparseEchelon,
-    certified_rank,
-    column_rank,
-    solve_unique,
-)
+from flagkin.linalg import PRIME, SparseEchelon, certified_rank, column_rank
 
 F = Fraction
 
@@ -20,24 +11,6 @@ def test_incremental_add():
     assert not ech.add({0: F(5)})
     assert ech.add({1: F(1), 0: F(3)})
     assert ech.rank == 2
-
-
-def test_solve_unique():
-    cols = [{0: F(1), 1: F(1)}, {1: F(2)}]
-    rhs = {0: F(3), 1: F(7)}
-    assert solve_unique(cols, rhs) == [F(3), F(2)]
-
-
-def test_solve_inconsistent():
-    cols = [{0: F(1)}]
-    with pytest.raises(SolveFailure):
-        solve_unique(cols, {1: F(1)})
-
-
-def test_solve_underdetermined():
-    cols = [{0: F(1)}, {0: F(2)}]
-    with pytest.raises(SolveFailure):
-        solve_unique(cols, {0: F(1)})
 
 
 def test_mod_p_certifies_independent_columns():
@@ -66,9 +39,20 @@ def test_echelon_and_solve_stay_exact_on_int_rows():
     assert ech.add({0: 2, 1: 3})
     assert ech.pivots == {0: {0: F(1), 1: F(3, 2)}}
     assert all(type(v) is Fraction for v in ech.pivots[0].values())
-    sol = solve_unique([{0: 3}, {1: 1}], {0: 1, 1: 2})
-    assert sol == [F(1, 3), F(2)]
-    assert all(type(v) is Fraction for v in sol)
+    rest = ech.reduce({0: 3, 1: 1})
+    assert rest == {1: F(-7, 2)}
+    assert all(type(v) is Fraction for v in rest.values())
+
+
+def test_reduce_clears_fill_in_after_its_own_columns():
+    # no back-elimination: the pivot row at 0 keeps its entry in pivot column 1,
+    # so reducing e_0 fills in column 1, which must be cleared too
+    ech = SparseEchelon()
+    assert ech.add({0: 1, 1: 1}) and ech.add({1: 1})
+    assert ech.pivots == {0: {0: F(1), 1: F(1)}, 1: {1: F(1)}}
+    assert ech.reduce({0: 1}) == {}
+    assert ech.reduce({0: 2, 2: 5}) == {2: F(5)}
+    assert not ech.add({0: 4, 1: -3})
 
 
 def test_certificate_reads_a_stream_like_a_list():

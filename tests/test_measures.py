@@ -1,31 +1,29 @@
+from fractions import Fraction
 from functools import partial
 
 import pytest
 
 from flagkin.errors import ExceptionalUnavailable, IndexOutOfRange
-from flagkin.invariant_algebras import FlagContext, embed_monomial, u_element
+from flagkin.grassmann_oracle import realize
+from flagkin.invariant_algebras import FlagContext, PresentedElement, embed_monomial
 from flagkin.measures import (
     PHI_EX,
     MeasureExpr,
     MeasureLabel,
     basis_labels,
     c_constant,
-    dual_element,
-    expand_in_duals,
+    expand_presented,
     globalize,
     hug_weil_measure,
-    phi_dual,
-    phi_ex_dual,
     phi_in_s,
     phi_in_s_matrix,
     phi_label,
-    s_dual,
+    presented_dual,
     s_in_phi,
     s_in_phi_matrix,
     s_label,
     validate_label,
 )
-from flagkin.rotation_algebra import elementary_symmetric, one
 from flagkin.scalars import ONE, Scalar, factorial, sbinom
 
 CONTEXTS = [(n, p) for n in range(2, 8) for p in range(n)]
@@ -82,28 +80,28 @@ def test_dual_base_change_is_inverse_transpose(n, p):
         Q = phi_in_s_matrix(ctx, k)  # rows a, cols i
         a_vals = [l.idx for l in basis_labels(ctx, k, "Phi") if l.kind == "Phi"]
         for i in range(ctx.m(k) + 1):
-            expansion = expand_in_duals(ctx, s_dual(ctx, k, i), k, "Phi")
+            expansion = expand_presented(ctx, presented_dual(ctx, s_label(k, i)), k, "Phi")
             for row, a in enumerate(a_vals):
-                got = expansion.get(phi_label(k, a), Scalar())
+                got = Scalar(expansion.get(phi_label(k, a), 0))
                 assert got == Q[row][i], (n, p, k, i, a)
 
 
 def test_phi_dual_examples():
+    # presented duals are omega_n times the duals
     ctx = FlagContext(5, 2)
-    y = elementary_symmetric(5, ctx.block2(), 1)
-    assert phi_dual(ctx, 1, 0) == y.smul(Scalar.omega(5, -1) / Scalar.of(ctx.q))
-    assert phi_dual(ctx, 0, 0) == one(5).smul(Scalar.omega(5, -1))
-    want = embed_monomial(ctx, 2, 2).smul(Scalar.omega(5, -1) * Scalar.of(1, 4))
-    assert phi_dual(ctx, 4, 2) == want
+    y_over_q = PresentedElement(ctx, {(0, 1): Fraction(1, ctx.q)})
+    assert presented_dual(ctx, phi_label(1, 0)) == y_over_q
+    assert presented_dual(ctx, phi_label(0, 0)) == PresentedElement(ctx, {(0, 0): Fraction(1)})
+    assert presented_dual(ctx, phi_label(4, 2)) == PresentedElement(ctx, {(2, 2): Fraction(1, 4)})
 
 
 def test_phi_ex_dual_examples():
     ctx3 = FlagContext(3, 1)
-    assert phi_ex_dual(ctx3) == u_element(ctx3).smul(-Scalar.omega(3, -1))
+    assert presented_dual(ctx3, PHI_EX) == PresentedElement(ctx3, {}, Fraction(-1))
     ctx5 = FlagContext(5, 2)
-    assert phi_ex_dual(ctx5) == u_element(ctx5).smul(Scalar.of(1, 2) * Scalar.omega(5, -1))
+    assert presented_dual(ctx5, PHI_EX) == PresentedElement(ctx5, {}, Fraction(1, 2))
     with pytest.raises(ExceptionalUnavailable):
-        phi_ex_dual(FlagContext(4, 1))
+        presented_dual(FlagContext(4, 1), PHI_EX)
 
 
 @pytest.mark.parametrize("n,p", [(3, 1), (4, 1), (4, 2), (5, 2), (5, 0)])
@@ -112,8 +110,8 @@ def test_expand_in_duals_inverts_duals(n, p):
     for k in range(n):
         for family in ("Phi", "S"):
             for label in basis_labels(ctx, k, family):
-                got = expand_in_duals(ctx, dual_element(ctx, label), k, family)
-                assert got == {label: ONE}, (n, p, k, family, label)
+                got = expand_presented(ctx, presented_dual(ctx, label), k, family)
+                assert got == {label: 1}, (n, p, k, family, label)
 
 
 @pytest.mark.parametrize("n,p", [(4, 1), (5, 2), (6, 2), (5, 1)])
@@ -126,10 +124,9 @@ def test_global_dual_sum_identity(n, p):
     for k in range(n):
         total = None
         for i in range(ctx.m(k) + 1):
-            d = s_dual(ctx, k, i)
+            d = realize(ctx, presented_dual(ctx, s_label(k, i)))  # omega_n S*(k,i)
             total = d if total is None else total + d
-        lhs = total.smul(Scalar.omega(n) * Scalar(factorial(k)))
-        assert lhs == x_plus_y**k, (n, p, k)
+        assert total.smul(factorial(k)) == x_plus_y**k, (n, p, k)
 
 
 def test_globalize_examples():
@@ -184,10 +181,17 @@ def test_one_label_rule(n, p):
     """validate_label accepts exactly the listed labels; the (k, idx) functions agree."""
     ctx = FlagContext(n, p)
     families = {
-        "Phi": (phi_label, (partial(phi_dual, ctx), partial(phi_in_s, ctx))),
+        "Phi": (
+            phi_label,
+            (lambda k, a: presented_dual(ctx, phi_label(k, a)), partial(phi_in_s, ctx)),
+        ),
         "S": (
             s_label,
-            (partial(s_dual, ctx), partial(s_in_phi, ctx), lambda k, i: c_constant(n, k, p, i)),
+            (
+                lambda k, i: presented_dual(ctx, s_label(k, i)),
+                partial(s_in_phi, ctx),
+                lambda k, i: c_constant(n, k, p, i),
+            ),
         ),
     }
     degrees = range(-1, n + 1)

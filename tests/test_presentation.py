@@ -1,22 +1,24 @@
-"""The x, y, u presentation route against the exterior-kernel oracle."""
+"""The x, y, u presentation route against its exterior realization."""
+
+from fractions import Fraction
 
 import pytest
 
-import flagkin.kinematics as kinematics
-import flagkin.verify as verify
-from flagkin.errors import NotHomogeneous, OracleMismatch
+import flagkin.grassmann_oracle as grassmann_oracle
+from flagkin.errors import NotHomogeneous
+from flagkin.grassmann_oracle import realize
 from flagkin.invariant_algebras import FlagContext, PresentedElement
-from flagkin.kinematics import coproduct_tables, exceptional_coproduct, oracle_coproduct_tables
 from flagkin.measures import (
     PHI_EX,
     basis_labels,
-    dual_element,
     dual_product,
-    expand_in_duals,
     expand_presented,
     phi_label,
     presented_dual,
 )
+from flagkin.rotation_algebra import zero
+from flagkin.scalars import Scalar
+from flagkin.verify import _suite_flag_algebra
 
 CONTEXTS = [(n, p) for n in range(2, 9) for p in range(n)]
 
@@ -27,34 +29,50 @@ def _labels(ctx, family):
 
 @pytest.mark.parametrize("n,p", CONTEXTS)
 def test_tables_equal_oracle(n, p):
-    ctx = FlagContext(n, p)
-    for family in ("Phi", "S"):
-        assert coproduct_tables(ctx, family) == oracle_coproduct_tables(ctx, family), family
+    # Tables are products of presented duals; the suite checks that realizing
+    # the presentation by forms is an injective ring map.
+    assert _suite_flag_algebra(FlagContext(n, p)) is None
 
 
 @pytest.mark.parametrize("n,p", [(n, p) for n, p in CONTEXTS if n <= 6])
 def test_products_equal_exterior_expansion(n, p):
+    # dual_product, recombined over the realized duals, is the wedge of the
+    # realized duals; each realized dual is omega_n times the dual form.
     ctx = FlagContext(n, p)
     for family in ("Phi", "S"):
         labels = _labels(ctx, family)
+        forms = {label: realize(ctx, presented_dual(ctx, label)) for label in labels}
         for left in labels:
             for right in labels:
-                deg = left.degree(ctx) + right.degree(ctx)
-                if deg > n - 1:
+                if left.degree(ctx) + right.degree(ctx) > n - 1:
                     continue
-                want = expand_in_duals(
-                    ctx, dual_element(ctx, left) * dual_element(ctx, right), deg, family
-                )
-                assert dual_product(ctx, left, right, family) == want, (left, right)
+                got = zero(n)
+                for label, c in dual_product(ctx, left, right, family).items():
+                    got = got + forms[label].smul(c * Scalar.omega(n))
+                assert got == forms[left] * forms[right], (left, right)
 
 
 @pytest.mark.parametrize("n,p", [(3, 1), (5, 2), (6, 2)])
 def test_expand_inverts_presented_duals(n, p):
+    # Recombining the duals with the coefficients expand_presented reads off
+    # gives back every basis monomial, u included.
     ctx = FlagContext(n, p)
+    monomials = [
+        (PresentedElement(ctx, {(a, k - a): Fraction(1)}), k)
+        for k in range(n)
+        for a in ctx.phi_indices(k)
+    ]
+    if ctx.exceptional:
+        monomials.append((PresentedElement(ctx, {}, Fraction(1)), ctx.middle))
     for family in ("Phi", "S"):
-        for label in _labels(ctx, family):
-            got = expand_presented(ctx, presented_dual(ctx, label), label.degree(ctx), family)
-            assert got == {label: 1}
+        for element, k in monomials:
+            xy, u = {}, Fraction(0)
+            for label, c in expand_presented(ctx, element, k, family).items():
+                dual = presented_dual(ctx, label)
+                for key, v in dual.xy.items():
+                    xy[key] = xy.get(key, 0) + c * v
+                u += c * dual.u
+            assert PresentedElement(ctx, {key: v for key, v in xy.items() if v}, u) == element
 
 
 def test_expand_rejects_wrong_degree():
@@ -65,20 +83,63 @@ def test_expand_rejects_wrong_degree():
         expand_presented(ctx, PresentedElement(ctx, {}, presented_dual(ctx, PHI_EX).u), 1, "Phi")
 
 
-def test_exceptional_mismatch_raises(monkeypatch):
-    ctx = FlagContext(5, 2)
-    real = kinematics.expand_in_duals
+# -- mutations the flag algebra suite must catch -------------------------------
 
-    def tampered(*args):
-        return {label: c + c for label, c in real(*args).items()}
+_real_mul = PresentedElement.__mul__
 
-    monkeypatch.setattr(kinematics, "expand_in_duals", tampered)
-    with pytest.raises(OracleMismatch):
-        exceptional_coproduct(ctx)
+
+def _with_xy(element, extra):
+    xy = dict(element.xy)
+    for key, c in extra.items():
+        xy[key] = xy.get(key, 0) + c
+    return PresentedElement(element.ctx, xy, element.u)
+
+
+def _u_square_doubled(self, other):
+    out = _real_mul(self, other)
+    if self.u and other.u:
+        u1, u2 = PresentedElement(self.ctx, {}, self.u), PresentedElement(self.ctx, {}, other.u)
+        out = _with_xy(out, _real_mul(u1, u2).xy)
+    return out
+
+
+def _x_power_kept(self, other):
+    p, q = self.ctx.p, self.ctx.q
+    extra: dict = {}
+    for (a, b), c in self.xy.items():
+        for (a2, b2), c2 in other.xy.items():
+            if a + a2 > p and b + b2 <= q:
+                extra[(a + a2, b + b2)] = extra.get((a + a2, b + b2), 0) + c * c2
+    return _with_xy(_real_mul(self, other), extra)
+
+
+def _ux_in_one_order(self, other):
+    out = _real_mul(self, other)
+    if self.u and (1, 0) in other.xy:
+        out = _with_xy(out, {(self.ctx.p, 1): self.u * other.xy[(1, 0)]})
+    return out
+
+
+@pytest.mark.parametrize(
+    "mutation",
+    [_u_square_doubled, _x_power_kept, _ux_in_one_order],
+    ids=["u_square_doubled", "x_power_kept", "ux_in_one_order"],
+)
+def test_flag_suite_catches_a_wrong_product(monkeypatch, mutation):
+    monkeypatch.setattr(PresentedElement, "__mul__", mutation)
+    for n, p in ((3, 1), (5, 2)):
+        assert _suite_flag_algebra(FlagContext(n, p)) is not None, (n, p)
 
 
 def test_verify_reports_oracle_disagreement(monkeypatch):
-    monkeypatch.setattr(kinematics, "oracle_coproduct_tables", lambda ctx, family: {})
-    assert verify._suite_closed_forms(FlagContext(3, 1)) == (
-        "Phi tables differ from the exterior-kernel oracle"
+    # one realized monomial scaled by 2: x * y no longer wedges to x y
+    real = grassmann_oracle.embed_monomial
+
+    def scaled(ctx, a, b):
+        form = real(ctx, a, b)
+        return form.smul(2) if (a, b) == (1, 1) else form
+
+    monkeypatch.setattr(grassmann_oracle, "embed_monomial", scaled)
+    assert _suite_flag_algebra(FlagContext(5, 2)) == (
+        "(x^0 y^1) * (x^1 y^0) differs from the wedge of their forms"
     )

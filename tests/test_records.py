@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from flagkin.exterior import Blade, Multivector
-from flagkin.invariant_algebras import FlagContext, InvariantCoords, PresentedElement
+from flagkin.invariant_algebras import FlagContext, PresentedElement
 from flagkin.kinematics import KinematicTable
 from flagkin.measures import MeasureExpr, MeasureLabel, phi_label, s_label
 from flagkin.rotation_algebra import AlgebraElement, ChordMonomial, generator
@@ -25,10 +25,6 @@ RECORDS = [
     ),
     (lambda: Blade(sigma=6, omega=4, rho=True), "Blade(sigma=6, omega=4, rho=True)"),
     (lambda: FlagContext(5, 2), "FlagContext(n=5, p=2)"),
-    (
-        lambda: InvariantCoords((((1, 0), Scalar.of(2)),), None),
-        "InvariantCoords(xy=(((1, 0), Scalar(value=Fraction(2, 1), units=())),), u=None)",
-    ),
     (
         lambda: PresentedElement(CTX, {(1, 0): Fraction(1, 2)}, Fraction(3)),
         "PresentedElement(ctx=FlagContext(n=5, p=2), xy={(1, 0): Fraction(1, 2)},"

@@ -20,7 +20,6 @@ from flagkin.rotation_algebra import (
     _relation_witness,
     chord_basis,
     chord_count,
-    coordinates,
     dalpha,
     determinant,
     elementary_symmetric,
@@ -33,7 +32,7 @@ from flagkin.rotation_algebra import (
     rotation_relation_check,
     rotation_space_dimension,
 )
-from flagkin.scalars import ONE, Scalar
+from flagkin.scalars import Scalar
 
 
 def test_generator_diagonal():
@@ -134,32 +133,27 @@ def test_chord_monomial_validation():
 
 def test_coordinates_of_square():
     sq = generator(4, 2, 3) ** 2
-    coords = dict(zip(chord_basis(4, 2), coordinates(sq, 2)))
-    nonzero = {m.to_text(): c for m, c in coords.items() if c}
-    assert nonzero == {"D{2,3}M{}": Scalar.of(-1, 2)}
+    assert sq == ChordMonomial(4, (2, 3), ()).evaluate().smul(Scalar.of(-1, 2))
 
 
 def test_coordinates_of_basis_element():
-    coords = dict(zip(chord_basis(5, 1), coordinates(generator(5, 2, 3), 1)))
-    nonzero = {m.to_text(): c for m, c in coords.items() if c}
-    assert nonzero == {"D{}M{(2,3)}": ONE}
+    mon = ChordMonomial(5, (), ((2, 3),))
+    assert mon in chord_basis(5, 1)
+    assert generator(5, 2, 3) == mon.evaluate()
 
 
 def test_coordinates_straightening():
     # x24 x35 = -x23 x45 - x25 x34 by the crossing relation
     e = generator(5, 2, 4) * generator(5, 3, 5)
-    coords = dict(zip(chord_basis(5, 2), coordinates(e, 2)))
-    nonzero = {m.to_text(): c for m, c in coords.items() if c}
-    assert nonzero == {
-        "D{}M{(2,3)(4,5)}": Scalar.of(-1),
-        "D{}M{(2,5)(3,4)}": Scalar.of(-1),
-    }
+    a, b = ChordMonomial(5, (), ((2, 3), (4, 5))), ChordMonomial(5, (), ((2, 5), (3, 4)))
+    assert a in chord_basis(5, 2) and b in chord_basis(5, 2)
+    assert e == -(a.evaluate() + b.evaluate())
 
 
 def test_coordinates_requires_homogeneous():
     mixed = generator(4, 2, 3) + one(4)
     with pytest.raises(NotHomogeneous):
-        coordinates(mixed, 1)
+        mixed.degree()
 
 
 @pytest.mark.parametrize("n", range(2, 8))

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flagkin.errors import DivisionByZero, UnitMismatch
-from flagkin.scalars import ONE, Scalar, scalar_arith
+from flagkin.scalars import ONE, Scalar
 
 
 def test_like_unit_addition():
@@ -18,12 +18,12 @@ def test_rational_product():
 
 def test_unit_mismatch():
     with pytest.raises(UnitMismatch):
-        scalar_arith(Scalar.omega(3), Scalar.omega(4), "add")
+        Scalar.omega(3) + Scalar.omega(4)
 
 
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
-        scalar_arith(ONE, Scalar(), "div")
+        ONE / Scalar()
 
 
 def test_zero_is_canonical():
@@ -79,15 +79,6 @@ def test_json_round_trip():
     data = s.to_json()
     assert data["num"] == 7 and data["den"] == 3
     assert Scalar.from_json(data) == s
-
-
-def test_approximate_omega_only():
-    import math
-
-    # omega(2) is the circumference of the unit circle
-    assert Scalar.omega(2).approximate() == pytest.approx(2 * math.pi)
-    with pytest.raises(ValueError):
-        Scalar.vol_so(3).approximate()
 
 
 def test_latex():
