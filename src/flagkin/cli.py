@@ -320,7 +320,10 @@ def cmd_verify(args) -> int:
     lines = [f"verify n={ctx.n} p={ctx.p}"]
     failure = None
     for name, suite in sys.modules[__name__].VERIFY_SUITES:
-        detail = suite(ctx)
+        try:
+            detail = suite(ctx)
+        except FlagkinError as exc:  # a suite that raises fails, and the report goes on
+            detail = str(exc)
         ok = detail is None
         lines.append(f"  [{'ok' if ok else 'FAIL'}] {name}")
         if not ok and failure is None:

@@ -11,18 +11,18 @@ in the rightmost factor of a wedge, which is the only position the in-scope
 formulas ever use.  The blade sigma_1 ^ ... ^ sigma_n ^ omega_{2,1} ^ ... ^
 omega_{n,1} ^ rho is the positive orientation.
 
-A multivector stores one unit monomial, shared by all its coefficients,
-and a map from blade keys to nonzero Fractions.  The key of a blade is
-``sigma << 32 | omega``, plus bit 64 for rho, so indices run up to 31.
+A multivector is a map from blade keys to nonzero Fractions: forms have
+rational coefficients, and a caller that attaches a volume unit to a
+coefficient does so itself.  The key of a blade is ``sigma << 32 | omega``,
+plus bit 64 for rho, so indices run up to 31.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
-from .errors import IndexOutOfRange, NonSigmaInput, RhoOrdering, UnitMismatch
-from .scalars import ONE, Record, Scalar, Units, _merge_units, _set
+from .errors import IndexOutOfRange, NonSigmaInput, RhoOrdering
+from .scalars import Record, _set
 
 
 def _inversions(a: int, b: int) -> int:
@@ -61,16 +61,6 @@ class Blade(Record, order=True):
         _set(self, "omega", omega)
         _set(self, "rho", rho)
 
-    def sigma_degree(self) -> int:
-        return self.sigma.bit_count()
-
-    def omega_degree(self) -> int:
-        return self.omega.bit_count()
-
-    def degree(self) -> int:
-        """Graded degree; the rho marker does not count."""
-        return self.sigma_degree() + self.omega_degree()
-
     def sigma_indices(self) -> list[int]:
         return _mask_to_indices(self.sigma)
 
@@ -83,27 +73,6 @@ class Blade(Record, order=True):
         if self.rho:
             parts.append("rho")
         return "^".join(parts) if parts else "1"
-
-
-_GEN_RE = re.compile(r"^s(\d+)$|^w(\d+)1$|^rho$")
-
-
-def blade_from_text(text: str) -> Blade:
-    if text == "1":
-        return Blade()
-    sigma = omega = 0
-    rho = False
-    for part in text.split("^"):
-        m = _GEN_RE.match(part)
-        if not m:
-            raise ValueError(f"bad generator {part!r}")
-        if m.group(1):
-            sigma |= 1 << int(m.group(1))
-        elif m.group(2):
-            omega |= 1 << int(m.group(2))
-        else:
-            rho = True
-    return Blade(sigma, omega, rho)
 
 
 def wedge_blades(a: Blade, b: Blade) -> tuple[int, Blade]:
@@ -164,33 +133,21 @@ def _below_parity(mask: int) -> int:
 
 
 class Multivector:
-    """Finite Scalar-linear combination of blades with one common unit monomial.
+    """Finite rational linear combination of blades.
 
-    Internally: units, and a map from blade key to nonzero Fraction.  Blade
-    and Scalar objects are built only by terms() and coefficient().
+    Internally: a map from blade key to nonzero Fraction.  Blade objects
+    are built only by terms().
     """
 
-    __slots__ = ("_units", "_row")
+    __slots__ = ("_row",)
 
-    def __init__(self, terms: dict[Blade, Scalar] | None = None):
-        units = None
-        row = {}
-        for blade, coeff in (terms or {}).items():
-            if coeff.is_zero():
-                continue
-            if units is None:
-                units = coeff.units
-            elif coeff.units != units:
-                raise UnitMismatch(f"mixed unit monomials {units} vs {coeff.units}")
-            row[_key(blade)] = coeff.value
-        self._units = units or ()
-        self._row = row
+    def __init__(self, terms: dict[Blade, int | Fraction] | None = None):
+        self._row = {_key(blade): Fraction(c) for blade, c in (terms or {}).items() if c}
 
     @classmethod
-    def _of(cls, units: Units, row: dict[int, Fraction]) -> "Multivector":
+    def _of(cls, row: dict[int, Fraction]) -> "Multivector":
         """Adopt row (nonzero values only) without copying it."""
         mv = object.__new__(cls)
-        mv._units = units if row else ()
         mv._row = row
         return mv
 
@@ -201,19 +158,14 @@ class Multivector:
         return Multivector()
 
     @staticmethod
-    def from_blade(blade: Blade, coeff: Scalar = ONE) -> "Multivector":
+    def from_blade(blade: Blade, coeff: int | Fraction = 1) -> "Multivector":
         return Multivector({blade: coeff})
 
     @staticmethod
     def unit() -> "Multivector":
-        return Multivector._of((), {0: Fraction(1)})
+        return Multivector._of({0: Fraction(1)})
 
     # -- inspection --------------------------------------------------------
-
-    @property
-    def units(self) -> Units:
-        """The unit monomial shared by every coefficient; () for zero."""
-        return self._units
 
     @property
     def row(self) -> dict[int, Fraction]:
@@ -224,14 +176,12 @@ class Multivector:
         """
         return self._row
 
-    def terms(self) -> list[tuple[Blade, Scalar]]:
-        units = self._units
+    def terms(self) -> list[tuple[Blade, Fraction]]:
         keys = sorted(self._row, key=lambda k: (k & ~_RHO, k))
-        return [(_blade(k), Scalar(self._row[k], units)) for k in keys]
+        return [(_blade(k), self._row[k]) for k in keys]
 
-    def coefficient(self, blade: Blade) -> Scalar:
-        value = self._row.get(_key(blade))
-        return Scalar() if value is None else Scalar(value, self._units)
+    def coefficient(self, blade: Blade) -> Fraction:
+        return self._row.get(_key(blade), Fraction(0))
 
     def is_zero(self) -> bool:
         return not self._row
@@ -255,21 +205,14 @@ class Multivector:
         return all(k & bit for k in self._row)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Multivector)
-            and self._units == other._units
-            and self._row == other._row
-        )
+        return isinstance(other, Multivector) and self._row == other._row
 
     def __hash__(self):
-        return hash((self._units, frozenset(self._row.items())))
+        return hash(frozenset(self._row.items()))
 
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other: "Multivector") -> "Multivector":
-        if self._units != other._units and self._row and other._row:
-            raise UnitMismatch(f"{self._units} vs {other._units}")
-        units = self._units or other._units
         row = dict(self._row)
         for k, c in other._row.items():
             acc = row.get(k)
@@ -279,23 +222,21 @@ class Multivector:
                 row[k] = c
             else:
                 del row[k]
-        return Multivector._of(units, row)
+        return Multivector._of(row)
 
     def __neg__(self) -> "Multivector":
-        return Multivector._of(self._units, {k: -c for k, c in self._row.items()})
+        return Multivector._of({k: -c for k, c in self._row.items()})
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         return self + (-other)
 
-    def smul(self, s) -> "Multivector":
-        s = Scalar.coerce(s)
-        if s.is_zero() or not self._row:
+    def smul(self, s: int | Fraction) -> "Multivector":
+        s = Fraction(s)
+        if not s or not self._row:
             return Multivector()
-        v = s.value
-        units = _merge_units(self._units, s.units) if s.units else self._units
-        return Multivector._of(units, {k: c * v for k, c in self._row.items()})
+        return Multivector._of({k: c * s for k, c in self._row.items()})
 
-    def __rmul__(self, s) -> "Multivector":
+    def __rmul__(self, s: int | Fraction) -> "Multivector":
         return self.smul(s)
 
     # -- wedge ---------------------------------------------------------------
@@ -304,10 +245,6 @@ class Multivector:
         left, right = self._row, other._row
         if not left or not right:
             return Multivector()
-        if self._units and other._units:
-            units = _merge_units(self._units, other._units)
-        else:
-            units = self._units or other._units
         # Per right blade: its key, the parity mask of its generators in
         # canonical order (rho excluded) and its coefficient.
         rights = [(k2, _below_parity(_canonical(k2)), c2) for k2, c2 in right.items()]
@@ -326,38 +263,15 @@ class Multivector:
                     out[key] = -c if acc is None else acc - c
                 else:
                     out[key] = c if acc is None else acc + c
-        return Multivector._of(units, {k: c for k, c in out.items() if c})
+        return Multivector._of({k: c for k, c in out.items() if c})
 
-    def __xor__(self, other: "Multivector") -> "Multivector":
-        return self.wedge(other)
-
-    # -- serialization -------------------------------------------------------
+    # -- text ------------------------------------------------------------------
 
     def to_text(self) -> str:
         if self.is_zero():
             return "0"
-        return " + ".join(f"[{c.to_text()}] {b.to_text()}" for b, c in self.terms())
-
-    @staticmethod
-    def from_text(text: str) -> "Multivector":
-        text = text.strip()
-        if text == "0":
-            return Multivector()
-        terms: dict[Blade, Scalar] = {}
-        for part in text.split(" + "):
-            m = re.match(r"^\[(.+)\] (.+)$", part)
-            if not m:
-                raise ValueError(f"bad multivector term {part!r}")
-            terms[blade_from_text(m.group(2))] = Scalar.from_text(m.group(1))
-        return Multivector(terms)
-
-    def to_json(self) -> dict:
-        return {"terms": [{"blade": b.to_text(), "coeff": c.to_json()} for b, c in self.terms()]}
-
-    @staticmethod
-    def from_json(data: dict) -> "Multivector":
-        return Multivector(
-            {blade_from_text(t["blade"]): Scalar.from_json(t["coeff"]) for t in data["terms"]}
+        return " + ".join(
+            f"[{c.numerator}/{c.denominator}] {b.to_text()}" for b, c in self.terms()
         )
 
     def __str__(self) -> str:
@@ -414,7 +328,7 @@ def _complement_sigma(n: int, a: Multivector, degree_sign) -> Multivector:
             c = -c
         acc = row.get(new)
         row[new] = c if acc is None else acc + c
-    return Multivector._of(a._units, {k: c for k, c in row.items() if c})
+    return Multivector._of({k: c for k, c in row.items() if c})
 
 
 def hodge_star_sigma(n: int, a: Multivector) -> Multivector:
@@ -446,5 +360,5 @@ def top_blade(n: int, with_rho: bool = False) -> Blade:
     return Blade(full_sigma_mask(n), full_omega_mask(n), with_rho)
 
 
-def top_coefficient(n: int, a: Multivector, with_rho: bool = False) -> Scalar:
+def top_coefficient(n: int, a: Multivector, with_rho: bool = False) -> Fraction:
     return a.coefficient(top_blade(n, with_rho))

@@ -39,7 +39,7 @@ from .errors import (
     ExceptionalUnavailable,
     IndexOutOfRange,
 )
-from .exterior import Multivector, omega1, sigma, star1, star1_inv, top_blade, top_coefficient
+from .exterior import Multivector, omega1, sigma, star1, star1_inv, top_coefficient
 from .invariant_algebras import FlagContext, PresentedElement, embed_monomial, u_element
 from .measures import phi_label, validate_label
 from .rotation_algebra import (
@@ -114,17 +114,20 @@ def eta_ex(ctx: FlagContext) -> Multivector:
 @lru_cache(maxsize=None)
 def tau_tilde(ctx: FlagContext, k: int, a: int) -> AlgebraElement:
     """The algebra element E_a(first block) E_{k-a}(second block), x^a y^(k-a) / (a! (k-a)!)."""
-    return embed_monomial(ctx, a, k - a).smul(Scalar(1 / (factorial(a) * factorial(k - a))))
+    return embed_monomial(ctx, a, k - a).smul(1 / (factorial(a) * factorial(k - a)))
 
 
 def pairing(ctx: FlagContext, dual: AlgebraElement, primal: Multivector) -> Scalar:
-    """omega_n times the top-blade coefficient of star1_inv(dual) ^ primal."""
+    """omega_n times the top-blade coefficient of star1_inv(dual) ^ primal.
+
+    Forms hold rationals only, so the unit omega_n goes on the Scalar here.
+    """
     if dual.n != ctx.n:
         raise DimensionMismatch(f"dual over n={dual.n}, ctx n={ctx.n}")
     if len(dual.body.sigma_degrees()) > 1:
         raise DegreeMismatch("dual element is not homogeneous")
     completed = star1_inv(ctx.n, dual.body)
-    return Scalar.omega(ctx.n) * top_coefficient(ctx.n, completed.wedge(primal))
+    return Scalar.omega(ctx.n) * Scalar(top_coefficient(ctx.n, completed.wedge(primal)))
 
 
 # -- the four-variable generating identity -----------------------------------
@@ -153,7 +156,7 @@ def generating_identity_polynomial(
                 continue
             if len(prod) != 1:
                 raise AssertionError("generating product is not a top-blade multiple")
-            coeff = top_coefficient(n, prod)
+            coeff = Scalar(top_coefficient(n, prod))
             if coeff.is_zero():
                 raise AssertionError("generating product missed the top blade")
             key = (ea, eb, ta, tb)
@@ -259,7 +262,7 @@ def rotation_pairing(n: int, i: int, j: int, I, J) -> Scalar:
         raise BadIndexSet("only the degree-1 rotation pairing is implemented")
     tau = star1_inv(n, generator(n, i, j).body)
     product = tau.wedge(omega_IJ(n, I, J))
-    return Scalar.vol_so(n) * product.coefficient(top_blade(n, with_rho=True))
+    return Scalar.vol_so(n) * Scalar(top_coefficient(n, product, with_rho=True))
 
 
 # -- the honest pairing table ----------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ExceptionalUnavailable
-from .scalars import Record, Scalar, _set, factorial
+from .scalars import Record, _set, factorial
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -84,7 +84,7 @@ def embed_monomial(ctx: FlagContext, i: int, j: int) -> AlgebraElement:
 
     ei = elementary_symmetric(ctx.n, ctx.block1(), i)
     ej = elementary_symmetric(ctx.n, ctx.block2(), j)
-    return (ei * ej).smul(Scalar(factorial(i) * factorial(j)))
+    return (ei * ej).smul(factorial(i) * factorial(j))
 
 
 def monomial_exponents(ctx: FlagContext, k: int) -> list[tuple[int, int]]:

@@ -18,8 +18,8 @@ from math import comb
 
 from .errors import BadIndexSet, DimensionMismatch, IndexOutOfRange, NotHomogeneous
 from .exterior import Blade, Multivector, full_omega_mask, sigma, omega1, wedge
-from .linalg import Row, SparseEchelon, column_rank
-from .scalars import Record, Scalar, _set
+from .linalg import column_rank
+from .scalars import Record, _set
 
 
 class AlgebraElement(Record):
@@ -95,7 +95,7 @@ def generator(n: int, i: int, j: int) -> AlgebraElement:
         raise IndexOutOfRange(f"x_({i},{j}) needs indices in 2..{n}")
     if i == j:
         return AlgebraElement(n, wedge(sigma(i), omega1(i)))
-    body = (wedge(sigma(i), omega1(j)) + wedge(sigma(j), omega1(i))).smul(Scalar.of(1, 2))
+    body = (wedge(sigma(i), omega1(j)) + wedge(sigma(j), omega1(i))).smul(Fraction(1, 2))
     return AlgebraElement(n, body)
 
 
@@ -155,21 +155,6 @@ class ChordMonomial(Record):
             (int(a), int(b)) for a, b in re.findall(r"\((\d+),(\d+)\)", m.group(2))
         )
         return ChordMonomial(n, diag, chords)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "diagonals": list(self.diagonals),
-            "matching": [list(c) for c in self.matching],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "ChordMonomial":
-        return ChordMonomial(
-            data["n"],
-            tuple(data["diagonals"]),
-            tuple(tuple(c) for c in data["matching"]),
-        )
 
     def evaluate(self) -> AlgebraElement:
         pairs = [(d, d) for d in self.diagonals] + list(self.matching)
@@ -260,8 +245,8 @@ def _chord_rows(n: int, k: int):
 def _chord_columns(n: int, k: int) -> tuple[dict[int, Fraction], ...]:
     """The row of each chord_basis(n, k) monomial's evaluation, over Fraction.
 
-    Nothing in flagkin calls it; perfbench/tracer.py reads its cache
-    statistics, and the tests compare it with the evaluated monomials.
+    Nothing in flagkin calls it; it stays only for perfbench/tracer.py,
+    which reads its cache statistics.  The tests compare it with evaluate().
     """
     return tuple(
         {key: Fraction(e, 1 << len(matching)) for key, e in _chord_row(diag, matching).items()}
@@ -320,17 +305,12 @@ def _dalpha_rows(n: int, k: int):
 
 @lru_cache(maxsize=None)
 def _dalpha_image_columns(n: int, k: int) -> tuple[dict[int, Fraction], ...]:
-    """The rows of _dalpha_rows(n, k) over Fraction."""
+    """The rows of _dalpha_rows(n, k) over Fraction.
+
+    Nothing in flagkin calls it; it stays only for perfbench/tracer.py,
+    which reads its cache statistics.
+    """
     return tuple({key: Fraction(e) for key, e in row.items()} for row in _dalpha_rows(n, k))
-
-
-@lru_cache(maxsize=None)
-def _dalpha_image_echelon(n: int, k: int) -> SparseEchelon:
-    """Echelon of the wedge-by-dalpha image; callers only reduce against it."""
-    ech = SparseEchelon()
-    for col in _dalpha_image_columns(n, k):
-        ech.add(col)
-    return ech
 
 
 @lru_cache(maxsize=None)
@@ -384,7 +364,7 @@ def rotation_measure_rep(n: int, I, J, with_rho: bool = False) -> Multivector:
     sign, smask, omask = _rep_term(n, I, J)
     if not sign:
         return Multivector.zero()
-    return Multivector.from_blade(Blade(smask, omask, with_rho), Scalar.of(sign))
+    return Multivector.from_blade(Blade(smask, omask, with_rho), sign)
 
 
 def _relation_sum(n: int, i_prime: tuple, j_prime: tuple) -> dict[int, int]:
@@ -404,25 +384,17 @@ def _relation_witness(n: int, i_prime: tuple, j_prime: tuple) -> dict[int, int]:
     return _dalpha_wedge(n, sum(1 << i for i in i_prime), comp)
 
 
-def _in_dalpha_image(n: int, k: int, total: Row, witness: Row) -> bool:
-    """Whether the row total, of bidegree (k, n-1-k), lies in the image of wedge-by-dalpha.
-
-    witness is the row of dalpha ^ w for some form w, so total == +-witness
-    proves membership without elimination; otherwise the cached echelon
-    decides.
-    """
-    if not total or total == witness or total == {key: -c for key, c in witness.items()}:
-        return True
-    return not _dalpha_image_echelon(n, k).reduce(total)
-
-
 def rotation_relation_check(n: int, i_prime, j_prime) -> bool:
     """Check the alternating-sum relation among the S_{I,J} in degree k.
 
     i_prime has k-1 entries, j_prime has k+1; the relation holds iff the
     alternating sum of representatives lies in the image of wedge-by-dalpha.
-    The sum is zero or +-(dalpha ^ sigma_{I'} ^ omega_{(J')^c,1}) for every
-    pair checked up to n = 10, so the echelon is built only when neither holds.
+    For correct representatives the sum is +-witness, the witness being
+    dalpha ^ sigma_{I'} ^ omega_{(J')^c,1}: for sorted I', J' and j = j_l
+    in J' - I', the l-th term and the j-term of the witness are the same
+    blade, with sign ratio (-1)^(E(J')+k+1) whatever j is (E(J') counts the
+    pairs x in J', c not in J' with c < x); a j in I' vanishes on both
+    sides; and reordering I' or J' multiplies the sum by its sign.
     """
     i_prime, j_prime = tuple(i_prime), tuple(j_prime)
     k = len(j_prime) - 1
@@ -434,7 +406,8 @@ def rotation_relation_check(n: int, i_prime, j_prime) -> bool:
         if not 2 <= v <= n:
             raise BadIndexSet(f"index {v} outside 2..{n}")
     total = _relation_sum(n, i_prime, j_prime)
-    return _in_dalpha_image(n, k, total, _relation_witness(n, i_prime, j_prime))
+    witness = _relation_witness(n, i_prime, j_prime)
+    return total == witness or total == {key: -c for key, c in witness.items()}
 
 
 # -- classical identities ------------------------------------------------------
@@ -447,7 +420,7 @@ def determinant(entries: list[list[AlgebraElement]]) -> AlgebraElement:
     out = zero(n)
     for perm in itertools.permutations(range(m)):
         term = reduce(multiply, (entries[r][perm[r]] for r in range(m)), one(n))
-        out = out + term.smul(Scalar.of(_perm_sign(perm)))
+        out = out + term.smul(_perm_sign(perm))
     return out
 
 

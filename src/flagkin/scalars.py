@@ -1,7 +1,7 @@
 """Exact scalars: rationals times a Laurent monomial in formal volume units.
 
-The unit symbols omega(m) (volume of the (m-1)-sphere), volSO(n) and
-volFlag are opaque and commute; they are never given numeric values.
+The unit symbols omega(m) (volume of the (m-1)-sphere) and volSO(n) are
+opaque and commute; they are never given numeric values.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ def vol_so_sym(n: int) -> str:
     return f"volSO({n})"
 
 
-VOL_FLAG_SYM = "volFlag"
-
-_SYM_RE = re.compile(r"^(omega|volSO)\((\d+)\)$|^volFlag$")
+_SYM_RE = re.compile(r"^(omega|volSO)\((\d+)\)$")
 
 
 def _check_sym(sym: str) -> None:
@@ -134,10 +132,6 @@ class Scalar(Record):
     @staticmethod
     def vol_so(n: int, exp: int = 1) -> "Scalar":
         return Scalar(Fraction(1), ((vol_so_sym(n), exp),))
-
-    @staticmethod
-    def vol_flag(exp: int = 1) -> "Scalar":
-        return Scalar(Fraction(1), ((VOL_FLAG_SYM, exp),))
 
     @staticmethod
     def coerce(x) -> "Scalar":
@@ -248,10 +242,8 @@ class Scalar(Record):
             m = _SYM_RE.match(sym)
             if m.group(1) == "omega":
                 tex = f"\\omega_{{{m.group(2)}}}"
-            elif m.group(1) == "volSO":
-                tex = f"\\operatorname{{vol}}\\mathrm{{SO}}({m.group(2)})"
             else:
-                tex = "\\operatorname{vol}\\mathrm{Flag}"
+                tex = f"\\operatorname{{vol}}\\mathrm{{SO}}({m.group(2)})"
             body += tex if exp == 1 else f"{tex}^{{{exp}}}"
         return body
 

@@ -155,6 +155,31 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert "first counterexample: always fails: planted counterexample" in out
 
 
+def test_verify_reports_a_suite_that_raises(capsys, monkeypatch):
+    import flagkin.cli as cli
+    from flagkin.errors import NotHomogeneous
+
+    def raises(ctx):
+        raise NotHomogeneous("element is not homogeneous of degree 3")
+
+    suites = (("fails", lambda ctx: "planted counterexample"), ("raises", raises))
+    monkeypatch.setattr(cli, "VERIFY_SUITES", suites)
+    code, out, err = run(capsys, "verify", "--n", "3", "--p", "1")
+    assert (code, err) == (2, "")
+    assert out.splitlines() == [
+        "verify n=3 p=1",
+        "  [FAIL] fails",
+        "  [FAIL] raises",
+        "first counterexample: fails: planted counterexample",
+    ]
+    monkeypatch.setattr(cli, "VERIFY_SUITES", suites[::-1])
+    code, out, _ = run(capsys, "verify", "--n", "3", "--p", "1")
+    assert code == 2
+    assert out.splitlines()[-1] == (
+        "first counterexample: raises: element is not homogeneous of degree 3"
+    )
+
+
 def test_exceptional_coproduct_cli(capsys):
     code, out, _ = run(capsys, "coproduct", "--n", "3", "--p", "1", "--basis", "Phi", "--ex")
     assert code == 0

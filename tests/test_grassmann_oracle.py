@@ -192,8 +192,8 @@ def test_bridge_constants_rederived():
         ctx = FlagContext(n, p)
         for k in range(n):
             for a in range(max(0, k - ctx.q), min(k, ctx.p) + 1):
-                dual = realize(ctx, presented_dual(ctx, phi_label(k, a))).smul(Scalar.omega(n, -1))
-                value = pairing(ctx, dual, eta_hat(ctx, k, a))
+                dual = realize(ctx, presented_dual(ctx, phi_label(k, a)))  # omega_n Phi*
+                value = pairing(ctx, dual, eta_hat(ctx, k, a)) * Scalar.omega(n, -1)
                 assert value == honest_diagonal_twist(k), (n, p, k, a)
 
 

@@ -14,7 +14,6 @@ from flagkin.invariant_algebras import (
 )
 from flagkin.linalg import SparseEchelon
 from flagkin.rotation_algebra import elementary_symmetric, generator
-from flagkin.scalars import Scalar
 
 
 def _t(n):
@@ -51,7 +50,7 @@ def test_m_and_m_prime():
 
 def test_t_square():
     t = _t(3)
-    assert t * t == elementary_symmetric(3, range(2, 4), 2).smul(Scalar.of(2))
+    assert t * t == elementary_symmetric(3, range(2, 4), 2).smul(Fraction(2))
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -70,13 +69,13 @@ def test_flag_relations_n5():
 def test_u_square_n3():
     x, y, u = _generators(FlagContext(3, 1))
     assert u == generator(3, 2, 3)
-    assert u * u == (x * y).smul(Scalar.of(-1, 2))
+    assert u * u == (x * y).smul(Fraction(-1, 2))
 
 
 @pytest.mark.parametrize("n,p", [(3, 1), (5, 2), (7, 3)])
 def test_u_square_general(n, p):
     x, y, u = _generators(FlagContext(n, p))
-    want = (x**p * y**p).smul(Scalar.of((-1) ** p * (p + 1), 2 ** (2 * p)))
+    want = (x**p * y**p).smul(Fraction((-1) ** p * (p + 1), 2 ** (2 * p)))
     assert u * u == want
 
 

@@ -48,7 +48,9 @@ def test_products_equal_exterior_expansion(n, p):
                     continue
                 got = zero(n)
                 for label, c in dual_product(ctx, left, right, family).items():
-                    got = got + forms[label].smul(c * Scalar.omega(n))
+                    c = c * Scalar.omega(n)
+                    assert c.units == (), (left, right, label)
+                    got = got + forms[label].smul(c.value)
                 assert got == forms[left] * forms[right], (left, right)
 
 

@@ -143,4 +143,4 @@ def test_constructors_still_normalize_and_validate():
         FlagContext(3, 3)
     with pytest.raises(ValueError):
         MeasureExpr(CTX, ((phi_label(1, 0), Scalar.of(1)), (phi_label(2, 0), Scalar.of(1))))
-    assert Multivector.from_blade(Blade(sigma=4)).terms() == [(Blade(4), Scalar.of(1))]
+    assert Multivector.from_blade(Blade(sigma=4)).terms() == [(Blade(4), Fraction(1))]

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
@@ -14,8 +15,6 @@ from flagkin.rotation_algebra import (
     _chord_rows,
     _dalpha_image_columns,
     _dalpha_rows,
-    _dalpha_image_echelon,
-    _in_dalpha_image,
     _relation_sum,
     _relation_witness,
     chord_basis,
@@ -32,7 +31,6 @@ from flagkin.rotation_algebra import (
     rotation_relation_check,
     rotation_space_dimension,
 )
-from flagkin.scalars import Scalar
 
 
 def test_generator_diagonal():
@@ -55,7 +53,7 @@ def test_dimension_mismatch():
 
 def test_square_straightens_to_diagonal():
     x23 = generator(4, 2, 3)
-    assert x23 * x23 == (generator(4, 2, 2) * generator(4, 3, 3)).smul(Scalar.of(-1, 2))
+    assert x23 * x23 == (generator(4, 2, 2) * generator(4, 3, 3)).smul(Fraction(-1, 2))
 
 
 def test_plucker_relation():
@@ -128,12 +126,11 @@ def test_chord_monomial_validation():
     mon = ChordMonomial(8, (2, 5), ((3, 4), (6, 7)))
     assert mon.to_text() == "D{2,5}M{(3,4)(6,7)}"
     assert ChordMonomial.from_text(8, mon.to_text()) == mon
-    assert ChordMonomial.from_json(mon.to_json()) == mon
 
 
 def test_coordinates_of_square():
     sq = generator(4, 2, 3) ** 2
-    assert sq == ChordMonomial(4, (2, 3), ()).evaluate().smul(Scalar.of(-1, 2))
+    assert sq == ChordMonomial(4, (2, 3), ()).evaluate().smul(Fraction(-1, 2))
 
 
 def test_coordinates_of_basis_element():
@@ -186,12 +183,14 @@ def test_rotation_relation_symmetry_case():
     assert rotation_relation_check(4, (2,), (2, 3, 4))
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", range(3, 7))
 def test_rotation_relations_exhaustive(n):
+    # Every ordering of I' and J': an unsorted one multiplies the alternating
+    # sum by the sign of its permutation, which the +-witness comparison absorbs.
     idx = range(2, n + 1)
     for k in range(1, n - 1):
-        for ip in itertools.combinations(idx, k - 1):
-            for jp in itertools.combinations(idx, k + 1):
+        for ip in itertools.permutations(idx, k - 1):
+            for jp in itertools.permutations(idx, k + 1):
                 assert rotation_relation_check(n, ip, jp), (n, ip, jp)
 
 
@@ -249,12 +248,12 @@ def test_streamed_rows_match_the_cached_columns(n):
 
 
 def test_dimensions_build_no_basis_records_or_columns():
-    cached = (chord_basis, _chord_columns, _dalpha_image_columns, _dalpha_image_echelon)
+    cached = (chord_basis, _chord_columns, _dalpha_image_columns)
     for fn in cached + (graded_dimension, rotation_space_dimension):
         fn.cache_clear()
     for k in range(8):
         assert graded_dimension(8, k) == narayana(8, k) == rotation_space_dimension(8, k)
-    assert [fn.cache_info().currsize for fn in cached] == [0, 0, 0, 0]
+    assert [fn.cache_info().currsize for fn in cached] == [0, 0, 0]
 
 
 def test_dimensions_fall_back_to_the_echelon_on_the_same_rows(monkeypatch):
@@ -286,36 +285,18 @@ def _rep_sum(n, ip, jp):
 def test_relation_witness_matches_echelon(n):
     idx = range(2, n + 1)
     for k in range(1, n - 1):
-        ech = _dalpha_image_echelon(n, k)
+        ech = SparseEchelon()
+        for row in _dalpha_rows(n, k):
+            ech.add(row)
         for ip in itertools.combinations(idx, k - 1):
             for jp in itertools.combinations(idx, k + 1):
                 total = _relation_sum(n, ip, jp)
                 assert total == _rep_sum(n, ip, jp).row, (ip, jp)
                 witness = _relation_witness(n, ip, jp)
                 negated = {key: -c for key, c in witness.items()}
-                by_witness = not total or total in (witness, negated)
+                by_witness = total in (witness, negated)
                 by_echelon = not ech.reduce(total)
                 assert by_witness and by_echelon, (n, ip, jp)
-
-
-def test_relation_fallback_decides_without_a_witness():
-    da = dalpha(3).row
-    # 2 dalpha lies in the image but is not +-dalpha: the echelon decides
-    twice = {key: 2 * c for key, c in da.items()}
-    assert _in_dalpha_image(3, 1, twice, da)
-    # sigma_2 ^ omega_{2,1} alone is not in the image
-    single = wedge(sigma(2), omega1(2)).row
-    assert not _in_dalpha_image(3, 1, single, da)
-    # a sum of two images in degree 2 at n = 5 is in the image
-    w1 = _relation_witness(5, (2,), (2, 3, 4))  # dalpha ^ sigma_2 ^ omega_{5,1}
-    assert w1 == dalpha(5).wedge(wedge(sigma(2), omega1(5))).row
-    both = (dalpha(5).wedge(wedge(sigma(2), omega1(5))) + dalpha(5).wedge(wedge(sigma(3), omega1(2)))).row
-    assert both not in (w1, {key: -c for key, c in w1.items()})
-    assert _in_dalpha_image(5, 2, both, w1)
-    # and moving one blade of it off the image is detected
-    off = dict(both)
-    off[min(off)] += 1
-    assert not _in_dalpha_image(5, 2, off, w1)
 
 
 def test_rotation_rep_antisymmetry():
@@ -332,7 +313,7 @@ def _wedge_built_rep(n, I, J, with_rho):
     seq = J + comp
     inversions = sum(1 for a in range(len(seq)) for b in range(a + 1, len(seq)) if seq[a] > seq[b])
     factors = [sigma(i) for i in I] + [omega1(j) for j in comp] + ([rho()] if with_rho else [])
-    return wedge(*factors).smul(Scalar.of((-1) ** inversions))
+    return wedge(*factors).smul(Fraction((-1) ** inversions))
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -365,7 +346,7 @@ def test_rotation_bad_index_sets():
 def test_determinant_identity(n):
     entries = [[generator(n, i, j) for j in range(2, n + 1)] for i in range(2, n + 1)]
     diag = monomial(n, [(d, d) for d in range(2, n + 1)])
-    assert determinant(entries) == diag.smul(Scalar.of(factorial(n), 2 ** (n - 1)))
+    assert determinant(entries) == diag.smul(Fraction(factorial(n), 2 ** (n - 1)))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -373,7 +354,7 @@ def test_elementary_symmetric_identity(n):
     E = lambda i: elementary_symmetric(n, range(2, n + 1), i)
     for i in range(n):
         for j in range(n - i):
-            assert E(i) * E(j) == E(i + j).smul(Scalar.of(comb(i + j, i))), (n, i, j)
+            assert E(i) * E(j) == E(i + j).smul(Fraction(comb(i + j, i))), (n, i, j)
 
 
 def test_multiply_commutative_associative():
@@ -382,7 +363,7 @@ def test_multiply_commutative_associative():
 
     def rand_elem(deg):
         out = monomial(n, [(rng.randint(2, n), rng.randint(2, n)) for _ in range(deg)])
-        return out.smul(Scalar.of(rng.randint(1, 3)))
+        return out.smul(Fraction(rng.randint(1, 3)))
 
     for _ in range(25):
         a, b, c = rand_elem(1), rand_elem(1), rand_elem(2)

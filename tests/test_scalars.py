@@ -75,9 +75,9 @@ def test_text_round_trip():
 
 
 def test_json_round_trip():
-    s = Scalar.of(7, 3) * Scalar.vol_flag(-2)
+    s = Scalar.of(7, 3) * Scalar.vol_so(5, -2)
     data = s.to_json()
-    assert data["num"] == 7 and data["den"] == 3
+    assert data == {"num": 7, "den": 3, "units": [{"sym": "volSO(5)", "exp": -2}]}
     assert Scalar.from_json(data) == s
 
 
