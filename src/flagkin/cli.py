@@ -129,20 +129,24 @@ def _ctx(args) -> FlagContext:
     return FlagContext(args.n, args.p)
 
 
-def _input_label(ctx: FlagContext, args) -> MeasureLabel:
-    if args.ex:
+def _input_label(ctx: FlagContext, args, suffix: str = "") -> MeasureLabel:
+    """The label named by --ex, --k, --a and --i, or by the flags ending in suffix."""
+    if getattr(args, "ex" + suffix):
         if not ctx.exceptional:
-            raise ValidationError(f"--ex needs odd n with p == q, got n={ctx.n}, p={ctx.p}")
+            raise ValidationError(
+                f"--ex{suffix} needs odd n with p == q, got n={ctx.n}, p={ctx.p}"
+            )
         return PHI_EX
-    if args.k is None:
-        raise ValidationError("need --k (or --ex)")
-    if not 0 <= args.k <= ctx.n - 1:
-        raise ValidationError(f"k={args.k} outside 0..{ctx.n - 1}")
-    idx = args.a if args.basis == "Phi" else args.i
-    flag = "--a" if args.basis == "Phi" else "--i"
+    k = getattr(args, "k" + suffix)
+    if k is None:
+        raise ValidationError(f"need --k{suffix} (or --ex{suffix})")
+    if not 0 <= k <= ctx.n - 1:
+        raise ValidationError(f"k{suffix}={k} outside 0..{ctx.n - 1}")
+    name = ("a" if args.basis == "Phi" else "i") + suffix
+    idx = getattr(args, name)
     if idx is None:
-        raise ValidationError(f"need {flag} for basis {args.basis}")
-    label = phi_label(args.k, idx) if args.basis == "Phi" else s_label(args.k, idx)
+        raise ValidationError(f"need --{name} for basis {args.basis}")
+    label = phi_label(k, idx) if args.basis == "Phi" else s_label(k, idx)
     try:
         validate_label(ctx, label)
     except FlagkinError as exc:
@@ -230,10 +234,7 @@ def cmd_product(args) -> int:
     _guard(args, PRESENTED_MAX_N)
     ctx = _ctx(args)
     left = _input_label(ctx, args)
-    right_args = argparse.Namespace(
-        ex=args.ex2, k=args.k2, a=args.a2, i=args.i2, basis=args.basis
-    )
-    right = _input_label(ctx, right_args)
+    right = _input_label(ctx, args, "2")
     deg = left.degree(ctx) + right.degree(ctx)
     if deg > ctx.n - 1:
         raise ValidationError(f"total degree {deg} exceeds n-1={ctx.n - 1}")

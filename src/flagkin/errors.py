@@ -13,14 +13,6 @@ class DivisionByZero(FlagkinError):
     """Division by the zero scalar."""
 
 
-class NonSigmaInput(FlagkinError):
-    """Hodge star applied to a multivector with omega or rho factors."""
-
-
-class RhoOrdering(FlagkinError):
-    """Wedge would move a rho marker across other generators."""
-
-
 class IndexOutOfRange(FlagkinError):
     """An index lies outside the range permitted by the ambient dimension."""
 

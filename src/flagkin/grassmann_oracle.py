@@ -13,11 +13,12 @@ acceptance criteria 4 and 6 and by the eta pairing of the Phi duals.
 The primal basis forms eta_hat_{k,a} and eta_ex are expanded from their
 generating products; dual forms are the star1-inverse images of algebra
 elements (carrying the explicit sigma_1 factor).  The pairing integral
-collapses to omega_n times the top-blade coefficient: the rho factor and
-the flag volume cancel symbolically.
+collapses to omega_n times the top-blade coefficient: the fiber volume
+stays a formal factor in the last position of every pairing, so it
+changes no coefficient, and it cancels with the flag volume symbolically.
 
 All values are computed in the single orientation fixed by the exterior
-module (sigma_1 ^ ... ^ omega_{n,1} ^ rho positive) with star1 as defined
+module (sigma_1 ^ ... ^ omega_{n,1} positive) with star1 as defined
 there.  In that convention the rotation pairings come out to the stated
 -vol SO(n) and -vol SO(n)/2, while the diagonal flag pairings acquire a
 (-1)^k twist and the exceptional one a 2^-p factor relative to the stated
@@ -247,11 +248,6 @@ def convolution_cross_check(ctx: FlagContext, m1, m2) -> bool:
 # -- rotation pairings ----------------------------------------------------------
 
 
-def omega_IJ(n: int, I, J) -> Multivector:
-    """The representing form of S_{I,J} including the rho factor."""
-    return rotation_measure_rep(n, I, J, with_rho=True)
-
-
 def rotation_pairing(n: int, i: int, j: int, I, J) -> Scalar:
     """vol SO(n) times the top coefficient of star1_inv(x_ij) ^ omega_{I,J}.
 
@@ -261,8 +257,8 @@ def rotation_pairing(n: int, i: int, j: int, I, J) -> Scalar:
     if len(I) != 1 or len(J) != 1:
         raise BadIndexSet("only the degree-1 rotation pairing is implemented")
     tau = star1_inv(n, generator(n, i, j).body)
-    product = tau.wedge(omega_IJ(n, I, J))
-    return Scalar.vol_so(n) * Scalar(top_coefficient(n, product, with_rho=True))
+    product = tau.wedge(rotation_measure_rep(n, I, J))
+    return Scalar.vol_so(n) * Scalar(top_coefficient(n, product))
 
 
 # -- the honest pairing table ----------------------------------------------------

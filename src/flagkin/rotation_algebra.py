@@ -12,12 +12,13 @@ certificate, with no basis records or cached columns.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb
 
 from .errors import BadIndexSet, DimensionMismatch, IndexOutOfRange, NotHomogeneous
-from .exterior import Blade, Multivector, full_omega_mask, sigma, omega1, wedge
+from .exterior import Multivector, _key, full_omega_mask, sigma, omega1, wedge
 from .linalg import column_rank
 from .scalars import Record, _set
 
@@ -67,11 +68,8 @@ class AlgebraElement(Record):
 
     def degree(self) -> int:
         """Common algebra degree of all blades; NotHomogeneous otherwise."""
-        bidegrees = self.body.bidegrees()
-        if any(rho for _, _, rho in bidegrees):
-            raise NotHomogeneous("rho marker inside algebra element")
         degs = set()
-        for ks, ko, _ in bidegrees:
+        for ks, ko in self.body.bidegrees():
             if ks != ko:
                 raise NotHomogeneous("sigma and omega degrees differ")
             degs.add(ks)
@@ -99,13 +97,9 @@ def generator(n: int, i: int, j: int) -> AlgebraElement:
     return AlgebraElement(n, body)
 
 
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a * b
-
-
 def monomial(n: int, pairs) -> AlgebraElement:
     """Product of generators x_{ij} over a sequence of index pairs."""
-    return reduce(multiply, (generator(n, i, j) for i, j in pairs), one(n))
+    return reduce(operator.mul, (generator(n, i, j) for i, j in pairs), one(n))
 
 
 # -- chord monomials ---------------------------------------------------------
@@ -347,13 +341,14 @@ def _rep_term(n: int, I: tuple, J: tuple) -> tuple[int, int, int]:
     return sign, sum(1 << i for i in I), comp
 
 
-def rotation_measure_rep(n: int, I, J, with_rho: bool = False) -> Multivector:
-    """Representative blade of S_{I,J}: sigma_I wedge omega_{J^c,1} (^ rho).
+def rotation_measure_rep(n: int, I, J) -> Multivector:
+    """Representative blade of S_{I,J}: sigma_I wedge omega_{J^c,1}.
 
     J^c is taken ascending; the sign makes the concatenation (J, J^c)
     carry the parity of (2, ..., n).  Antisymmetry in I comes from the
     parity of I (a repeated index gives zero), antisymmetry in J from the
-    completion sign.
+    completion sign.  The fiber volume of the measure is left out: it is
+    a common factor that only ever sits in the last position.
     """
     I, J = tuple(I), tuple(J)
     if len(I) != len(J):
@@ -364,7 +359,7 @@ def rotation_measure_rep(n: int, I, J, with_rho: bool = False) -> Multivector:
     sign, smask, omask = _rep_term(n, I, J)
     if not sign:
         return Multivector.zero()
-    return Multivector.from_blade(Blade(smask, omask, with_rho), sign)
+    return Multivector._of({_key(smask, omask): Fraction(sign)})
 
 
 def _relation_sum(n: int, i_prime: tuple, j_prime: tuple) -> dict[int, int]:
@@ -419,7 +414,7 @@ def determinant(entries: list[list[AlgebraElement]]) -> AlgebraElement:
     n = entries[0][0].n
     out = zero(n)
     for perm in itertools.permutations(range(m)):
-        term = reduce(multiply, (entries[r][perm[r]] for r in range(m)), one(n))
+        term = reduce(operator.mul, (entries[r][perm[r]] for r in range(m)), one(n))
         out = out + term.smul(_perm_sign(perm))
     return out
 

@@ -79,6 +79,27 @@ def test_product(capsys):
     ]
 
 
+PRODUCT = ("product", "--n", "4", "--p", "1", "--basis", "Phi")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--k", "1", "--a", "0"), "need --k2 (or --ex2)"),
+        (("--k", "1", "--a", "0", "--k2", "1"), "need --a2 for basis Phi"),
+        (("--k", "1", "--a", "0", "--k2", "7", "--a2", "0"), "k2=7 outside 0..3"),
+        (("--k", "1", "--a", "0", "--ex2"), "--ex2 needs odd n with p == q, got n=4, p=1"),
+        (("--k2", "1", "--a2", "0"), "need --k (or --ex)"),
+        (("--k", "1", "--k2", "1", "--a2", "0"), "need --a for basis Phi"),
+        (("--k", "7", "--a", "0", "--k2", "1", "--a2", "0"), "k=7 outside 0..3"),
+        (("--ex", "--k2", "1", "--a2", "0"), "--ex needs odd n with p == q, got n=4, p=1"),
+    ],
+)
+def test_product_names_the_flags_of_the_faulty_operand(capsys, flags, message):
+    code, out, err = run(capsys, *PRODUCT, *flags)
+    assert (code, out, err) == (1, "", f"flagkin: error: {message}\n")
+
+
 def test_verify_success(capsys):
     code, out, _ = run(capsys, "verify", "--n", "3", "--p", "1")
     assert code == 0

@@ -4,30 +4,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagkin.errors import IndexOutOfRange, NonSigmaInput, RhoOrdering
+from flagkin.errors import IndexOutOfRange
 from flagkin.exterior import (
-    Blade,
     Multivector,
     full_omega_mask,
     full_sigma_mask,
-    hodge_star_sigma,
     omega1,
-    rho,
     sigma,
     star1,
     star1_inv,
-    top_blade,
     top_coefficient,
     wedge,
-    wedge_blades,
 )
+from flagkin.rotation_algebra import rotation_measure_rep
 from flagkin.scalars import Scalar
+
+
+def _blade(sigma=0, omega=0):
+    """The blade key of a sigma mask and an omega mask."""
+    return sigma << 32 | omega
 
 
 def test_repeated_generator_annihilates():
     assert wedge(sigma(2), sigma(2)).is_zero()
     assert wedge(omega1(3), omega1(3)).is_zero()
-    assert wedge(rho(), rho()).is_zero()
 
 
 def test_transposition_parity():
@@ -42,29 +42,17 @@ def test_merge_sign_under_canonical_order():
     assert got == canonical
 
 
-def test_hodge_n2():
-    assert hodge_star_sigma(2, sigma(1)) == sigma(2)
-    assert hodge_star_sigma(2, sigma(2)) == -sigma(1)
-
-
-def test_hodge_n3():
-    assert hodge_star_sigma(3, wedge(sigma(2), sigma(3))) == sigma(1)
-
-
-def test_hodge_rejects_omega():
-    with pytest.raises(NonSigmaInput):
-        hodge_star_sigma(3, wedge(sigma(2), omega1(3)))
-
-
-def test_hodge_defining_property():
+def test_star1_defining_property():
+    # b ^ *_1(b) = (-1)^C(n-k,2) s1^...^sn for every sigma blade b of degree k
     import itertools
 
     for n in (2, 3, 4, 5):
-        vol = Multivector.from_blade(Blade(sigma=full_sigma_mask(n)))
+        vol = Multivector({_blade(sigma=full_sigma_mask(n)): 1})
         for k in range(n + 1):
             for subset in itertools.combinations(range(1, n + 1), k):
-                b = Multivector.from_blade(Blade(sigma=sum(1 << i for i in subset)))
-                assert b.wedge(hodge_star_sigma(n, b)) == vol, (n, subset)
+                b = Multivector({_blade(sigma=sum(1 << i for i in subset)): 1})
+                want = vol.smul((-1) ** ((n - k) * (n - k - 1) // 2))
+                assert b.wedge(star1(n, b)) == want, (n, subset)
 
 
 def test_star1_spec_example():
@@ -76,7 +64,7 @@ def test_star1_degree_zero_case():
     # *_1(w21) = (-1)^C(n,2) s1^...^sn^w21
     for n in (2, 3, 4, 5):
         pref = (-1) ** (n * (n - 1) // 2)
-        vol = Multivector.from_blade(Blade(sigma=full_sigma_mask(n)))
+        vol = Multivector({_blade(sigma=full_sigma_mask(n)): 1})
         want = vol.wedge(omega1(2)).smul(pref)
         assert star1(n, omega1(2)) == want, n
 
@@ -84,7 +72,7 @@ def test_star1_degree_zero_case():
 def _random_mv(n, rnd):
     terms = {}
     for _ in range(5):
-        b = Blade(
+        b = _blade(
             rnd.getrandbits(n + 1) & full_sigma_mask(n),
             rnd.getrandbits(n + 1) & full_omega_mask(n),
         )
@@ -112,7 +100,7 @@ def test_graded_commutativity(n, rnd):
         sig_sets = list(itertools.combinations(range(1, n + 1), ks))
         om_sets = list(itertools.combinations(range(2, n + 1), ko))
         for _ in range(3):
-            b = Blade(
+            b = _blade(
                 sum(1 << i for i in rnd.choice(sig_sets)),
                 sum(1 << j for j in rnd.choice(om_sets)),
             )
@@ -131,61 +119,68 @@ def test_wedge_associative(n, rnd):
     assert a.wedge(b).wedge(c) == a.wedge(b.wedge(c))
 
 
-def _random_rational_mv(n, rnd, rho_ok):
+def _random_rational_mv(n, rnd):
     terms = {}
     for _ in range(rnd.randint(0, 5)):
-        b = Blade(
+        b = _blade(
             rnd.getrandbits(n + 1) & full_sigma_mask(n),
             rnd.getrandbits(n + 1) & full_omega_mask(n),
-            rho_ok and rnd.random() < 0.3,
         )
         terms[b] = Fraction(rnd.randint(-4, 4), rnd.randint(1, 3))
     return Multivector(terms)
 
 
+def _generators(key):
+    """The generators of a blade key as (0, i) for sigma_i and (1, j) for omega_{j,1}, ascending."""
+    return [(0, i) for i in range(32) if key >> 32 >> i & 1] + [
+        (1, j) for j in range(32) if key >> j & 1
+    ]
+
+
+def wedge_blades(k1, k2):
+    """Sign (0 or +-1) and key of k1 ^ k2: the parity of the concatenated generators' inversions."""
+    seq = _generators(k1) + _generators(k2)
+    if len(set(seq)) < len(seq):
+        return 0, 0
+    inversions = sum(1 for x in range(len(seq)) for y in range(x) if seq[y] > seq[x])
+    return (-1) ** inversions, k1 | k2
+
+
 def _blade_by_blade(a, b):
     terms = {}
-    for b1, c1 in a.terms():
-        for b2, c2 in b.terms():
-            sign, blade = wedge_blades(b1, b2)
+    for k1, c1 in a.terms():
+        for k2, c2 in b.terms():
+            sign, key = wedge_blades(k1, k2)
             if sign:
-                terms[blade] = terms.get(blade, 0) + c1 * c2 * sign
+                terms[key] = terms.get(key, 0) + c1 * c2 * sign
     return Multivector(terms)
 
 
-def _outcome(f, *args):
-    try:
-        return f(*args)
-    except RhoOrdering:
-        return RhoOrdering
-
-
-@given(st.integers(2, 6), st.randoms(use_true_random=False), st.booleans())
+@given(st.integers(2, 6), st.randoms(use_true_random=False))
 @settings(max_examples=150)
-def test_wedge_matches_blade_by_blade_sum(n, rnd, left_rho):
-    a = _random_rational_mv(n, rnd, left_rho)
-    b = _random_rational_mv(n, rnd, True)
-    got, want = _outcome(Multivector.wedge, a, b), _outcome(_blade_by_blade, a, b)
+def test_wedge_matches_blade_by_blade_sum(n, rnd):
+    a = _random_rational_mv(n, rnd)
+    b = _random_rational_mv(n, rnd)
+    got, want = a.wedge(b), _blade_by_blade(a, b)
     assert got == want
-    if got is not RhoOrdering:
-        assert got.terms() == want.terms()
+    assert got.terms() == want.terms()
 
 
 def test_terms_order_and_text_are_stable():
     m = (
-        wedge(sigma(3), omega1(2), rho()).smul(Fraction(-3, 7))
+        wedge(sigma(3), omega1(2)).smul(Fraction(-3, 7))
         + wedge(sigma(1), sigma(4))
         + sigma(2).smul(Fraction(5, 2))
-        + wedge(sigma(1), sigma(4), rho())
+        + wedge(omega1(2), omega1(5)).smul(-1)
     ).smul(2)
     assert m.terms() == [
-        (Blade(sigma=1 << 2), 5),
-        (Blade(sigma=1 << 3, omega=1 << 2, rho=True), Fraction(-6, 7)),
-        (Blade(sigma=1 << 1 | 1 << 4), 2),
-        (Blade(sigma=1 << 1 | 1 << 4, rho=True), 2),
+        (_blade(omega=1 << 2 | 1 << 5), -2),
+        (_blade(sigma=1 << 2), 5),
+        (_blade(sigma=1 << 3, omega=1 << 2), Fraction(-6, 7)),
+        (_blade(sigma=1 << 1 | 1 << 4), 2),
     ]
-    assert all(type(c) is Fraction for _, c in m.terms())
-    assert m.to_text() == "[5/1] s2 + [-6/7] s3^w21^rho + [2/1] s1^s4 + [2/1] s1^s4^rho"
+    assert all(type(k) is int and type(c) is Fraction for k, c in m.terms())
+    assert m.to_text() == "[-2/1] w21^w51 + [5/1] s2 + [-6/7] s3^w21 + [2/1] s1^s4"
 
 
 def test_forms_hold_rationals_only():
@@ -193,27 +188,28 @@ def test_forms_hold_rationals_only():
     with pytest.raises(TypeError):
         sigma(2).smul(Scalar.omega(3))
     with pytest.raises(TypeError):
-        Multivector({Blade(sigma=4): Scalar.of(2)})
+        Multivector({_blade(sigma=4): Scalar.of(2)})
     assert Multivector.__slots__ == ("_row",)
 
 
 def test_indices_above_31_are_refused():
     assert not sigma(31).wedge(omega1(31)).is_zero()
+    assert Multivector({_blade(1 << 31, 1 << 31): 1}) == sigma(31).wedge(omega1(31))
     with pytest.raises(IndexOutOfRange):
         sigma(32)
     with pytest.raises(IndexOutOfRange):
         omega1(32)
-
-
-def test_rho_ordering():
-    measure_form = wedge(sigma(2), omega1(3)).wedge(rho())
-    assert not measure_form.is_zero()
-    with pytest.raises(RhoOrdering):
-        rho().wedge(sigma(2))
+    with pytest.raises(IndexOutOfRange):
+        Multivector({_blade(sigma=1 << 32): 1})
+    with pytest.raises(IndexOutOfRange):
+        rotation_measure_rep(40, (33,), (33,))
+    with pytest.raises(IndexOutOfRange):
+        rotation_measure_rep(35, (2,), (2,))  # only the omega mask runs past bit 31
 
 
 def test_top_coefficient():
     n = 3
-    full = Multivector.from_blade(top_blade(n, with_rho=True), 7)
-    assert top_coefficient(n, full, with_rho=True) == Fraction(7)
-    assert top_coefficient(n, full, with_rho=False) == 0
+    full = Multivector({_blade(full_sigma_mask(n), full_omega_mask(n)): 7})
+    assert top_coefficient(n, full) == Fraction(7)
+    assert top_coefficient(n, full.wedge(sigma(4))) == 0
+    assert top_coefficient(n + 1, full.wedge(sigma(4)).wedge(omega1(4))) == Fraction(7)

@@ -2,7 +2,7 @@
 
 The pairing values asserted here are the ones the engine's pinned
 conventions actually produce (star1 with its displayed sign rule, the
-orientation sigma_1 ^ ... ^ omega_{n,1} ^ rho, pairings as omega_n times
+orientation sigma_1 ^ ... ^ omega_{n,1}, pairings as omega_n times
 the top-blade coefficient).  The rotation pairings land exactly on the
 stated -vol SO(n) and -vol SO(n)/2; the flag-side diagonal acquires a
 (-1)^k twist, the exceptional pairing a 2^-p factor, and the generating
@@ -29,7 +29,6 @@ from flagkin.grassmann_oracle import (
     honest_diagonal_twist,
     honest_exceptional_pairing,
     honest_generating_identity,
-    omega_IJ,
     pairing,
     rotation_pairing,
     tau_ex,
@@ -130,12 +129,6 @@ def test_rotation_pairings(n):
 def test_rotation_pairing_only_degree_one():
     with pytest.raises(BadIndexSet):
         rotation_pairing(4, 2, 3, (2, 3), (2, 3))
-
-
-def test_omega_IJ_carries_rho():
-    form = omega_IJ(3, (2,), (2,))
-    (blade, _), = form.terms()
-    assert blade.rho
 
 
 def _monomials(n, degree):
