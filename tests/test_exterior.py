@@ -42,7 +42,17 @@ def test_merge_sign_under_canonical_order():
     assert got == canonical
 
 
-def test_star1_defining_property():
+def test_hodge_n2():
+    # on a sigma blade of degree k, *_1 is the Hodge star times (-1)^C(n-k,2)
+    assert star1(2, sigma(1)) == sigma(2)
+    assert star1(2, sigma(2)) == -sigma(1)
+
+
+def test_hodge_n3():
+    assert star1(3, wedge(sigma(2), sigma(3))) == sigma(1)
+
+
+def test_hodge_defining_property():
     # b ^ *_1(b) = (-1)^C(n-k,2) s1^...^sn for every sigma blade b of degree k
     import itertools
 
