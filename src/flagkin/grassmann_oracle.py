@@ -51,7 +51,7 @@ from .rotation_algebra import (
     rotation_measure_rep,
     zero,
 )
-from .scalars import Scalar, factorial, sbinom
+from .scalars import Scalar, binom, factorial
 
 Poly2 = dict[tuple[int, int], Multivector]
 
@@ -171,12 +171,8 @@ def _binomial_target(ctx: FlagContext, sign_inside: int, global_sign: int):
     out = {}
     for i in range(p + 1):
         for j in range(q + 1):
-            c = (
-                Scalar.of(global_sign * sign_inside ** ((p - i) + (q - j)))
-                * sbinom(p, i)
-                * sbinom(q, j)
-            )
-            out[(i, j, p - i, q - j)] = c
+            sign = global_sign * sign_inside ** ((p - i) + (q - j))
+            out[(i, j, p - i, q - j)] = Scalar(sign * binom(p, i) * binom(q, j))
     return tuple(sorted(out.items()))
 
 

@@ -7,6 +7,9 @@ multiply the dual elements of left and right, expand the product over the
 dual basis, and read off the input's slot.  flagkin.verify checks the
 presentation against the exterior realization of the algebra and the
 tables term by term against the closed forms of the coefficient theorems.
+The closed forms are rationals: every table coefficient carries the unit
+omega_n^-1 (omega_{n-p}^-1 in the rescaled tables), which the checks
+attach to them.
 
 The double-sum closed form for the S basis is implemented with summation
 limits m'_j, m'_{k-j} (the support of its binomial factors, as dictated by
@@ -31,7 +34,7 @@ from .measures import (
     s_label,
     validate_label,
 )
-from .scalars import Record, Scalar, _set, binom, sbinom
+from .scalars import Record, Scalar, _set, binom
 
 Term = tuple[MeasureLabel, MeasureLabel, Scalar]
 
@@ -112,7 +115,7 @@ def coproduct(ctx: FlagContext, input: MeasureLabel, family: str | None = None) 
 # -- closed forms ---------------------------------------------------------------
 
 
-def closed_form_phi(ctx: FlagContext, k: int, a: int, j: int, b: int) -> Scalar:
+def closed_form_phi(ctx: FlagContext, k: int, a: int, j: int, b: int) -> Fraction:
     """c^{k,a}_{j,b}: the O(n) coefficient of Phi_{j,b} (x) Phi_{k-j,a-b}."""
     validate_label(ctx, phi_label(k, a))
     if not 0 <= j <= k:
@@ -120,16 +123,15 @@ def closed_form_phi(ctx: FlagContext, k: int, a: int, j: int, b: int) -> Scalar:
     if not max(0, j - k + a) <= b <= min(a, j):
         raise IndexOutOfRange(f"b={b} outside Theorem ranges for (k,a,j)=({k},{a},{j})")
     p, q = ctx.p, ctx.q
-    value = (
+    return (
         binom(q - k + j + a - b, j - b)
         * binom(p - a + b, b)
         / binom(q, j - b)
         / binom(p, b)
     )
-    return Scalar(value)
 
 
-def closed_form_S(ctx: FlagContext, k: int, i: int, j: int, b: int, c: int) -> Scalar:
+def closed_form_S(ctx: FlagContext, k: int, i: int, j: int, b: int, c: int) -> Fraction:
     """C^{k,i}_{j,b,c}: the coefficient of S_j^(p),b (x) S_{k-j}^(p),c."""
     validate_label(ctx, s_label(k, i))
     if not 0 <= j <= k:
@@ -156,7 +158,7 @@ def closed_form_S(ctx: FlagContext, k: int, i: int, j: int, b: int, c: int) -> S
     ratio = c_constant(ctx.n, k, p, i) / (
         c_constant(ctx.n, j, p, b) * c_constant(ctx.n, k - j, p, c)
     )
-    return Scalar.of(sign) * ratio * Scalar(total)
+    return sign * ratio * total
 
 
 def hug_weil_coproduct(ctx: FlagContext, k: int) -> KinematicTable:
@@ -172,7 +174,7 @@ def hug_weil_coproduct(ctx: FlagContext, k: int) -> KinematicTable:
     terms: dict[tuple[MeasureLabel, MeasureLabel], Scalar] = {}
     for left, right, c in base.terms:
         j, l = left.k, right.k
-        coeff = c * scale * sbinom(ctx.q, j) * sbinom(ctx.q, l) / sbinom(ctx.q, k)
+        coeff = c * scale * (binom(ctx.q, j) * binom(ctx.q, l) / binom(ctx.q, k))
         terms[(MeasureLabel("Sp", j), MeasureLabel("Sp", l))] = coeff
     return KinematicTable(ctx, MeasureLabel("Sp", k), "Sp", _sorted_terms(ctx, terms))
 
@@ -214,8 +216,6 @@ def _label_to_latex(label: MeasureLabel) -> str:
         return f"S_{{{label.k}}}^{{({label.idx})}}"
     if label.kind == "PhiEx":
         return "\\Phi_{ex}"
-    if label.kind == "GlobS":
-        return f"S_{{{label.k}}}"
     return f"S_{{{label.k}}}^{{(p)}}"
 
 

@@ -26,7 +26,8 @@ def vol_so_sym(n: int) -> str:
     return f"volSO({n})"
 
 
-_SYM_RE = re.compile(r"^(omega|volSO)\((\d+)\)$")
+# The index is a positive integer without leading zeros, as omega_sym writes it.
+_SYM_RE = re.compile(r"^(omega|volSO)\(([1-9]\d*)\)$")
 
 
 def _check_sym(sym: str) -> None:
@@ -105,7 +106,10 @@ class Scalar(Record):
         self.__post_init__(value, units)
 
     def __post_init__(self, value, units) -> None:
-        """Store value as a Fraction and units sorted, with no units on zero."""
+        """Store value as a Fraction and units sorted, with no units on zero.
+
+        Each unit symbol appears at most once, with a nonzero exponent.
+        """
         if not isinstance(value, Fraction):
             value = Fraction(value)
         if value == 0:
@@ -116,6 +120,8 @@ class Scalar(Record):
                 if exp == 0:
                     raise ValueError("zero exponent stored in unit map")
             units = tuple(sorted(units))
+            if len(units) > 1 and len({sym for sym, _ in units}) < len(units):
+                raise ValueError(f"repeated unit symbol in {units}")
         _set(self, "value", value)
         _set(self, "units", units)
 
@@ -260,10 +266,6 @@ def binom(m: int, r: int) -> Fraction:
     if r < 0 or r > m or m < 0:
         return Fraction(0)
     return Fraction(math.comb(m, r))
-
-
-def sbinom(m: int, r: int) -> Scalar:
-    return Scalar(binom(m, r))
 
 
 def factorial(k: int) -> Fraction:

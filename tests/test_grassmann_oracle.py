@@ -35,7 +35,7 @@ from flagkin.grassmann_oracle import (
     tau_tilde,
 )
 from flagkin.invariant_algebras import FlagContext
-from flagkin.scalars import Scalar, factorial, sbinom
+from flagkin.scalars import Scalar, binom, factorial
 
 CONTEXTS = [(n, p) for n in range(2, 7) for p in range(n)]
 
@@ -69,8 +69,8 @@ def test_pairing_orthogonality_and_diagonal(n, p):
             if (k, a) == (l, b):
                 want = (
                     honest_diagonal_twist(k)
-                    * sbinom(p, a)
-                    * sbinom(q, k - a)
+                    * binom(p, a)
+                    * binom(q, k - a)
                     * Scalar.omega(n)
                 )
                 assert value == want, (k, a)

@@ -14,8 +14,8 @@ from flagkin.kinematics import (
     table_to_json,
     table_to_latex,
 )
-from flagkin.measures import PHI_EX, MeasureLabel, phi_label, s_in_phi, s_label
-from flagkin.scalars import ONE, Scalar, sbinom
+from flagkin.measures import PHI_EX, MeasureLabel, phi_label, s_in_phi_matrix, s_label
+from flagkin.scalars import Scalar, binom
 from flagkin.verify import _global_table, check_phi_closed_form, check_s_closed_form, verify_structure
 
 
@@ -47,22 +47,22 @@ def test_coproduct_phi_ex():
 
 def test_closed_form_phi_examples():
     ctx = FlagContext(5, 2)
-    assert closed_form_phi(ctx, 1, 0, 0, 0) == ONE
-    assert closed_form_phi(ctx, 1, 0, 1, 0) == ONE
+    assert closed_form_phi(ctx, 1, 0, 0, 0) == 1
+    assert closed_form_phi(ctx, 1, 0, 1, 0) == 1
     for k in range(5):
         for a in range(max(0, k - ctx.q), min(k, ctx.p) + 1):
-            assert closed_form_phi(ctx, k, a, k, a) == ONE
+            assert closed_form_phi(ctx, k, a, k, a) == 1
     with pytest.raises(IndexOutOfRange):
         closed_form_phi(ctx, 2, 1, 1, 2)
 
 
 def test_closed_form_S_counit():
     ctx = FlagContext(5, 2)
-    assert closed_form_S(ctx, 0, 0, 0, 0, 0) == ONE
+    assert closed_form_S(ctx, 0, 0, 0, 0, 0) == 1
     for k in range(5):
         for i in range(ctx.m(k) + 1):
-            assert closed_form_S(ctx, k, i, k, i, 0) == ONE
-            assert closed_form_S(ctx, k, i, 0, 0, i) == ONE
+            assert closed_form_S(ctx, k, i, k, i, 0) == 1
+            assert closed_form_S(ctx, k, i, 0, 0, i) == 1
 
 
 @pytest.mark.parametrize("n,p", [(3, 1), (4, 1), (4, 2), (5, 2), (5, 0), (6, 3)])
@@ -104,20 +104,18 @@ def test_S_top_table_equals_phi_top_table(n, p):
     ctx = FlagContext(n, p)
     phi_table = coproduct(ctx, phi_label(n - 1, p), "Phi")
     s_table = coproduct(ctx, s_label(n - 1, 0), "S")
+
+    def in_phi(label):
+        # an S label expands by its row of the base change; PhiEx is in both bases
+        if label.kind != "S":
+            return [(label, 1)]
+        row = s_in_phi_matrix(ctx, label.k)[label.idx]
+        return [(phi_label(label.k, a), c) for a, c in zip(ctx.phi_indices(label.k), row)]
+
     converted: dict = {}
     for left, right, c in s_table.terms:
-        lexp = (
-            s_in_phi(ctx, left.k, left.idx).terms
-            if left.kind == "S"
-            else ((left, ONE),)
-        )
-        rexp = (
-            s_in_phi(ctx, right.k, right.idx).terms
-            if right.kind == "S"
-            else ((right, ONE),)
-        )
-        for ll, fl in lexp:
-            for rl, fr in rexp:
+        for ll, fl in in_phi(left):
+            for rl, fr in in_phi(right):
                 key = (ll, rl)
                 converted[key] = converted.get(key, Scalar()) + c * fl * fr
     converted = {k: v for k, v in converted.items() if not v.is_zero()}
@@ -157,7 +155,7 @@ def test_hug_weil_binomial_everywhere(n, p):
         table = hug_weil_coproduct(ctx, k)
         for j in range(k + 1):
             got = table.coefficient(MeasureLabel("Sp", j), MeasureLabel("Sp", k - j))
-            assert got == sbinom(k, j) * unit, (n, p, k, j)
+            assert got == binom(k, j) * unit, (n, p, k, j)
 
 
 def test_table_renderings_deterministic():

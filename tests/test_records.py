@@ -9,7 +9,7 @@ import pytest
 from flagkin.exterior import Multivector
 from flagkin.invariant_algebras import FlagContext, PresentedElement
 from flagkin.kinematics import KinematicTable
-from flagkin.measures import MeasureExpr, MeasureLabel, phi_label, s_label
+from flagkin.measures import MeasureLabel, phi_label, s_label
 from flagkin.rotation_algebra import AlgebraElement, ChordMonomial, generator
 from flagkin.scalars import Record, Scalar, _set
 
@@ -30,11 +30,6 @@ RECORDS = [
         " u=Fraction(3, 1))",
     ),
     (lambda: s_label(2, 1), "MeasureLabel(kind='S', k=2, idx=1)"),
-    (
-        lambda: MeasureExpr(CTX, ((phi_label(1, 0), Scalar.of(2)),)),
-        "MeasureExpr(ctx=FlagContext(n=5, p=2), terms=((MeasureLabel(kind='Phi', k=1, idx=0),"
-        " Scalar(value=Fraction(2, 1), units=())),))",
-    ),
     (
         lambda: KinematicTable(
             CTX, s_label(0, 0), "S", ((s_label(0, 0), s_label(0, 0), Scalar.of(1)),)
@@ -122,12 +117,12 @@ def test_label_order_is_the_field_order():
         MeasureLabel("S", 2, 1),
         MeasureLabel("Phi", 3, 0),
         MeasureLabel("PhiEx"),
-        MeasureLabel("GlobS", 1),
+        MeasureLabel("Sp", 1),
         MeasureLabel("S", 1, 2),
         MeasureLabel("Phi", 1, 1),
     ]
     assert [label.to_text() for label in sorted(labels)] == [
-        "GlobS[1]", "Phi[1,1]", "Phi[3,0]", "PhiEx", "S[1,2]", "S[2,1]",
+        "Phi[1,1]", "Phi[3,0]", "PhiEx", "S[1,2]", "S[2,1]", "Sp[1]",
     ]
 
 
@@ -138,6 +133,4 @@ def test_constructors_still_normalize_and_validate():
     assert ChordMonomial(6, (5, 4), ((3, 2),)) == ChordMonomial(6, (4, 5), ((2, 3),))
     with pytest.raises(ValueError):
         FlagContext(3, 3)
-    with pytest.raises(ValueError):
-        MeasureExpr(CTX, ((phi_label(1, 0), Scalar.of(1)), (phi_label(2, 0), Scalar.of(1))))
     assert Multivector({4 << 32: 2}).terms() == [(4 << 32, Fraction(2))]

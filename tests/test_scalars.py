@@ -84,3 +84,22 @@ def test_json_round_trip():
 def test_latex():
     s = Scalar.of(-1, 2) * Scalar.omega(4, -1)
     assert s.to_latex() == "-\\frac{1}{2}\\omega_{4}^{-1}"
+
+
+@pytest.mark.parametrize(
+    "units",
+    [(("omega(3)", 1), ("omega(3)", 1)), (("omega(0)", 1),), (("omega(03)", 1),)],
+    ids=["repeated", "omega0", "leading-zero"],
+)
+def test_malformed_units_are_refused(units):
+    # a repeated symbol would merge into one exponent, so omega(3)^1 * omega(3)^1
+    # times omega(3)^-1 came out as 1/1; omega(0) is no unit omega_sym writes
+    text = " * ".join(["1/1"] + [f"{sym}^{exp}" for sym, exp in units])
+    data = {"num": 1, "den": 1, "units": [{"sym": sym, "exp": exp} for sym, exp in units]}
+    for build in (
+        lambda: Scalar(1, units),
+        lambda: Scalar.from_text(text),
+        lambda: Scalar.from_json(data),
+    ):
+        with pytest.raises(ValueError):
+            build()
