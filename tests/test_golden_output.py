@@ -1,10 +1,14 @@
-"""Every table rendering at n <= 8 is byte-identical to the recorded one.
+"""Every table, product, coproduct and chord basis rendering is byte-identical to the recorded one.
 
-For each n, the test runs ``flagkin table`` in-process at every p, in both
-bases and every output format, plus ``table --hug-weil``, and hashes the
-argument lists, exit codes and stdout of all those requests in order.  A
-refactor of the table path must leave each digest unchanged; a failure
-names the n whose output moved.
+For each n <= 8, the first test runs ``flagkin table`` in-process at every
+p, in both bases and every output format, plus ``table --hug-weil``, and
+hashes the argument lists, exit codes and stdout of all those requests in
+order.  The second hashes, the same way, ``product`` (text and json) for
+every ordered label pair of total degree at most n - 1 and ``coproduct``
+(every format) for every label, at every p in both bases for n <= 4, and
+``basis --k K`` (text and json) for every k at n <= 8.  A refactor of a
+renderer must leave each digest unchanged; a failure names the n whose
+output moved.
 """
 
 import contextlib
@@ -14,6 +18,8 @@ import io
 import pytest
 
 from flagkin.cli import main
+from flagkin.invariant_algebras import FlagContext
+from flagkin.measures import basis_labels
 
 FORMATS = ("text", "json", "csv", "latex")
 
@@ -37,9 +43,9 @@ def requests(n):
         yield ["table", "--n", str(n), "--p", str(p), "--hug-weil"]
 
 
-def digest(n):
+def digest(n, grid=requests):
     h = hashlib.sha256()
-    for argv in requests(n):
+    for argv in grid(n):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(argv)
@@ -51,3 +57,50 @@ def digest(n):
 @pytest.mark.parametrize("n", sorted(DIGESTS))
 def test_table_output_matches_recorded_digest(n):
     assert digest(n) == DIGESTS[n], f"table output at n={n} changed"
+
+
+def _label_args(label, basis, suffix=""):
+    if label.kind == "PhiEx":
+        return [f"--ex{suffix}"]
+    flag = "--a" if basis == "Phi" else "--i"
+    return [f"--k{suffix}", str(label.k), f"{flag}{suffix}", str(label.idx)]
+
+
+def renderer_requests(n):
+    """product, coproduct (n <= 4) and the chord basis (every n) requests at n."""
+    if n <= 4:
+        for p in range(n):
+            ctx = FlagContext(n, p)
+            for basis in ("Phi", "S"):
+                labels = [l for k in range(n) for l in basis_labels(ctx, k, basis)]
+                head = ["--n", str(n), "--p", str(p), "--basis", basis]
+                for left in labels:
+                    for right in labels:
+                        if left.degree(ctx) + right.degree(ctx) > n - 1:
+                            continue
+                        args = _label_args(left, basis) + _label_args(right, basis, "2")
+                        for fmt in ("text", "json"):
+                            yield ["product", *head, *args, "--format", fmt]
+                for label in labels:
+                    for fmt in FORMATS:
+                        yield ["coproduct", *head, *_label_args(label, basis), "--format", fmt]
+    for k in range(n):
+        for fmt in ("text", "json"):
+            yield ["basis", "--n", str(n), "--k", str(k), "--format", fmt]
+
+
+# sha256 of renderer_requests(n), recorded from the reference output.
+RENDERER_DIGESTS = {
+    2: "6c1d46f18827853c57e62132f7005de682c0d9eaa45a43ffd61b89064f750639",
+    3: "d61e85452f99aa5a0cb1e1c0c5c22fc3624e73acf421ec657a08b85679bd9d2a",
+    4: "eb095c09324c0232399854ab3ccb604082e223347d559da2132928ac5b1f2c2f",
+    5: "69980d9e9eb08915acf16cce303f2ef477de4c3dc269a5d5c395dde4cd539c89",
+    6: "b264c04bf23fdaf1949ea4c5f0f6dcb60607b7c25c750334ff81d64ac3b8c5ca",
+    7: "ee067c1ced6a80a504967fbcc5666212fe5bef9de4443a194e0cc08e02c97da0",
+    8: "b2d5f961cd28b40fe4c08f1f95e5a5e109b6a15ed344721e08efc479318215c4",
+}
+
+
+@pytest.mark.parametrize("n", sorted(RENDERER_DIGESTS))
+def test_other_renderers_match_recorded_digest(n):
+    assert digest(n, renderer_requests) == RENDERER_DIGESTS[n], f"renderer output at n={n} changed"
