@@ -24,6 +24,7 @@ from .kinematics import (
     coproduct,
     coproduct_tables,
     csv_rows,
+    family_unit,
     hug_weil_coproduct,
     table_to_csv,
     table_to_json,
@@ -38,6 +39,7 @@ from .measures import (
     s_label,
     validate_label,
 )
+from .scalars import Scalar
 
 # Default size guards.  verify, dim and the chord-diagram basis build
 # exterior forms, whose cost grows like 4^n; table, coproduct and product
@@ -198,20 +200,15 @@ def cmd_basis(args) -> int:
     if not 0 <= args.k <= args.n - 1:
         raise ValidationError(f"k={args.k} outside 0..{args.n - 1}")
     if args.p is None:
-        from .rotation_algebra import chord_basis
+        from .rotation_algebra import chord_basis, chord_text
 
-        mons = chord_basis(args.n, args.k)
+        mons = [chord_text(*m) for m in chord_basis(args.n, args.k)]
         if args.format == "json":
-            data = {
-                "n": args.n,
-                "k": args.k,
-                "count": len(mons),
-                "monomials": [m.to_text() for m in mons],
-            }
+            data = {"n": args.n, "k": args.k, "count": len(mons), "monomials": mons}
             _emit(args, _json_text(data))
         else:
             lines = [f"chord basis n={args.n} k={args.k} ({len(mons)} monomials)"]
-            lines += [f"  {m.to_text()}" for m in mons]
+            lines += [f"  {m}" for m in mons]
             _emit(args, "\n".join(lines) + "\n")
         return 0
     ctx = _ctx(args)
@@ -238,7 +235,9 @@ def cmd_product(args) -> int:
     deg = left.degree(ctx) + right.degree(ctx)
     if deg > ctx.n - 1:
         raise ValidationError(f"total degree {deg} exceeds n-1={ctx.n - 1}")
-    terms = sorted(dual_product(ctx, left, right, args.basis).items())
+    product = sorted(dual_product(ctx, left, right, args.basis).items())
+    units = family_unit(ctx, args.basis).units
+    terms = [(l, Scalar(c, units)) for l, c in product]
     if args.format == "json":
         data = {
             "schema": "flagkin/product/v1",

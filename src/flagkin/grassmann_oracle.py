@@ -31,6 +31,7 @@ carry opposite signs in any exterior algebra.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache, reduce
 
 from .errors import (
@@ -137,14 +138,14 @@ def pairing(ctx: FlagContext, dual: AlgebraElement, primal: Multivector) -> Scal
 @lru_cache(maxsize=None)
 def generating_identity_polynomial(
     ctx: FlagContext,
-) -> tuple[tuple[tuple[int, int, int, int], Scalar], ...]:
+) -> tuple[tuple[tuple[int, int, int, int], Fraction], ...]:
     """Coefficients of eta_{alpha,beta} ^ tau~_{alpha~,beta~} on the top blade.
 
     Keys are exponents (alpha, beta, alpha~, beta~); every term is checked
     to be a multiple of the top blade.
     """
     n, p, q = ctx.n, ctx.p, ctx.q
-    out: dict[tuple[int, int, int, int], Scalar] = {}
+    out: dict[tuple[int, int, int, int], Fraction] = {}
     tau_components = {
         (p - i, q - j): star1_inv(n, tau_tilde(ctx, i + j, i).body)
         for i in range(p + 1)
@@ -157,12 +158,12 @@ def generating_identity_polynomial(
                 continue
             if len(prod) != 1:
                 raise AssertionError("generating product is not a top-blade multiple")
-            coeff = Scalar(top_coefficient(n, prod))
-            if coeff.is_zero():
+            coeff = top_coefficient(n, prod)
+            if not coeff:
                 raise AssertionError("generating product missed the top blade")
             key = (ea, eb, ta, tb)
-            out[key] = out.get(key, Scalar()) + coeff
-    return tuple(sorted((k, v) for k, v in out.items() if not v.is_zero()))
+            out[key] = out.get(key, 0) + coeff
+    return tuple(sorted((k, v) for k, v in out.items() if v))
 
 
 def _binomial_target(ctx: FlagContext, sign_inside: int, global_sign: int):
@@ -172,7 +173,7 @@ def _binomial_target(ctx: FlagContext, sign_inside: int, global_sign: int):
     for i in range(p + 1):
         for j in range(q + 1):
             sign = global_sign * sign_inside ** ((p - i) + (q - j))
-            out[(i, j, p - i, q - j)] = Scalar(sign * binom(p, i) * binom(q, j))
+            out[(i, j, p - i, q - j)] = sign * binom(p, i) * binom(q, j)
     return tuple(sorted(out.items()))
 
 

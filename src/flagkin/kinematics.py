@@ -7,9 +7,10 @@ multiply the dual elements of left and right, expand the product over the
 dual basis, and read off the input's slot.  flagkin.verify checks the
 presentation against the exterior realization of the algebra and the
 tables term by term against the closed forms of the coefficient theorems.
-The closed forms are rationals: every table coefficient carries the unit
-omega_n^-1 (omega_{n-p}^-1 in the rescaled tables), which the checks
-attach to them.
+Table coefficients are rationals, like the closed forms: every table
+states its unit once, through its family (family_unit: omega_n^-1, or
+omega_{n-p}^-1 for the rescaled Sp tables), and the renderings attach it
+to each coefficient only when they print it.
 
 The double-sum closed form for the S basis is implemented with summation
 limits m'_j, m'_{k-j} (the support of its binomial factors, as dictated by
@@ -36,14 +37,21 @@ from .measures import (
 )
 from .scalars import Record, Scalar, _set, binom
 
-Term = tuple[MeasureLabel, MeasureLabel, Scalar]
+Term = tuple[MeasureLabel, MeasureLabel, Fraction]
 
 
 def _label_sort_key(ctx: FlagContext, label: MeasureLabel):
     return (label.degree(ctx), 1 if label.kind == "PhiEx" else 0, label.idx)
 
 
+def family_unit(ctx: FlagContext, family: str) -> Scalar:
+    """The unit of a family's coefficients: omega_n^-1 for Phi and S, omega_{n-p}^-1 for Sp."""
+    return Scalar.omega(ctx.n - ctx.p if family == "Sp" else ctx.n, -1)
+
+
 class KinematicTable(Record):
+    """The coproduct of input: terms (left, right, c) for c times the family unit."""
+
     __slots__ = ("ctx", "input", "family", "terms")
 
     def __init__(
@@ -54,23 +62,32 @@ class KinematicTable(Record):
         _set(self, "family", family)
         _set(self, "terms", terms)
 
-    def coefficient(self, left: MeasureLabel, right: MeasureLabel) -> Scalar:
+    @property
+    def unit(self) -> Scalar:
+        return family_unit(self.ctx, self.family)
+
+    def coefficient(self, left: MeasureLabel, right: MeasureLabel) -> Fraction:
         for l, r, c in self.terms:
             if (l, r) == (left, right):
                 return c
-        return Scalar()
+        return Fraction(0)
+
+    def printed_terms(self) -> list[tuple[MeasureLabel, MeasureLabel, Scalar]]:
+        """The terms with the unit attached to each coefficient, for the renderings."""
+        units = self.unit.units
+        return [(l, r, Scalar(c, units)) for l, r, c in self.terms]
 
     def to_text(self) -> str:
         head = f"A({self.input.to_text()})  [n={self.ctx.n}, p={self.ctx.p}]"
         rows = [
             f"  {l.to_text()} (x) {r.to_text()}  :  {c.to_text()}"
-            for l, r, c in self.terms
+            for l, r, c in self.printed_terms()
         ]
         return "\n".join([head] + rows)
 
 
-def _sorted_terms(ctx: FlagContext, terms: dict[tuple[MeasureLabel, MeasureLabel], Scalar]):
-    items = [(l, r, c) for (l, r), c in terms.items() if not c.is_zero()]
+def _sorted_terms(ctx: FlagContext, terms: dict[tuple[MeasureLabel, MeasureLabel], Fraction]):
+    items = [(l, r, c) for (l, r), c in terms.items() if c]
     items.sort(key=lambda t: (_label_sort_key(ctx, t[0]), _label_sort_key(ctx, t[1])))
     return tuple(items)
 
@@ -81,7 +98,7 @@ def _degree_tables(ctx: FlagContext, family: str, k: int) -> dict[MeasureLabel, 
     Only pairs of degrees j + l = k contribute, and each dual product
     feeds one coefficient into every input of degree k.
     """
-    acc: dict[MeasureLabel, dict[tuple[MeasureLabel, MeasureLabel], Scalar]] = {
+    acc: dict[MeasureLabel, dict[tuple[MeasureLabel, MeasureLabel], Fraction]] = {
         label: {} for label in basis_labels(ctx, k, family)
     }
     for j in range(k + 1):
@@ -105,11 +122,14 @@ def coproduct_tables(ctx: FlagContext, family: str) -> dict[MeasureLabel, Kinema
 
 
 def coproduct(ctx: FlagContext, input: MeasureLabel, family: str | None = None) -> KinematicTable:
-    """The local additive kinematic table of one basis measure."""
+    """The local additive kinematic table of one basis measure of family (by default its own)."""
     validate_label(ctx, input)
     if family is None:
         family = input.kind if input.kind in ("Phi", "S") else "Phi"
-    return _degree_tables(ctx, family, input.degree(ctx))[input]
+    k = input.degree(ctx)
+    if input not in basis_labels(ctx, k, family):
+        raise ValueError(f"{input} is not a label of family {family!r}")
+    return _degree_tables(ctx, family, k)[input]
 
 
 # -- closed forms ---------------------------------------------------------------
@@ -165,16 +185,16 @@ def hug_weil_coproduct(ctx: FlagContext, k: int) -> KinematicTable:
     """Binomial table of the rescaled measures S_j^(p), unit omega_{n-p}^{-1}.
 
     Derived from the a = 0 Phi table by the substitution
-    Phi_{j,0} = (omega_n / omega_{n-p}) C(q,j) S_j^(p).
+    Phi_{j,0} = (omega_n / omega_{n-p}) C(q,j) S_j^(p), which leaves the
+    factor C(q,j) C(q,l) / C(q,k) on each coefficient.
     """
     if not (0 <= k <= ctx.n - 1 and ctx.p <= ctx.n - k - 1):
         raise IndexOutOfRange(f"S^(p)_k needs p <= n-k-1, got p={ctx.p}, k={k}")
     base = coproduct(ctx, phi_label(k, 0), "Phi")
-    scale = Scalar.omega(ctx.n) * Scalar.omega(ctx.n - ctx.p, -1)
-    terms: dict[tuple[MeasureLabel, MeasureLabel], Scalar] = {}
+    terms: dict[tuple[MeasureLabel, MeasureLabel], Fraction] = {}
     for left, right, c in base.terms:
         j, l = left.k, right.k
-        coeff = c * scale * (binom(ctx.q, j) * binom(ctx.q, l) / binom(ctx.q, k))
+        coeff = c * binom(ctx.q, j) * binom(ctx.q, l) / binom(ctx.q, k)
         terms[(MeasureLabel("Sp", j), MeasureLabel("Sp", l))] = coeff
     return KinematicTable(ctx, MeasureLabel("Sp", k), "Sp", _sorted_terms(ctx, terms))
 
@@ -190,19 +210,18 @@ def table_to_json(table: KinematicTable) -> dict:
         "input": table.input.to_text(),
         "terms": [
             {"left": l.to_text(), "right": r.to_text(), "coeff": c.to_json()}
-            for l, r, c in table.terms
+            for l, r, c in table.printed_terms()
         ],
     }
 
 
 def csv_rows(table: KinematicTable) -> list[str]:
     """One "left,right,num,den,units" line per term of the table."""
-    rows = []
-    for l, r, c in table.terms:
-        units = " ".join(f"{sym}^{exp}" for sym, exp in c.units)
-        value = c.value
-        rows.append(f"{l.to_text()},{r.to_text()},{value.numerator},{value.denominator},{units}")
-    return rows
+    units = " ".join(f"{sym}^{exp}" for sym, exp in table.unit.units)
+    return [
+        f"{l.to_text()},{r.to_text()},{c.numerator},{c.denominator},{units}"
+        for l, r, c in table.terms
+    ]
 
 
 def table_to_csv(table: KinematicTable) -> str:
@@ -222,7 +241,7 @@ def _label_to_latex(label: MeasureLabel) -> str:
 def table_to_latex(table: KinematicTable) -> str:
     rows = [
         f"{_label_to_latex(l)} \\otimes {_label_to_latex(r)} & {c.to_latex()} \\\\"
-        for l, r, c in table.terms
+        for l, r, c in table.printed_terms()
     ]
     return "\n".join(
         [

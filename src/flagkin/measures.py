@@ -9,19 +9,19 @@ are elements of the flag algebra in its presentation by x, y and u
 (presented_dual): the Phi duals are x^a y^(k-a) times explicit binomial
 constants, the S duals follow through the inverse change, and
 expand_presented inverts both, so that every kinematic coefficient is
-computed purely inside the algebra.  global_factor gives the pushforward
+computed purely inside the algebra, as the rational multiple of
+omega_n^-1 that dual_product returns.  global_factor gives the pushforward
 of a label to the global area measure of its degree.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ExceptionalUnavailable, IndexOutOfRange, NotHomogeneous
 from .invariant_algebras import FlagContext, PresentedElement, monomial_exponents
-from .scalars import Record, Scalar, _set, binom, factorial, omega_sym
+from .scalars import Record, _set, binom, factorial
 
 
 class MeasureLabel(Record, order=True):
@@ -41,18 +41,6 @@ class MeasureLabel(Record, order=True):
         if self.kind == "Sp":
             return f"{self.kind}[{self.k}]"
         return f"{self.kind}[{self.k},{self.idx}]"
-
-    @staticmethod
-    def from_text(text: str) -> "MeasureLabel":
-        if text == "PhiEx":
-            return MeasureLabel("PhiEx")
-        m = re.match(r"^(Phi|S)\[(\d+),(\d+)\]$", text)
-        if m:
-            return MeasureLabel(m.group(1), int(m.group(2)), int(m.group(3)))
-        m = re.match(r"^Sp\[(\d+)\]$", text)
-        if m:
-            return MeasureLabel("Sp", int(m.group(1)))
-        raise ValueError(f"bad measure label {text!r}")
 
     def __str__(self) -> str:
         return self.to_text()
@@ -146,7 +134,7 @@ def phi_in_s_matrix(ctx: FlagContext, k: int) -> tuple[tuple[Fraction, ...], ...
 #
 # Every dual carries the same unit omega_n^-1, so it is factored out:
 # presented_dual(L) is omega_n times the dual of L, over rationals, and
-# dual_product puts the unit back once per output coefficient.
+# dual_product returns rationals, the multiples of omega_n^-1.
 
 
 def _phi_scale(ctx: FlagContext, a: int, b: int) -> Fraction:
@@ -218,15 +206,14 @@ def expand_presented(
 
 def dual_product(
     ctx: FlagContext, left: MeasureLabel, right: MeasureLabel, family: str
-) -> dict[MeasureLabel, Scalar]:
-    """The product of the duals of left and right over the dual basis of family."""
+) -> dict[MeasureLabel, Fraction]:
+    """The product of the duals of left and right over the dual basis of family.
+
+    The coefficients are multiples of omega_n^-1, as every dual carries it.
+    """
     product = presented_dual(ctx, left) * presented_dual(ctx, right)
     deg = left.degree(ctx) + right.degree(ctx)
-    unit = ((omega_sym(ctx.n), -1),)
-    return {
-        label: Scalar(c, unit)
-        for label, c in expand_presented(ctx, product, deg, family).items()
-    }
+    return expand_presented(ctx, product, deg, family)
 
 
 # -- globalization ----------------------------------------------------------------

@@ -105,56 +105,6 @@ def monomial(n: int, pairs) -> AlgebraElement:
 # -- chord monomials ---------------------------------------------------------
 
 
-class ChordMonomial(Record):
-    """Diagonal factors x_dd for d in diagonals, times non-crossing chords x_ab."""
-
-    __slots__ = ("n", "diagonals", "matching")
-
-    def __init__(
-        self, n: int, diagonals: tuple[int, ...], matching: tuple[tuple[int, int], ...]
-    ) -> None:
-        diagonals = tuple(sorted(diagonals))
-        chords = tuple(sorted(tuple(sorted(c)) for c in matching))
-        support = set(diagonals)
-        for a, b in chords:
-            if a == b or {a, b} & support:
-                raise ValueError("overlapping chord endpoints")
-            support |= {a, b}
-        if any(not 2 <= v <= n for v in support):
-            raise IndexOutOfRange(f"index outside 2..{n}")
-        for (a, b), (c, d) in itertools.combinations(chords, 2):
-            if a < c < b < d or c < a < d < b:
-                raise ValueError(f"crossing chords ({a},{b}) and ({c},{d})")
-        _set(self, "n", n)
-        _set(self, "diagonals", diagonals)
-        _set(self, "matching", chords)
-
-    def degree(self) -> int:
-        return len(self.diagonals) + len(self.matching)
-
-    def to_text(self) -> str:
-        d = ",".join(str(v) for v in self.diagonals)
-        m = "".join(f"({a},{b})" for a, b in self.matching)
-        return f"D{{{d}}}M{{{m}}}"
-
-    @staticmethod
-    def from_text(n: int, text: str) -> "ChordMonomial":
-        import re
-
-        m = re.match(r"^D\{([\d,]*)\}M\{((?:\(\d+,\d+\))*)\}$", text)
-        if not m:
-            raise ValueError(f"bad chord monomial {text!r}")
-        diag = tuple(int(v) for v in m.group(1).split(",") if v)
-        chords = tuple(
-            (int(a), int(b)) for a, b in re.findall(r"\((\d+),(\d+)\)", m.group(2))
-        )
-        return ChordMonomial(n, diag, chords)
-
-    def evaluate(self) -> AlgebraElement:
-        pairs = [(d, d) for d in self.diagonals] + list(self.matching)
-        return monomial(self.n, pairs)
-
-
 def _noncrossing_matchings(points: tuple[int, ...]):
     """All non-crossing perfect matchings of an ascending tuple of points."""
     if not points:
@@ -182,8 +132,20 @@ def _chord_index_sets(n: int, k: int):
 
 
 @lru_cache(maxsize=None)
-def chord_basis(n: int, k: int) -> tuple[ChordMonomial, ...]:
-    return tuple(ChordMonomial(n, diag, matching) for diag, matching in _chord_index_sets(n, k))
+def chord_basis(n: int, k: int) -> tuple[tuple, ...]:
+    """The (diagonals, matching) index sets of each chord monomial of degree k.
+
+    Diagonals ascend, and the chords (a, b), each with a < b, ascend too;
+    the monomial is monomial(n, [(d, d) for d in diagonals] + list(matching)).
+    """
+    return tuple(_chord_index_sets(n, k))
+
+
+def chord_text(diagonals: tuple[int, ...], matching: tuple[tuple[int, int], ...]) -> str:
+    """D{d,...}M{(a,b)...}, the printed form of a chord monomial."""
+    d = ",".join(str(v) for v in diagonals)
+    m = "".join(f"({a},{b})" for a, b in matching)
+    return f"D{{{d}}}M{{{m}}}"
 
 
 def catalan(l: int) -> int:
@@ -240,7 +202,7 @@ def _chord_columns(n: int, k: int) -> tuple[dict[int, Fraction], ...]:
     """The row of each chord_basis(n, k) monomial's evaluation, over Fraction.
 
     Nothing in flagkin calls it; it stays only for perfbench/tracer.py,
-    which reads its cache statistics.  The tests compare it with evaluate().
+    which reads its cache statistics.  The tests compare it with monomial().
     """
     return tuple(
         {key: Fraction(e, 1 << len(matching)) for key, e in _chord_row(diag, matching).items()}

@@ -207,9 +207,6 @@ class Scalar(Record):
             out = out * self
         return out
 
-    def inverse(self) -> "Scalar":
-        return Scalar.of(1) / self
-
     # -- serialization -----------------------------------------------------
 
     def to_text(self) -> str:
@@ -217,27 +214,12 @@ class Scalar(Record):
         parts += [f"{sym}^{exp}" for sym, exp in self.units]
         return " * ".join(parts)
 
-    @staticmethod
-    def from_text(text: str) -> "Scalar":
-        parts = [p.strip() for p in text.split("*")]
-        num, den = parts[0].split("/")
-        units = []
-        for part in parts[1:]:
-            sym, exp = part.rsplit("^", 1)
-            units.append((sym, int(exp)))
-        return Scalar(Fraction(int(num), int(den)), tuple(units))
-
     def to_json(self) -> dict:
         return {
             "num": self.value.numerator,
             "den": self.value.denominator,
             "units": [{"sym": sym, "exp": exp} for sym, exp in self.units],
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "Scalar":
-        units = tuple((u["sym"], u["exp"]) for u in data["units"])
-        return Scalar(Fraction(data["num"], data["den"]), units)
 
     def to_latex(self) -> str:
         num, den = self.value.numerator, self.value.denominator
@@ -255,10 +237,6 @@ class Scalar(Record):
 
     def __str__(self) -> str:
         return self.to_text()
-
-
-ZERO = Scalar()
-ONE = Scalar.of(1)
 
 
 def binom(m: int, r: int) -> Fraction:

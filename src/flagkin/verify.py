@@ -191,19 +191,21 @@ def _suite_oracle(ctx: FlagContext):
 # -- structural laws -------------------------------------------------------------
 
 
-def _global_table(ctx: FlagContext, table: kinematics.KinematicTable) -> dict[tuple[int, int], Scalar]:
+def _global_table(ctx: FlagContext, table: kinematics.KinematicTable) -> dict[tuple[int, int], Fraction]:
     """Push both sides of a table forward to the global area measures, keyed by degrees."""
-    out: dict[tuple[int, int], Scalar] = {}
+    out: dict[tuple[int, int], Fraction] = {}
     for left, right, c in table.terms:
         factor = measures.global_factor(ctx, left) * measures.global_factor(ctx, right)
         key = (left.k, right.k)
-        out[key] = out.get(key, Scalar()) + c * factor
-    return {k: v for k, v in out.items() if not v.is_zero()}
+        out[key] = out.get(key, 0) + c * factor
+    return {k: v for k, v in out.items() if v}
 
 
 def verify_structure(ctx: FlagContext) -> str | None:
-    """First failure of cocommutativity, coassociativity, counit or globalization."""
-    inv_omega = Scalar.omega(ctx.n, -1)
+    """First failure of cocommutativity, coassociativity, counit or globalization.
+
+    Coefficients are the tables' rationals, in the unit omega_n^-1 they share.
+    """
     for family in ("Phi", "S"):
         tables = kinematics.coproduct_tables(ctx, family)
         zero_label = measures.basis_labels(ctx, 0, family)[0]
@@ -214,31 +216,31 @@ def verify_structure(ctx: FlagContext) -> str | None:
                     return f"cocommutativity[{family}]: A({label}) at {l} (x) {r}"
 
         for label, table in tables.items():
-            left_assoc: dict[tuple, Scalar] = {}
-            right_assoc: dict[tuple, Scalar] = {}
+            left_assoc: dict[tuple, Fraction] = {}
+            right_assoc: dict[tuple, Fraction] = {}
             for l, r, c in table.terms:
                 for l2, r2, c2 in tables[l].terms:
                     key = (l2, r2, r)
-                    left_assoc[key] = left_assoc.get(key, Scalar()) + c * c2
+                    left_assoc[key] = left_assoc.get(key, 0) + c * c2
                 for l2, r2, c2 in tables[r].terms:
                     key = (l, l2, r2)
-                    right_assoc[key] = right_assoc.get(key, Scalar()) + c * c2
-            left_assoc = {k: v for k, v in left_assoc.items() if not v.is_zero()}
-            right_assoc = {k: v for k, v in right_assoc.items() if not v.is_zero()}
+                    right_assoc[key] = right_assoc.get(key, 0) + c * c2
+            left_assoc = {k: v for k, v in left_assoc.items() if v}
+            right_assoc = {k: v for k, v in right_assoc.items() if v}
             if left_assoc != right_assoc:
                 return f"coassociativity[{family}]: A({label})"
 
         for label, table in tables.items():
             if (
-                table.coefficient(zero_label, label) != inv_omega
-                or table.coefficient(label, zero_label) != inv_omega
+                table.coefficient(zero_label, label) != 1
+                or table.coefficient(label, zero_label) != 1
             ):
                 return f"counit[{family}]: A({label})"
 
         for label, table in tables.items():
             got = _global_table(ctx, table)
             k = label.degree(ctx)
-            front = inv_omega * measures.global_factor(ctx, label)
+            front = measures.global_factor(ctx, label)
             want = {(j, k - j): front * scalars.binom(k, j) for j in range(k + 1) if front}
             if got != want:
                 return f"globalization[{family}]: A({label})"
@@ -249,8 +251,7 @@ def verify_structure(ctx: FlagContext) -> str | None:
 
 
 def check_phi_closed_form(ctx: FlagContext) -> str | None:
-    """First mismatch between the Phi tables and (1/omega_n) c^{k,a}_{j,b}."""
-    inv_omega = Scalar.omega(ctx.n, -1)
+    """First mismatch between the Phi tables and c^{k,a}_{j,b}, both in the unit omega_n^-1."""
     tables = kinematics.coproduct_tables(ctx, "Phi")
     phi_label = measures.phi_label
     for k in range(ctx.n):
@@ -264,7 +265,7 @@ def check_phi_closed_form(ctx: FlagContext) -> str | None:
                     if a - b not in ctx.phi_indices(k - j):
                         continue
                     left, right = phi_label(j, b), phi_label(k - j, a - b)
-                    want = inv_omega * kinematics.closed_form_phi(ctx, k, a, j, b)
+                    want = kinematics.closed_form_phi(ctx, k, a, j, b)
                     got = table.coefficient(left, right)
                     seen.add((left, right))
                     if got != want:
@@ -279,8 +280,7 @@ def check_phi_closed_form(ctx: FlagContext) -> str | None:
 
 
 def check_s_closed_form(ctx: FlagContext) -> str | None:
-    """First mismatch between the S tables and (1/omega_n) C^{k,i}_{j,b,c}."""
-    inv_omega = Scalar.omega(ctx.n, -1)
+    """First mismatch between the S tables and C^{k,i}_{j,b,c}, both in the unit omega_n^-1."""
     tables = kinematics.coproduct_tables(ctx, "S")
     s_label = measures.s_label
     for k in range(ctx.n):
@@ -292,7 +292,7 @@ def check_s_closed_form(ctx: FlagContext) -> str | None:
             for j in range(k + 1):
                 for b in range(ctx.m(j) + 1):
                     for c in range(ctx.m(k - j) + 1):
-                        want = inv_omega * kinematics.closed_form_S(ctx, k, i, j, b, c)
+                        want = kinematics.closed_form_S(ctx, k, i, j, b, c)
                         got = table.coefficient(s_label(j, b), s_label(k - j, c))
                         if got != want:
                             return f"A({input}) at S[{j},{b}](x)S[{k - j},{c}]: {got} != {want}"

@@ -1,4 +1,6 @@
 import json
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +11,7 @@ from flagkin.kinematics import (
     closed_form_phi,
     coproduct,
     coproduct_tables,
+    csv_rows,
     hug_weil_coproduct,
     table_to_csv,
     table_to_json,
@@ -19,30 +22,43 @@ from flagkin.scalars import Scalar, binom
 from flagkin.verify import _global_table, check_phi_closed_form, check_s_closed_form, verify_structure
 
 
-def inv_omega(n):
-    return Scalar.omega(n, -1)
-
-
 def test_coproduct_degree_one():
     ctx = FlagContext(5, 2)
     table = coproduct(ctx, phi_label(1, 0))
-    assert table.coefficient(phi_label(0, 0), phi_label(1, 0)) == inv_omega(5)
-    assert table.coefficient(phi_label(1, 0), phi_label(0, 0)) == inv_omega(5)
+    assert table.unit == Scalar.omega(5, -1)
+    assert table.coefficient(phi_label(0, 0), phi_label(1, 0)) == 1
+    assert table.coefficient(phi_label(1, 0), phi_label(0, 0)) == 1
+    assert table.coefficient(phi_label(1, 0), phi_label(1, 0)) == Fraction(0)
     assert len(table.terms) == 2
 
 
 def test_coproduct_counit():
     ctx = FlagContext(5, 2)
     table = coproduct(ctx, s_label(0, 0), "S")
-    assert table.terms == ((s_label(0, 0), s_label(0, 0), inv_omega(5)),)
+    assert table.terms == ((s_label(0, 0), s_label(0, 0), Fraction(1)),)
+    assert table.unit == Scalar.omega(5, -1)
 
 
 def test_coproduct_phi_ex():
     ctx = FlagContext(5, 2)
     table = coproduct(ctx, PHI_EX)
-    assert table.coefficient(PHI_EX, phi_label(0, 0)) == inv_omega(5)
-    assert table.coefficient(phi_label(0, 0), PHI_EX) == inv_omega(5)
+    assert table.coefficient(PHI_EX, phi_label(0, 0)) == 1
+    assert table.coefficient(phi_label(0, 0), PHI_EX) == 1
     assert len(table.terms) == 2
+
+
+@pytest.mark.parametrize(
+    "label,family,named",
+    [
+        (s_label(2, 0), "Phi", "Phi"),
+        (phi_label(2, 1), "S", "S"),
+        (MeasureLabel("Sp", 1), None, "Phi"),
+    ],
+)
+def test_coproduct_refuses_a_label_outside_the_family(label, family, named):
+    # an Sp label defaults to the Phi family, where it is no basis label
+    with pytest.raises(ValueError, match=re.escape(f"{label} is not a label of family '{named}'")):
+        coproduct(FlagContext(5, 2), label, family)
 
 
 def test_closed_form_phi_examples():
@@ -81,9 +97,9 @@ def test_exceptional_corrections(n, p):
     top = coproduct(ctx, phi_label(n - 1, p), "Phi")
     ex = coproduct(ctx, PHI_EX, "Phi")
     corr = top.coefficient(PHI_EX, PHI_EX)
-    assert corr == Scalar.of((-1) ** p * (p + 1), 2 ** (2 * p)) * inv_omega(n)
-    assert corr == Scalar.of((-1) ** ((n - 1) // 2) * (n + 1), 2**n) * inv_omega(n)
-    assert ex.coefficient(PHI_EX, phi_label(0, 0)) == inv_omega(n)
+    assert corr == Fraction((-1) ** p * (p + 1), 2 ** (2 * p))
+    assert corr == Fraction((-1) ** ((n - 1) // 2) * (n + 1), 2**n)
+    assert ex.coefficient(PHI_EX, phi_label(0, 0)) == 1
 
 
 def test_exceptional_unavailable():
@@ -95,7 +111,8 @@ def test_n3_S_table_exceptional_value():
     # coefficient of the exceptional square in A(S[2,0]) for n=3 is -1/(2 omega_3)
     ctx = FlagContext(3, 1)
     table = coproduct(ctx, s_label(2, 0), "S")
-    assert table.coefficient(PHI_EX, PHI_EX) == Scalar.of(-1, 2) * inv_omega(3)
+    assert table.coefficient(PHI_EX, PHI_EX) == Fraction(-1, 2)
+    assert table.unit == Scalar.omega(3, -1)
 
 
 @pytest.mark.parametrize("n,p", [(3, 1), (5, 2)])
@@ -117,8 +134,8 @@ def test_S_top_table_equals_phi_top_table(n, p):
         for ll, fl in in_phi(left):
             for rl, fr in in_phi(right):
                 key = (ll, rl)
-                converted[key] = converted.get(key, Scalar()) + c * fl * fr
-    converted = {k: v for k, v in converted.items() if not v.is_zero()}
+                converted[key] = converted.get(key, 0) + c * fl * fr
+    converted = {k: v for k, v in converted.items() if v}
     want = {(l, r): c for l, r, c in phi_table.terms}
     assert converted == want
 
@@ -132,30 +149,30 @@ def test_globalized_area_formula_middle_coefficient():
     ctx = FlagContext(4, 1)
     table = coproduct(ctx, s_label(2, 0), "S")
     glob = _global_table(ctx, table)
-    assert glob[(1, 1)] == Scalar.of(2) * inv_omega(4)
+    assert glob[(1, 1)] == 2
 
 
 def test_hug_weil_tables():
     ctx = FlagContext(4, 1)
     hw = lambda k: MeasureLabel("Sp", k)
     t0 = hug_weil_coproduct(ctx, 0)
-    assert t0.terms == ((hw(0), hw(0), Scalar.omega(3, -1)),)
+    assert t0.terms == ((hw(0), hw(0), Fraction(1)),)
+    assert t0.unit == Scalar.omega(3, -1)
     t1 = hug_weil_coproduct(ctx, 1)
-    assert t1.coefficient(hw(0), hw(1)) == Scalar.omega(3, -1)
-    assert t1.coefficient(hw(1), hw(0)) == Scalar.omega(3, -1)
+    assert t1.coefficient(hw(0), hw(1)) == 1
+    assert t1.coefficient(hw(1), hw(0)) == 1
     t2 = hug_weil_coproduct(ctx, 2)
-    assert t2.coefficient(hw(1), hw(1)) == Scalar.of(2) * Scalar.omega(3, -1)
+    assert t2.coefficient(hw(1), hw(1)) == 2
 
 
 @pytest.mark.parametrize("n,p", [(4, 0), (4, 1), (5, 1), (5, 2), (6, 2)])
 def test_hug_weil_binomial_everywhere(n, p):
     ctx = FlagContext(n, p)
-    unit = Scalar.omega(n - p, -1)
     for k in range(n - p):
         table = hug_weil_coproduct(ctx, k)
         for j in range(k + 1):
             got = table.coefficient(MeasureLabel("Sp", j), MeasureLabel("Sp", k - j))
-            assert got == binom(k, j) * unit, (n, p, k, j)
+            assert got == binom(k, j), (n, p, k, j)
 
 
 def test_table_renderings_deterministic():
@@ -174,8 +191,16 @@ def test_table_renderings_deterministic():
 
 
 def test_every_coefficient_carries_inverse_omega():
-    ctx = FlagContext(5, 2)
-    for family in ("Phi", "S"):
-        for table in coproduct_tables(ctx, family).values():
-            for _, _, c in table.terms:
-                assert c.units == (("omega(5)", -1),), table.input
+    # Phi and S tables share omega_n^-1; the rescaled Sp tables carry
+    # omega_{n-p}^-1, which is the same unit at p = 0
+    for n, p in ((n, p) for n in range(2, 7) for p in range(n)):
+        ctx = FlagContext(n, p)
+        phi_and_s = [t for family in ("Phi", "S") for t in coproduct_tables(ctx, family).values()]
+        rescaled = [hug_weil_coproduct(ctx, k) for k in range(n - p)]
+        for tables, m in ((phi_and_s, n), (rescaled, n - p)):
+            unit = Scalar.omega(m, -1)
+            for table in tables:
+                assert table.unit == unit, (n, p, table.input)
+                assert all(isinstance(c, Fraction) and c for _, _, c in table.terms)
+                for row in csv_rows(table):
+                    assert row.endswith(f",omega({m})^-1"), (n, p, row)

@@ -140,11 +140,10 @@ def test_globalize_consistency(n, p):
 
 
 def test_label_text_round_trip():
-    for text in ("Phi[2,1]", "S[3,0]", "PhiEx", "Sp[1]"):
-        assert MeasureLabel.from_text(text).to_text() == text
-    for text in ("Phi[2]", "GlobS[2]"):
-        with pytest.raises(ValueError):
-            MeasureLabel.from_text(text)
+    # labels are printed, never parsed: the CLI builds them from --k, --a, --i, --ex
+    labels = (phi_label(2, 1), s_label(3, 0), PHI_EX, MeasureLabel("Sp", 1))
+    for label, text in zip(labels, ("Phi[2,1]", "S[3,0]", "PhiEx", "Sp[1]"), strict=True):
+        assert label.to_text() == str(label) == text
 
 
 def test_basis_labels():

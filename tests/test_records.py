@@ -10,7 +10,7 @@ from flagkin.exterior import Multivector
 from flagkin.invariant_algebras import FlagContext, PresentedElement
 from flagkin.kinematics import KinematicTable
 from flagkin.measures import MeasureLabel, phi_label, s_label
-from flagkin.rotation_algebra import AlgebraElement, ChordMonomial, generator
+from flagkin.rotation_algebra import AlgebraElement, generator
 from flagkin.scalars import Record, Scalar, _set
 
 CTX = FlagContext(5, 2)
@@ -32,19 +32,15 @@ RECORDS = [
     (lambda: s_label(2, 1), "MeasureLabel(kind='S', k=2, idx=1)"),
     (
         lambda: KinematicTable(
-            CTX, s_label(0, 0), "S", ((s_label(0, 0), s_label(0, 0), Scalar.of(1)),)
+            CTX, s_label(0, 0), "S", ((s_label(0, 0), s_label(0, 0), Fraction(1)),)
         ),
         "KinematicTable(ctx=FlagContext(n=5, p=2), input=MeasureLabel(kind='S', k=0, idx=0),"
         " family='S', terms=((MeasureLabel(kind='S', k=0, idx=0),"
-        " MeasureLabel(kind='S', k=0, idx=0), Scalar(value=Fraction(1, 1), units=())),))",
+        " MeasureLabel(kind='S', k=0, idx=0), Fraction(1, 1)),))",
     ),
     (
         lambda: AlgebraElement(3, generator(3, 2, 2).body),
         "AlgebraElement(n=3, body=[1/1] s2^w21)",
-    ),
-    (
-        lambda: ChordMonomial(6, (4,), ((5, 2),)),
-        "ChordMonomial(n=6, diagonals=(4,), matching=((2, 5),))",
     ),
 ]
 
@@ -130,7 +126,6 @@ def test_constructors_still_normalize_and_validate():
     units = (("omega(3)", 1), ("omega(2)", -1))
     assert Scalar(3, units).units == (("omega(2)", -1), ("omega(3)", 1))
     assert Scalar(0, (("omega(3)", 1),)) == Scalar() and Scalar(2).value == Fraction(2)
-    assert ChordMonomial(6, (5, 4), ((3, 2),)) == ChordMonomial(6, (4, 5), ((2, 3),))
     with pytest.raises(ValueError):
         FlagContext(3, 3)
     assert Multivector({4 << 32: 2}).terms() == [(4 << 32, Fraction(2))]

@@ -10,7 +10,6 @@ from flagkin.errors import BadIndexSet, DimensionMismatch, IndexOutOfRange, NotH
 from flagkin.exterior import Multivector, omega1, sigma, wedge
 from flagkin.linalg import SparseEchelon, certified_rank
 from flagkin.rotation_algebra import (
-    ChordMonomial,
     _chord_columns,
     _chord_rows,
     _dalpha_image_columns,
@@ -19,6 +18,7 @@ from flagkin.rotation_algebra import (
     _relation_witness,
     chord_basis,
     chord_count,
+    chord_text,
     dalpha,
     determinant,
     elementary_symmetric,
@@ -100,12 +100,12 @@ def test_ideal_sampled_large():
 
 def test_chord_basis_n3_k1():
     basis = chord_basis(3, 1)
-    assert [m.to_text() for m in basis] == ["D{2}M{}", "D{3}M{}", "D{}M{(2,3)}"]
+    assert basis == (((2,), ()), ((3,), ()), ((), ((2, 3),)))
+    assert [chord_text(*m) for m in basis] == ["D{2}M{}", "D{3}M{}", "D{}M{(2,3)}"]
 
 
 def test_chord_basis_top_degree():
-    basis = chord_basis(4, 3)
-    assert len(basis) == 1 and basis[0].diagonals == (2, 3, 4)
+    assert chord_basis(4, 3) == (((2, 3, 4), ()),)
 
 
 def test_chord_basis_count_n5_k2():
@@ -119,32 +119,38 @@ def test_chord_count_matches_narayana(n):
 
 
 def test_chord_monomial_validation():
-    with pytest.raises(ValueError):
-        ChordMonomial(6, (), ((2, 4), (3, 5)))  # crossing
-    with pytest.raises(ValueError):
-        ChordMonomial(6, (2,), ((2, 3),))  # overlap
-    mon = ChordMonomial(8, (2, 5), ((3, 4), (6, 7)))
-    assert mon.to_text() == "D{2,5}M{(3,4)(6,7)}"
-    assert ChordMonomial.from_text(8, mon.to_text()) == mon
+    # every basis monomial has ascending diagonals, ascending chords (a, b)
+    # with a < b, no shared endpoint inside 2..n and no crossing
+    for n in range(2, 9):
+        for k in range(n):
+            for diagonals, matching in chord_basis(n, k):
+                assert list(diagonals) == sorted(diagonals)
+                assert list(matching) == sorted(matching)
+                assert all(a < b for a, b in matching)
+                support = list(diagonals) + [v for chord in matching for v in chord]
+                assert len(set(support)) == len(support) == k + len(matching)
+                assert set(support) <= set(range(2, n + 1))
+                for (a, b), (c, d) in itertools.combinations(matching, 2):
+                    assert not (a < c < b < d or c < a < d < b), (n, matching)
+    assert chord_text((2, 5), ((3, 4), (6, 7))) == "D{2,5}M{(3,4)(6,7)}"
 
 
 def test_coordinates_of_square():
     sq = generator(4, 2, 3) ** 2
-    assert sq == ChordMonomial(4, (2, 3), ()).evaluate().smul(Fraction(-1, 2))
+    assert sq == monomial(4, [(2, 2), (3, 3)]).smul(Fraction(-1, 2))
 
 
 def test_coordinates_of_basis_element():
-    mon = ChordMonomial(5, (), ((2, 3),))
-    assert mon in chord_basis(5, 1)
-    assert generator(5, 2, 3) == mon.evaluate()
+    assert ((), ((2, 3),)) in chord_basis(5, 1)
+    assert generator(5, 2, 3) == monomial(5, [(2, 3)])
 
 
 def test_coordinates_straightening():
     # x24 x35 = -x23 x45 - x25 x34 by the crossing relation
     e = generator(5, 2, 4) * generator(5, 3, 5)
-    a, b = ChordMonomial(5, (), ((2, 3), (4, 5))), ChordMonomial(5, (), ((2, 5), (3, 4)))
-    assert a in chord_basis(5, 2) and b in chord_basis(5, 2)
-    assert e == -(a.evaluate() + b.evaluate())
+    a, b = ((2, 3), (4, 5)), ((2, 5), (3, 4))
+    assert ((), a) in chord_basis(5, 2) and ((), b) in chord_basis(5, 2)
+    assert e == -(monomial(5, a) + monomial(5, b))
 
 
 def test_coordinates_requires_homogeneous():
@@ -197,8 +203,9 @@ def test_rotation_relations_exhaustive(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_chord_columns_match_evaluate(n):
     for k in range(n):
-        for mon, col in zip(chord_basis(n, k), _chord_columns(n, k), strict=True):
-            assert col == mon.evaluate().body.row, (n, mon.to_text())
+        for (diag, matching), col in zip(chord_basis(n, k), _chord_columns(n, k), strict=True):
+            pairs = [(d, d) for d in diag] + list(matching)
+            assert col == monomial(n, pairs).body.row, (n, chord_text(diag, matching))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -233,7 +240,7 @@ def test_mod_p_certificate_matches_echelon(n):
 def test_streamed_rows_match_the_cached_columns(n):
     for k in range(n):
         rows = list(_chord_rows(n, k))
-        scales = [1 << len(mon.matching) for mon in chord_basis(n, k)]
+        scales = [1 << len(matching) for _, matching in chord_basis(n, k)]
         cols = zip(_chord_columns(n, k), scales, strict=True)
         want = [{key: v * s for key, v in col.items()} for col, s in cols]
         assert rows == want, (n, k)

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flagkin.errors import DivisionByZero, UnitMismatch
-from flagkin.scalars import ONE, Scalar
+from flagkin.scalars import Scalar
 
 
 def test_like_unit_addition():
@@ -23,7 +23,7 @@ def test_unit_mismatch():
 
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
-        ONE / Scalar()
+        Scalar.of(1) / Scalar()
 
 
 def test_zero_is_canonical():
@@ -34,13 +34,13 @@ def test_zero_is_canonical():
 def test_units_cancel_in_division():
     s = Scalar.omega(4) * Scalar.vol_so(4) / Scalar.omega(4)
     assert s == Scalar.vol_so(4)
-    assert (s / s) == ONE
+    assert (s / s) == Scalar.of(1)
 
 
 def test_power():
     s = Scalar.of(2) * Scalar.omega(3, -1)
     assert s**3 == Scalar.of(8) * Scalar.omega(3, -3)
-    assert s**0 == ONE
+    assert s**0 == Scalar.of(1)
     assert s**-1 == Scalar.of(1, 2) * Scalar.omega(3)
 
 
@@ -70,15 +70,14 @@ def test_canonical_form_idempotent(a):
 
 def test_text_round_trip():
     s = Scalar.of(-5, 6) * Scalar.omega(3, -1) * Scalar.vol_so(4)
-    assert s.to_text() == "-5/6 * omega(3)^-1 * volSO(4)^1"
-    assert Scalar.from_text(s.to_text()) == s
+    # the text and JSON forms are written, never read back
+    assert s.to_text() == str(s) == "-5/6 * omega(3)^-1 * volSO(4)^1"
 
 
 def test_json_round_trip():
     s = Scalar.of(7, 3) * Scalar.vol_so(5, -2)
     data = s.to_json()
     assert data == {"num": 7, "den": 3, "units": [{"sym": "volSO(5)", "exp": -2}]}
-    assert Scalar.from_json(data) == s
 
 
 def test_latex():
@@ -94,12 +93,5 @@ def test_latex():
 def test_malformed_units_are_refused(units):
     # a repeated symbol would merge into one exponent, so omega(3)^1 * omega(3)^1
     # times omega(3)^-1 came out as 1/1; omega(0) is no unit omega_sym writes
-    text = " * ".join(["1/1"] + [f"{sym}^{exp}" for sym, exp in units])
-    data = {"num": 1, "den": 1, "units": [{"sym": sym, "exp": exp} for sym, exp in units]}
-    for build in (
-        lambda: Scalar(1, units),
-        lambda: Scalar.from_text(text),
-        lambda: Scalar.from_json(data),
-    ):
-        with pytest.raises(ValueError):
-            build()
+    with pytest.raises(ValueError):
+        Scalar(1, units)
