@@ -204,7 +204,9 @@ def _convolution_factor(n: int, m: tuple) -> tuple[AlgebraElement, Multivector |
     """A monomial's algebra element and star1 of its star1-inverse image.
 
     The image is None when it fails a J-space condition (sigma_1
-    divisibility or annihilation by d alpha).
+    divisibility or annihilation by d alpha).  Otherwise it equals the
+    element's body whenever star1(star1_inv(x)) = x, which the convolution
+    suite checks on every chord monomial.
     """
     element = monomial(n, m)
     tau = star1_inv(n, element.body)

@@ -2,7 +2,8 @@
 
 Every check returns its first counterexample as a string, or None when it
 holds.  VERIFY_SUITES lists the nine suites the command runs, in order; the
-acceptance tests call the same checks over their own (n, p) ranges.
+acceptance tests call the same checks over their own (n, p) ranges.  Each
+suite covers every case at its (n, p) along one path; none samples.
 
 Layer functions are looked up through their modules at call time, never
 bound here by name, so that a wrapper installed on a module attribute sees
@@ -13,7 +14,6 @@ use it, which keeps it off the start-up import path.
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 
 from . import kinematics, measures, rotation_algebra, scalars
@@ -33,15 +33,15 @@ def _suite_dimensions(ctx: FlagContext):
 
 
 def _suite_ideal(ctx: FlagContext):
+    """x_ij x_kl + x_ik x_jl + x_il x_jk = 0 and x_aa x_ab = 0, for every index.
+
+    The first relation is symmetric in its four indices, so each
+    4-multiset of 2..n stands for all of its ordered quads.
+    """
     n = ctx.n
     x = rotation_algebra.generator
     idx = range(2, n + 1)
-    if n <= 6:
-        quads = itertools.product(idx, repeat=4)
-    else:
-        rng = random.Random(20260808)
-        quads = [tuple(rng.choice(list(idx)) for _ in range(4)) for _ in range(300)]
-    for i, j, k, l in quads:
+    for i, j, k, l in itertools.combinations_with_replacement(idx, 4):
         total = x(n, i, j) * x(n, k, l) + x(n, i, k) * x(n, j, l) + x(n, i, l) * x(n, j, k)
         if not total.is_zero():
             return f"ideal generator ({i},{j},{k},{l}) nonzero"
@@ -121,25 +121,21 @@ def _suite_closed_forms(ctx: FlagContext):
 
 
 def _suite_convolution(ctx: FlagContext):
-    from .grassmann_oracle import convolution_cross_check
+    """star1_inv of every chord monomial lies in J, and star1 maps it back.
 
-    n = ctx.n
-    gens = [(i, j) for i in range(2, n + 1) for j in range(i, n + 1)]
-    rng = random.Random(20260808)
+    The J-space conditions (a sigma_1 factor, d alpha ^ tau = 0) and the
+    round trip star1(star1_inv(x)) = x are linear, and the chord monomials
+    span each degree, so all three hold on every element.  The convolution
+    of two images is then the image of their product by construction.
+    """
+    from . import grassmann_oracle
 
-    def monomials(degree):
-        if n <= 4:
-            return list(itertools.product(gens, repeat=degree))
-        return [
-            tuple(rng.choice(gens) for _ in range(degree)) for _ in range(12)
-        ]
-
-    for d1 in range(1, n - 1):
-        for d2 in range(1, n - d1):
-            for m1 in monomials(d1):
-                for m2 in monomials(d2):
-                    if not convolution_cross_check(ctx, m1, m2):
-                        return f"convolution mismatch at {m1} * {m2}"
+    for k in range(1, ctx.n):
+        for diagonals, matching in rotation_algebra.chord_basis(ctx.n, k):
+            m = tuple((d, d) for d in diagonals) + matching
+            element, star_tau = grassmann_oracle._convolution_factor(ctx.n, m)
+            if star_tau != element.body:
+                return f"convolution mismatch at {m}"
     return None
 
 
@@ -250,53 +246,77 @@ def verify_structure(ctx: FlagContext) -> str | None:
 # -- agreement of tables with the closed forms ------------------------------------
 
 
-def check_phi_closed_form(ctx: FlagContext) -> str | None:
-    """First mismatch between the Phi tables and c^{k,a}_{j,b}, both in the unit omega_n^-1."""
-    tables = kinematics.coproduct_tables(ctx, "Phi")
-    phi_label = measures.phi_label
-    for k in range(ctx.n):
-        for a in ctx.phi_indices(k):
-            input = phi_label(k, a)
-            table = tables[input]
-            seen: set[tuple[measures.MeasureLabel, measures.MeasureLabel]] = set()
-            for j in range(k + 1):
-                for b in ctx.phi_indices(j):
-                    # both labels valid implies the theorem's range for b
-                    if a - b not in ctx.phi_indices(k - j):
-                        continue
-                    left, right = phi_label(j, b), phi_label(k - j, a - b)
-                    want = kinematics.closed_form_phi(ctx, k, a, j, b)
-                    got = table.coefficient(left, right)
-                    seen.add((left, right))
-                    if got != want:
-                        return f"A({input}) at {left}(x){right}: {got} != {want}"
-            for l, r, c in table.terms:
-                if (l, r) in seen:
-                    continue
-                if l.kind == "PhiEx" or r.kind == "PhiEx":
-                    continue  # exceptional corrections checked separately
+def _exceptional_terms(ctx: FlagContext, family: str) -> dict:
+    """The PhiEx terms of a family's tables, {input: {(left, right): coefficient}}.
+
+    u x = u y = 0 leaves two kinds: A(PhiEx) is the degree-0 label (x) PhiEx
+    plus its mirror, each with coefficient 1, and the top-degree table has
+    PhiEx (x) PhiEx with the u^2 constant (-1)^p (p+1)/4^p.  No other
+    table has a PhiEx term.
+    """
+    if not ctx.exceptional:
+        return {}
+    ex, p = measures.PHI_EX, ctx.p
+    # one label each: Phi[0,0] and Phi[n-1,p], or S[0,0] and S[n-1,0]
+    zero = measures.basis_labels(ctx, 0, family)[0]
+    top = measures.basis_labels(ctx, ctx.n - 1, family)[0]
+    return {
+        top: {(ex, ex): Fraction((-1) ** p * (p + 1), 4**p)},
+        ex: {(zero, ex): Fraction(1), (ex, zero): Fraction(1)},
+    }
+
+
+def _check_tables(ctx: FlagContext, family: str, closed_form_terms) -> str | None:
+    """First term of a family's tables that differs from its closed form or is unexpected.
+
+    closed_form_terms(label) yields ((left, right), coefficient) for each
+    term of the label's table that a closed form states.
+    """
+    exceptional = _exceptional_terms(ctx, family)
+    for input, table in kinematics.coproduct_tables(ctx, family).items():
+        want = dict(exceptional.get(input, {}))
+        if input.kind == family:
+            want.update(closed_form_terms(input))
+        got = {(l, r): c for l, r, c in table.terms}
+        for (l, r), c in want.items():
+            have = got.get((l, r), 0)
+            if have != c:
+                return f"A({input}) at {l}(x){r}: {have} != {c}"
+        for (l, r), c in got.items():
+            if (l, r) not in want:
                 return f"A({input}) unexpected term {l}(x){r}: {c}"
     return None
 
 
+def check_phi_closed_form(ctx: FlagContext) -> str | None:
+    """First mismatch between the Phi tables and c^{k,a}_{j,b}, both in the unit omega_n^-1."""
+    phi_label = measures.phi_label
+
+    def terms(input):
+        k, a = input.k, input.idx
+        for j in range(k + 1):
+            for b in ctx.phi_indices(j):
+                # both labels valid implies the theorem's range for b
+                if a - b in ctx.phi_indices(k - j):
+                    pair = phi_label(j, b), phi_label(k - j, a - b)
+                    yield pair, kinematics.closed_form_phi(ctx, k, a, j, b)
+
+    return _check_tables(ctx, "Phi", terms)
+
+
 def check_s_closed_form(ctx: FlagContext) -> str | None:
     """First mismatch between the S tables and C^{k,i}_{j,b,c}, both in the unit omega_n^-1."""
-    tables = kinematics.coproduct_tables(ctx, "S")
     s_label = measures.s_label
-    for k in range(ctx.n):
-        for input in measures.basis_labels(ctx, k, "S"):
-            if input.kind != "S":
-                continue
-            i = input.idx
-            table = tables[input]
-            for j in range(k + 1):
-                for b in range(ctx.m(j) + 1):
-                    for c in range(ctx.m(k - j) + 1):
-                        want = kinematics.closed_form_S(ctx, k, i, j, b, c)
-                        got = table.coefficient(s_label(j, b), s_label(k - j, c))
-                        if got != want:
-                            return f"A({input}) at S[{j},{b}](x)S[{k - j},{c}]: {got} != {want}"
-    return None
+
+    def terms(input):
+        k, i = input.k, input.idx
+        for j in range(k + 1):
+            for b in range(ctx.m(j) + 1):
+                for c in range(ctx.m(k - j) + 1):
+                    pair = s_label(j, b), s_label(k - j, c)
+                    yield pair, kinematics.closed_form_S(ctx, k, i, j, b, c)
+
+    return _check_tables(ctx, "S", terms)
 
 
 VERIFY_SUITES = (

@@ -9,7 +9,6 @@ values and fails.
 """
 
 import itertools
-import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -84,16 +83,8 @@ def test_criterion_2_ideal_identities():
             assert generator(n, a, b) == generator(n, b, a)
         for a, b1, b2, b3 in itertools.product(idx, repeat=4):
             assert monomial(n, [(a, b1), (a, b2), (a, b3)]).is_zero()
-    rng = random.Random(20260808)
     for n in range(7, 11):
-        for _ in range(40):
-            i, j, k, l = (rng.randint(2, n) for _ in range(4))
-            total = (
-                generator(n, i, j) * generator(n, k, l)
-                + generator(n, i, k) * generator(n, j, l)
-                + generator(n, i, l) * generator(n, j, k)
-            )
-            assert total.is_zero(), (n, i, j, k, l)
+        assert _suite_ideal(FlagContext(n, 0)) is None, n
     for n in range(2, 7):
         entries = [[generator(n, i, j) for j in range(2, n + 1)] for i in range(2, n + 1)]
         diag = monomial(n, [(d, d) for d in range(2, n + 1)])

@@ -6,9 +6,10 @@ hashes the argument lists, exit codes and stdout of all those requests in
 order.  The second hashes, the same way, ``product`` (text and json) for
 every ordered label pair of total degree at most n - 1 and ``coproduct``
 (every format) for every label, at every p in both bases for n <= 4, and
-``basis --k K`` (text and json) for every k at n <= 8.  A refactor of a
-renderer must leave each digest unchanged; a failure names the n whose
-output moved.
+``basis --k K`` (text and json) for every k at n <= 8.  The last two hash
+``verify`` at every p for n <= 8, and ``dim`` (text and json) for
+n <= 10.  A refactor of a renderer or of a verify suite must leave each
+digest unchanged; a failure names the n whose output moved.
 """
 
 import contextlib
@@ -104,3 +105,49 @@ RENDERER_DIGESTS = {
 @pytest.mark.parametrize("n", sorted(RENDERER_DIGESTS))
 def test_other_renderers_match_recorded_digest(n):
     assert digest(n, renderer_requests) == RENDERER_DIGESTS[n], f"renderer output at n={n} changed"
+
+
+def verify_requests(n):
+    for p in range(n):
+        yield ["verify", "--n", str(n), "--p", str(p)]
+
+
+# sha256 of verify_requests(n), recorded from the reference output.
+VERIFY_DIGESTS = {
+    2: "acab3b64af52fc66e57d9109416ccfcc13729097d4217e78de3b4e0dacefa2eb",
+    3: "95fc1348d2790036d8cf0f7a31b55c34f656075e78fb8c70e1c75a7520a392e4",
+    4: "cd6a4561704f64d2fdba24bd6dc22eda1c26d4e0e53136fc64657a5817705a76",
+    5: "9a4894b1a6cd6fcaabe00777a4aeaaa82d36d63f8b259a1cfc9f53bf7f5a1b70",
+    6: "40c9ae3e41126871c2fc9fceb01bae1266f4922cc961994f8af5e7aa60bde8e9",
+    7: "1b7def4e7a58ad79dae93ba45a78d9a24c93df179b900c00332abc81b9b11159",
+    8: "a34c991150ff32871586fe630a94e65fe9fb0271bc8d18a5cdb6835102255289",
+}
+
+
+@pytest.mark.parametrize("n", sorted(VERIFY_DIGESTS))
+def test_verify_output_matches_recorded_digest(n):
+    assert digest(n, verify_requests) == VERIFY_DIGESTS[n], f"verify output at n={n} changed"
+
+
+def dim_requests(n):
+    for fmt in ("text", "json"):
+        yield ["dim", "--n", str(n), "--format", fmt, "--max-n", "10"]
+
+
+# sha256 of dim_requests(n), recorded from the reference output.
+DIM_DIGESTS = {
+    2: "882740c6e0dd4ac765534e143b0a2ff09d165aa4eb57cbe45c0c8dfbf6e7b4f6",
+    3: "1365499c681d71e761ca20091decf2b2dafa534e75168588e2430f3aad00a814",
+    4: "5df8ad145f64a5bd1309a0882ec4a815cd49effa3e4d57f326766937521a3743",
+    5: "695db8ffd24154469ffa754d8d2ca970709c20a72a1d07dde0f0513dfce079d4",
+    6: "00729c546aa3f4d93f0bb7466623c3807a53899d07d15dd3974d1a3aa6aed4e3",
+    7: "b2e6a744ac7ea0254152af071616598d9f19109b9b3993b51978c60c92f60836",
+    8: "e541997e1d048cd7243d9f803f4472cbd57e46385883d67cda49eaaf8a910a95",
+    9: "3f819a58e0de51b10172246f7089cd26433a17cce5edb408ba7527f65b551d9f",
+    10: "0f677d04853a68512eca8a487fd22bd45c5d8666bb71918c4d740fafe1fe6861",
+}
+
+
+@pytest.mark.parametrize("n", sorted(DIM_DIGESTS))
+def test_dim_output_matches_recorded_digest(n):
+    assert digest(n, dim_requests) == DIM_DIGESTS[n], f"dim output at n={n} changed"

@@ -1,0 +1,116 @@
+"""Mutations of the engine's constants that ``verify`` must catch.
+
+Each case rewrites one constant of the production path in-process, the
+way a mistaken edit of the source would, and runs the verify suites over
+every (n, p) with n <= 7 until one returns a counterexample.  A mutation
+that no suite catches is a constant ``verify`` does not pin.  Every
+cached function in flagkin is cleared before and after each mutation, so
+no cached value of either side leaks into the other.
+"""
+
+import sys
+from fractions import Fraction
+
+import pytest
+
+from flagkin import measures, verify
+from flagkin.invariant_algebras import FlagContext, PresentedElement
+
+
+def _clear_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("flagkin"):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+def _patch(monkeypatch, name, wrap):
+    """Replace measures.<name> by wrap(original) in every module that binds it."""
+    original = getattr(measures, name)
+    mutant = wrap(original)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("flagkin") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, mutant)
+
+
+def _u_square_doubled(monkeypatch):
+    original = PresentedElement.__mul__
+
+    def mul(self, other):
+        out = original(self, other)
+        if not (self.u and other.u):
+            return out
+        p, q = self.ctx.p, self.ctx.q
+        xy = dict(out.xy)
+        xy[(p, q)] = xy.get((p, q), 0) + self.u * other.u * Fraction((-1) ** p * (p + 1), 4**p)
+        return PresentedElement(self.ctx, {key: c for key, c in xy.items() if c}, out.u)
+
+    monkeypatch.setattr(PresentedElement, "__mul__", mul)
+
+
+def _phi_scale_times_a_plus_1(monkeypatch):
+    _patch(monkeypatch, "_phi_scale", lambda f: lambda ctx, a, b: f(ctx, a, b) * (a + 1))
+
+
+def _c_constant_times_i_plus_1(monkeypatch):
+    _patch(monkeypatch, "c_constant", lambda f: lambda n, k, p, i: f(n, k, p, i) * (i + 1))
+
+
+def _global_factor_doubled(monkeypatch):
+    _patch(monkeypatch, "global_factor", lambda f: lambda ctx, label: f(ctx, label) * 2)
+
+
+def _phi_ex_dual_doubled(monkeypatch):
+    def dual(f):
+        def presented_dual(ctx, label):
+            element = f(ctx, label)
+            if label.kind != "PhiEx":
+                return element
+            return PresentedElement(ctx, element.xy, element.u * 2)
+
+        return presented_dual
+
+    def expand(f):
+        def expand_presented(ctx, element, k, family):
+            out = f(ctx, element, k, family)
+            if measures.PHI_EX in out:
+                out[measures.PHI_EX] /= 2
+            return out
+
+        return expand_presented
+
+    _patch(monkeypatch, "presented_dual", dual)
+    _patch(monkeypatch, "expand_presented", expand)
+
+
+MUTATIONS = {
+    "u^2 constant x2": _u_square_doubled,
+    "_phi_scale x(a+1)": _phi_scale_times_a_plus_1,
+    "c_constant x(i+1)": _c_constant_times_i_plus_1,
+    "global_factor x2": _global_factor_doubled,
+    "PhiEx dual x2, its inverse x1/2": _phi_ex_dual_doubled,
+}
+
+
+def _first_counterexample():
+    for n in range(2, 8):
+        for p in range(n):
+            ctx = FlagContext(n, p)
+            for name, suite in verify.VERIFY_SUITES:
+                detail = suite(ctx)
+                if detail is not None:
+                    return f"n={n} p={p} {name}: {detail}"
+    return None
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_verify_catches_mutation(monkeypatch, mutation):
+    _clear_caches()
+    try:
+        with monkeypatch.context() as m:
+            MUTATIONS[mutation](m)
+            detail = _first_counterexample()
+    finally:
+        _clear_caches()
+    assert detail is not None, f"no suite catches {mutation} at n <= 7"
