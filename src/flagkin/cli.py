@@ -14,8 +14,9 @@ import sys
 import tempfile
 
 # Only the presented engine is imported here, which is all that table,
-# coproduct, product, basis --p and dim --p use; dim without --p, verify
-# and the chord basis import the exterior modules they need when they run.
+# coproduct, product, basis --p and dim --p use; dim without --p and the
+# chord basis import rotation_algebra, and verify the exterior oracle,
+# when they run.
 from . import __version__
 from .errors import FlagkinError, ValidationError
 from .invariant_algebras import FlagContext, invariant_dimension
@@ -41,11 +42,12 @@ from .measures import (
 )
 from .scalars import Scalar
 
-# Default size guards.  verify, dim and the chord-diagram basis build
-# exterior forms, whose cost grows like 4^n; table, coproduct and product
-# compute in the x, y, u presentation, where the slowest table at n = 20
-# takes one to two seconds, and basis --p and dim --p only list measure
-# labels or count them.
+# Default size guards.  verify builds exterior forms, whose cost grows
+# like 4^n, dim ranks chord-monomial rows over as many blades, and the
+# chord-diagram basis prints Narayana(n, k) lines; table, coproduct and
+# product compute in the x, y, u presentation, where the slowest table at
+# n = 20 takes one to two seconds, and basis --p and dim --p only list
+# measure labels or count them.
 DEFAULT_MAX_N = 8
 PRESENTED_MAX_N = 20
 ALL_FORMATS = ("text", "json", "csv", "latex")

@@ -19,17 +19,6 @@ from fractions import Fraction
 from .errors import IndexOutOfRange
 
 
-def _inversions(a: int, b: int) -> int:
-    """Pairs (x in a, y in b) with x > y, masks read as ascending index sets."""
-    count = 0
-    while b:
-        low = b & -b
-        y = low.bit_length() - 1
-        count += (a >> (y + 1)).bit_count()
-        b ^= low
-    return count
-
-
 def _mask_to_indices(mask: int) -> list[int]:
     out = []
     while mask:
@@ -74,7 +63,8 @@ def _canonical(key: int) -> int:
 def _below_parity(mask: int) -> int:
     """Bit x set iff an odd number of bits of mask lie below x (x < 64).
 
-    The parity of _inversions(a, mask) is then that of (a & result).bit_count().
+    The parity of the pairs (x in a, y in mask) with x > y is then that of
+    (a & result).bit_count().
     """
     p = mask << 1
     p ^= p << 1
@@ -244,7 +234,7 @@ def wedge(*factors: Multivector) -> Multivector:
 def hodge_complement(n: int, sigma_mask: int) -> tuple[int, int]:
     """Sign and mask of *(sigma_I), fixed by sigma_I ^ *(sigma_I) = sigma_1...sigma_n."""
     comp = full_sigma_mask(n) & ~sigma_mask
-    sign = -1 if _inversions(sigma_mask, comp) & 1 else 1
+    sign = -1 if (sigma_mask & _below_parity(comp)).bit_count() & 1 else 1
     return sign, comp
 
 

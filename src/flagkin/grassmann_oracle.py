@@ -1,5 +1,11 @@
 """Independent verification layer built directly from the invariant forms.
 
+This is the one module that builds forms and imports the exterior kernel.
+It realizes R[X]/I: the generator x_{ij} is the invariant form
+(sigma_i ^ omega_{j,1} + sigma_j ^ omega_{i,1}) / 2, and products are
+wedge products, so the ideal relations hold identically instead of by
+rewriting.  rotation_measure_rep is the representative blade of S_{I,J}.
+
 realize sends an element of the presented flag algebra to its form:
 x^a y^b to embed_monomial(ctx, a, b), the product of elementary symmetric
 forms, and u to u_element(ctx), a determinant of generator forms.  The
@@ -31,6 +37,8 @@ carry opposite signs in any exterior algebra.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from fractions import Fraction
 from functools import lru_cache, reduce
 
@@ -41,20 +49,104 @@ from .errors import (
     ExceptionalUnavailable,
     IndexOutOfRange,
 )
-from .exterior import Multivector, omega1, sigma, star1, star1_inv, top_coefficient
-from .invariant_algebras import FlagContext, PresentedElement, embed_monomial, u_element
+from .exterior import Multivector, _key, omega1, sigma, star1, star1_inv, top_coefficient, wedge
+from .invariant_algebras import FlagContext, PresentedElement, embed_monomial
 from .measures import phi_label, validate_label
-from .rotation_algebra import (
-    AlgebraElement,
-    dalpha,
-    generator,
-    monomial,
-    rotation_measure_rep,
-    zero,
-)
+from .rotation_algebra import AlgebraElement, _perm_sign, _rep_term
 from .scalars import Scalar, binom, factorial
 
 Poly2 = dict[tuple[int, int], Multivector]
+
+
+# -- R[X]/I as forms -----------------------------------------------------------
+
+
+def one(n: int) -> AlgebraElement:
+    return AlgebraElement(n, Multivector.unit())
+
+
+def zero(n: int) -> AlgebraElement:
+    return AlgebraElement(n, Multivector.zero())
+
+
+@lru_cache(maxsize=None)
+def generator(n: int, i: int, j: int) -> AlgebraElement:
+    """The generator x_{ij} = (sigma_i ^ omega_{j,1} + sigma_j ^ omega_{i,1})/2."""
+    if not (2 <= i <= n and 2 <= j <= n):
+        raise IndexOutOfRange(f"x_({i},{j}) needs indices in 2..{n}")
+    if i == j:
+        return AlgebraElement(n, wedge(sigma(i), omega1(i)))
+    body = (wedge(sigma(i), omega1(j)) + wedge(sigma(j), omega1(i))).smul(Fraction(1, 2))
+    return AlgebraElement(n, body)
+
+
+def monomial(n: int, pairs) -> AlgebraElement:
+    """Product of generators x_{ij} over a sequence of index pairs."""
+    return reduce(operator.mul, (generator(n, i, j) for i, j in pairs), one(n))
+
+
+def determinant(entries: list[list[AlgebraElement]]) -> AlgebraElement:
+    """Determinant of a square matrix of commuting algebra elements."""
+    m = len(entries)
+    n = entries[0][0].n
+    out = zero(n)
+    for perm in itertools.permutations(range(m)):
+        term = reduce(operator.mul, (entries[r][perm[r]] for r in range(m)), one(n))
+        out = out + term.smul(_perm_sign(perm))
+    return out
+
+
+def elementary_symmetric(n: int, indices, i: int) -> AlgebraElement:
+    """E_i of the diagonal generators x_dd, d running over indices."""
+    indices = tuple(indices)
+    out = zero(n)
+    for subset in itertools.combinations(indices, i):
+        out = out + monomial(n, [(d, d) for d in subset])
+    return out
+
+
+@lru_cache(maxsize=None)
+def u_element(ctx: FlagContext) -> AlgebraElement:
+    """The exceptional generator: det of the off-diagonal block of X."""
+    if not ctx.exceptional:
+        raise ExceptionalUnavailable(f"n={ctx.n}, p={ctx.p} is not exceptional")
+    rows = list(ctx.block1())
+    cols = list(ctx.block2())
+    entries = [[generator(ctx.n, i, j) for j in cols] for i in rows]
+    return determinant(entries)
+
+
+@lru_cache(maxsize=None)
+def dalpha(n: int) -> Multivector:
+    """The symplectic form sum_i sigma_i ^ omega_{i,1}, i = 2..n (up to sign)."""
+    out = Multivector.zero()
+    for i in range(2, n + 1):
+        out = out + wedge(sigma(i), omega1(i))
+    return out
+
+
+def rotation_measure_rep(n: int, I, J) -> Multivector:
+    """Representative blade of S_{I,J}: sigma_I wedge omega_{J^c,1}.
+
+    J^c is taken ascending; the sign makes the concatenation (J, J^c)
+    carry the parity of (2, ..., n).  Antisymmetry in I comes from the
+    parity of I (a repeated index gives zero), antisymmetry in J from the
+    completion sign.  The fiber volume of the measure is left out: it is
+    a common factor that only ever sits in the last position.
+    """
+    I, J = tuple(I), tuple(J)
+    if len(I) != len(J):
+        raise BadIndexSet("|I| != |J|")
+    for v in I + J:
+        if not 2 <= v <= n:
+            raise BadIndexSet(f"index {v} outside 2..{n}")
+    sign, smask, omask = _rep_term(n, I, J)
+    if not sign:
+        return Multivector.zero()
+    return Multivector._of({_key(smask, omask): Fraction(sign)})
+
+
+# -- presented elements as forms -----------------------------------------------
 
 
 def realize(ctx: FlagContext, element: PresentedElement) -> AlgebraElement:
@@ -157,10 +249,10 @@ def generating_identity_polynomial(
             if prod.is_zero():
                 continue
             if len(prod) != 1:
-                raise AssertionError("generating product is not a top-blade multiple")
+                raise DegreeMismatch("generating product is not a top-blade multiple")
             coeff = top_coefficient(n, prod)
             if not coeff:
-                raise AssertionError("generating product missed the top blade")
+                raise DegreeMismatch("generating product missed the top blade")
             key = (ea, eb, ta, tb)
             out[key] = out.get(key, 0) + coeff
     return tuple(sorted((k, v) for k, v in out.items() if v))

@@ -2,10 +2,11 @@
 
 Production tables are computed in its presentation by x, y and u
 (PresentedElement).  The oracle checks that presentation against the
-realization by forms: x^i y^j is embed_monomial(ctx, i, j), built on the
-diagonal index blocks {2..p+1} and {p+2..n}, and u is u_element(ctx).
-Those two functions import rotation_algebra when they run, so the
-presented path never loads the exterior kernel.
+realization by forms in grassmann_oracle: x^i y^j is
+embed_monomial(ctx, i, j), built on the diagonal index blocks {2..p+1}
+and {p+2..n}, and u is grassmann_oracle.u_element(ctx).  embed_monomial
+imports the oracle when it runs, so the presented path never loads the
+exterior kernel.
 """
 
 from __future__ import annotations
@@ -13,12 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ExceptionalUnavailable
 from .scalars import Record, _set, factorial
-
-TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
-if TYPE_CHECKING:
-    from .rotation_algebra import AlgebraElement
 
 
 class FlagContext(Record):
@@ -65,22 +61,9 @@ class FlagContext(Record):
 
 
 @lru_cache(maxsize=None)
-def u_element(ctx: FlagContext) -> AlgebraElement:
-    """The exceptional generator: det of the off-diagonal block of X."""
-    if not ctx.exceptional:
-        raise ExceptionalUnavailable(f"n={ctx.n}, p={ctx.p} is not exceptional")
-    from .rotation_algebra import determinant, generator
-
-    rows = list(ctx.block1())
-    cols = list(ctx.block2())
-    entries = [[generator(ctx.n, i, j) for j in cols] for i in rows]
-    return determinant(entries)
-
-
-@lru_cache(maxsize=None)
-def embed_monomial(ctx: FlagContext, i: int, j: int) -> AlgebraElement:
-    """Image of x^i y^j: i! E_i(first block) * j! E_j(second block)."""
-    from .rotation_algebra import elementary_symmetric
+def embed_monomial(ctx: FlagContext, i: int, j: int):
+    """The AlgebraElement of x^i y^j: i! E_i(first block) * j! E_j(second block)."""
+    from .grassmann_oracle import elementary_symmetric
 
     ei = elementary_symmetric(ctx.n, ctx.block1(), i)
     ej = elementary_symmetric(ctx.n, ctx.block2(), j)

@@ -1,34 +1,33 @@
-"""The graded algebra R[X]/I realized faithfully inside the exterior kernel.
+"""The graded algebra R[X]/I by its index sets: chord bases, counts and ranks.
 
-Generators x_{ij} (2 <= i, j <= n) are represented by the invariant forms
-(sigma_i ^ omega_{j,1} + sigma_j ^ omega_{i,1}) / 2, and products are wedge
-products, so the ideal relations hold identically instead of by rewriting.
 Chord monomials (diagonal factors plus a non-crossing perfect matching)
 give a basis in each degree.  Graded dimensions are certified from +-1
 integer rows built straight from index sets and streamed into a rank
-certificate, with no basis records or cached columns.
+certificate, with no basis records or cached columns, and the rotation
+relations are checked on blade keys against their witness.  No form is
+built here: grassmann_oracle realizes the generators x_{ij} as invariant
+forms.  AlgebraElement, a form with its n, stays here because
+perfbench/tracer.py reads AlgebraElement.__mul__.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import comb
 
 from .errors import BadIndexSet, DimensionMismatch, IndexOutOfRange, NotHomogeneous
-from .exterior import Multivector, _key, full_omega_mask, sigma, omega1, wedge
 from .linalg import column_rank
 from .scalars import Record, _set
 
 
 class AlgebraElement(Record):
-    """Element of R[X]/I over ambient dimension n, stored as its form body."""
+    """Element of R[X]/I over ambient dimension n, stored as its form body (a Multivector)."""
 
     __slots__ = ("n", "body")
 
-    def __init__(self, n: int, body: Multivector) -> None:
+    def __init__(self, n: int, body) -> None:
         _set(self, "n", n)
         _set(self, "body", body)
 
@@ -52,7 +51,7 @@ class AlgebraElement(Record):
         return AlgebraElement(self.n, self.body.wedge(other.body))
 
     def __pow__(self, k: int) -> "AlgebraElement":
-        out = one(self.n)
+        out = AlgebraElement(self.n, self.body.unit())
         for _ in range(k):
             out = out * self
         return out
@@ -76,30 +75,6 @@ class AlgebraElement(Record):
         if len(degs) > 1:
             raise NotHomogeneous(f"mixed degrees {sorted(degs)}")
         return degs.pop() if degs else 0
-
-
-def one(n: int) -> AlgebraElement:
-    return AlgebraElement(n, Multivector.unit())
-
-
-def zero(n: int) -> AlgebraElement:
-    return AlgebraElement(n, Multivector.zero())
-
-
-@lru_cache(maxsize=None)
-def generator(n: int, i: int, j: int) -> AlgebraElement:
-    """The generator x_{ij} = (sigma_i ^ omega_{j,1} + sigma_j ^ omega_{i,1})/2."""
-    if not (2 <= i <= n and 2 <= j <= n):
-        raise IndexOutOfRange(f"x_({i},{j}) needs indices in 2..{n}")
-    if i == j:
-        return AlgebraElement(n, wedge(sigma(i), omega1(i)))
-    body = (wedge(sigma(i), omega1(j)) + wedge(sigma(j), omega1(i))).smul(Fraction(1, 2))
-    return AlgebraElement(n, body)
-
-
-def monomial(n: int, pairs) -> AlgebraElement:
-    """Product of generators x_{ij} over a sequence of index pairs."""
-    return reduce(operator.mul, (generator(n, i, j) for i, j in pairs), one(n))
 
 
 # -- chord monomials ---------------------------------------------------------
@@ -219,15 +194,6 @@ def graded_dimension(n: int, k: int) -> int:
 # -- the primal rotation-measure space ----------------------------------------
 
 
-@lru_cache(maxsize=None)
-def dalpha(n: int) -> Multivector:
-    """The symplectic form sum_i sigma_i ^ omega_{i,1}, i = 2..n (up to sign)."""
-    out = Multivector.zero()
-    for i in range(2, n + 1):
-        out = out + wedge(sigma(i), omega1(i))
-    return out
-
-
 def _dalpha_wedge(n: int, smask: int, omask: int) -> dict[int, int]:
     """Row of dalpha ^ sigma_S ^ omega_{O,1} for the canonical blade with masks S, O.
 
@@ -297,31 +263,10 @@ def _rep_term(n: int, I: tuple, J: tuple) -> tuple[int, int, int]:
     of the ascending J^c below each element of J.
     """
     sign = _perm_sign(I) * _perm_sign(J)
-    comp = full_omega_mask(n) & ~sum(1 << j for j in J)
+    comp = sum(1 << v for v in range(2, n + 1) if v not in J)
     if sum((comp & ((1 << j) - 1)).bit_count() for j in J) & 1:
         sign = -sign
     return sign, sum(1 << i for i in I), comp
-
-
-def rotation_measure_rep(n: int, I, J) -> Multivector:
-    """Representative blade of S_{I,J}: sigma_I wedge omega_{J^c,1}.
-
-    J^c is taken ascending; the sign makes the concatenation (J, J^c)
-    carry the parity of (2, ..., n).  Antisymmetry in I comes from the
-    parity of I (a repeated index gives zero), antisymmetry in J from the
-    completion sign.  The fiber volume of the measure is left out: it is
-    a common factor that only ever sits in the last position.
-    """
-    I, J = tuple(I), tuple(J)
-    if len(I) != len(J):
-        raise BadIndexSet("|I| != |J|")
-    for v in I + J:
-        if not 2 <= v <= n:
-            raise BadIndexSet(f"index {v} outside 2..{n}")
-    sign, smask, omask = _rep_term(n, I, J)
-    if not sign:
-        return Multivector.zero()
-    return Multivector._of({_key(smask, omask): Fraction(sign)})
 
 
 def _relation_sum(n: int, i_prime: tuple, j_prime: tuple) -> dict[int, int]:
@@ -365,26 +310,3 @@ def rotation_relation_check(n: int, i_prime, j_prime) -> bool:
     total = _relation_sum(n, i_prime, j_prime)
     witness = _relation_witness(n, i_prime, j_prime)
     return total == witness or total == {key: -c for key, c in witness.items()}
-
-
-# -- classical identities ------------------------------------------------------
-
-
-def determinant(entries: list[list[AlgebraElement]]) -> AlgebraElement:
-    """Determinant of a square matrix of commuting algebra elements."""
-    m = len(entries)
-    n = entries[0][0].n
-    out = zero(n)
-    for perm in itertools.permutations(range(m)):
-        term = reduce(operator.mul, (entries[r][perm[r]] for r in range(m)), one(n))
-        out = out + term.smul(_perm_sign(perm))
-    return out
-
-
-def elementary_symmetric(n: int, indices, i: int) -> AlgebraElement:
-    """E_i of the diagonal generators x_dd, d running over indices."""
-    indices = tuple(indices)
-    out = zero(n)
-    for subset in itertools.combinations(indices, i):
-        out = out + monomial(n, [(d, d) for d in subset])
-    return out

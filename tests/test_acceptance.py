@@ -16,18 +16,23 @@ import pytest
 
 from flagkin.grassmann_oracle import (
     convolution_cross_check,
+    determinant,
+    elementary_symmetric,
     eta_ex,
     eta_hat,
     generating_identity_check,
+    generator,
     honest_diagonal_twist,
     honest_exceptional_pairing,
     honest_generating_identity,
+    monomial,
     pairing,
     rotation_pairing,
     tau_ex,
     tau_tilde,
+    u_element,
 )
-from flagkin.invariant_algebras import FlagContext, embed_monomial, u_element
+from flagkin.invariant_algebras import FlagContext, embed_monomial
 from flagkin.kinematics import coproduct, coproduct_tables, hug_weil_coproduct
 from flagkin.linalg import SparseEchelon
 from flagkin.measures import (
@@ -40,12 +45,6 @@ from flagkin.measures import (
     presented_dual,
     s_in_phi_matrix,
     s_label,
-)
-from flagkin.rotation_algebra import (
-    elementary_symmetric,
-    determinant,
-    generator,
-    monomial,
 )
 from flagkin.scalars import Scalar, binom
 from flagkin.verify import (

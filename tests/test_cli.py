@@ -304,8 +304,9 @@ def test_basis_refuses_a_degree_out_of_range_in_both_forms(capsys, k, fmt):
         assert err == f"flagkin: error: k={k} outside 0..3\n", form
 
 # Modules a presented request must not load: the dataclass machinery (with
-# inspect behind it), which no module uses, and the exterior oracle, which
-# only dim without --p, verify and the chord basis need.
+# inspect behind it), which no module uses, the rank modules, which only
+# dim without --p, verify and the chord basis need, and the exterior
+# oracle, which only verify needs.
 ORACLE_MODULES = {
     "dataclasses",
     "inspect",
@@ -353,3 +354,17 @@ def test_presented_requests_load_no_oracle(request_name):
     loaded = _loaded_modules(*PRESENTED_REQUESTS[request_name]) - _bare_interpreter_modules()
     assert "flagkin.measures" in loaded  # the presented engine itself is seen
     assert not loaded & ORACLE_MODULES, sorted(loaded & ORACLE_MODULES)
+
+
+CHORD_REQUESTS = {
+    "dim": ["-m", "flagkin.cli", "dim", "--n", "8"],
+    "basis": ["-m", "flagkin.cli", "basis", "--n", "8", "--k", "3"],
+}
+
+
+@pytest.mark.parametrize("request_name", sorted(CHORD_REQUESTS))
+def test_chord_requests_build_no_form(request_name):
+    loaded = _loaded_modules(*CHORD_REQUESTS[request_name]) - _bare_interpreter_modules()
+    assert "flagkin.rotation_algebra" in loaded
+    forms = loaded & {"flagkin.exterior", "flagkin.grassmann_oracle"}
+    assert not forms, sorted(forms)

@@ -16,7 +16,7 @@ from flagkin.exterior import (
     top_coefficient,
     wedge,
 )
-from flagkin.rotation_algebra import rotation_measure_rep
+from flagkin.grassmann_oracle import rotation_measure_rep
 from flagkin.scalars import Scalar
 
 

@@ -14,13 +14,13 @@ the same top-blade coefficient.
 """
 
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
 
-from flagkin.errors import BadIndexSet, DimensionMismatch, ExceptionalUnavailable
-from flagkin.exterior import omega1, sigma, wedge
+from flagkin.errors import BadIndexSet, DegreeMismatch, DimensionMismatch, ExceptionalUnavailable
+from flagkin.exterior import Multivector, omega1, sigma, wedge
+import flagkin.grassmann_oracle as grassmann_oracle
 from flagkin.grassmann_oracle import (
     convolution_cross_check,
     eta_ex,
@@ -36,6 +36,7 @@ from flagkin.grassmann_oracle import (
     tau_tilde,
 )
 from flagkin.invariant_algebras import FlagContext
+from flagkin.rotation_algebra import chord_basis
 from flagkin.scalars import Scalar, binom, factorial
 
 CONTEXTS = [(n, p) for n in range(2, 7) for p in range(n)]
@@ -105,6 +106,47 @@ def test_generating_identity(n, p):
         assert not generating_identity_check(ctx)
 
 
+@pytest.mark.parametrize("n,p", [(4, 1), (5, 2)])
+def test_oracle_suite_catches_a_star1_inv_sign_flip(monkeypatch, n, p):
+    """The generating identity states every flag pairing, so it sees a sign flipped in one degree."""
+    from flagkin import exterior
+    from flagkin.verify import _suite_oracle
+
+    def flipped_star1_inv(n, a):
+        def sign(j):
+            s = -1 if (j * (j - 1) // 2 + j * (n - j)) & 1 else 1
+            return -s if j == n - 2 else s
+
+        return exterior._complement_sigma(n, a, sign)
+
+    ctx = FlagContext(n, p)
+    assert _suite_oracle(ctx) is None
+    grassmann_oracle.generating_identity_polynomial.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(grassmann_oracle, "star1_inv", flipped_star1_inv)
+            assert _suite_oracle(ctx) == "generating identity polynomial has unexpected shape"
+    finally:
+        grassmann_oracle.generating_identity_polynomial.cache_clear()
+
+
+def test_generating_product_off_the_top_blade_is_a_degree_mismatch(monkeypatch):
+    """A star1_inv that drops sigma_1 raises a FlagkinError, which verify reports as a FAIL."""
+    original = grassmann_oracle.star1_inv
+
+    def dropping_sigma_1(n, a):
+        return Multivector({key & ~(1 << 33): c for key, c in original(n, a).row.items()})
+
+    grassmann_oracle.generating_identity_polynomial.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(grassmann_oracle, "star1_inv", dropping_sigma_1)
+            with pytest.raises(DegreeMismatch):
+                grassmann_oracle.generating_identity_polynomial(FlagContext(4, 1))
+    finally:
+        grassmann_oracle.generating_identity_polynomial.cache_clear()
+
+
 def test_generating_polynomial_n3():
     # (-1)^(3-1) (alpha - alpha~)(beta - beta~): four signed monomials
     poly = dict(generating_identity_polynomial(FlagContext(3, 1)))
@@ -145,17 +187,22 @@ def test_convolution_cross_check_exhaustive(n):
                     assert convolution_cross_check(ctx, m1, m2), (m1, m2)
 
 
-@pytest.mark.parametrize("n", [5, 6, 7])
-def test_convolution_cross_check_sampled(n):
+@pytest.mark.parametrize("n", [5, 6])
+def test_convolution_cross_check_chord_pairs(n):
+    # every pair of chord monomials with d1 <= d2 and d1 + d2 <= n - 1;
+    # n = 7 is covered by the convolution suite in the golden verify output
     ctx = FlagContext(n, 1)
-    rng = random.Random(20260808)
-    gens = [(i, j) for i in range(2, n + 1) for j in range(i, n + 1)]
-    for _ in range(60):
-        d1 = rng.randint(1, n - 2)
-        d2 = rng.randint(1, n - 1 - d1)
-        m1 = tuple(rng.choice(gens) for _ in range(d1))
-        m2 = tuple(rng.choice(gens) for _ in range(d2))
-        assert convolution_cross_check(ctx, m1, m2), (m1, m2)
+    chords = {
+        d: [tuple((v, v) for v in diag) + m for diag, m in chord_basis(n, d)] for d in range(1, n)
+    }
+    checked = 0
+    for d1 in range(1, n):
+        for d2 in range(d1, n - d1):
+            for m1 in chords[d1]:
+                for m2 in chords[d2]:
+                    assert convolution_cross_check(ctx, m1, m2), (m1, m2)
+                    checked += 1
+    assert checked == {5: 800, 6: 6950}[n]
 
 
 def test_convolution_degree_guard():
@@ -164,8 +211,7 @@ def test_convolution_degree_guard():
 
 
 def test_pairing_rejects_inhomogeneous_dual():
-    from flagkin.errors import DegreeMismatch
-    from flagkin.rotation_algebra import generator, one
+    from flagkin.grassmann_oracle import generator, one
 
     ctx = FlagContext(4, 1)
     mixed = generator(4, 2, 2) + one(4)

@@ -3,17 +3,15 @@ from fractions import Fraction
 import pytest
 
 from flagkin.errors import ExceptionalUnavailable
-from flagkin.grassmann_oracle import realize
+from flagkin.grassmann_oracle import elementary_symmetric, generator, realize, u_element
 from flagkin.invariant_algebras import (
     FlagContext,
     PresentedElement,
     embed_monomial,
     invariant_dimension,
     monomial_exponents,
-    u_element,
 )
 from flagkin.linalg import SparseEchelon
-from flagkin.rotation_algebra import elementary_symmetric, generator
 
 
 def _t(n):

@@ -33,7 +33,7 @@ HOMES = {
     "MeasureLabel": "measures",
     "Scalar": "scalars",
     "coproduct": "kinematics",
-    "generator": "rotation_algebra",
+    "generator": "grassmann_oracle",
     "graded_dimension": "rotation_algebra",
     "hug_weil_coproduct": "kinematics",
     "phi_label": "measures",

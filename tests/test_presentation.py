@@ -6,7 +6,7 @@ import pytest
 
 import flagkin.grassmann_oracle as grassmann_oracle
 from flagkin.errors import NotHomogeneous
-from flagkin.grassmann_oracle import realize
+from flagkin.grassmann_oracle import realize, zero
 from flagkin.invariant_algebras import FlagContext, PresentedElement
 from flagkin.measures import (
     PHI_EX,
@@ -16,7 +16,6 @@ from flagkin.measures import (
     phi_label,
     presented_dual,
 )
-from flagkin.rotation_algebra import zero
 from flagkin.verify import _suite_flag_algebra
 
 CONTEXTS = [(n, p) for n in range(2, 9) for p in range(n)]

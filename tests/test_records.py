@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 from flagkin.exterior import Multivector
+from flagkin.grassmann_oracle import generator
 from flagkin.invariant_algebras import FlagContext, PresentedElement
 from flagkin.kinematics import KinematicTable
 from flagkin.measures import MeasureLabel, phi_label, s_label
-from flagkin.rotation_algebra import AlgebraElement, generator
+from flagkin.rotation_algebra import AlgebraElement
 from flagkin.scalars import Record, Scalar, _set
 
 CTX = FlagContext(5, 2)

@@ -1,5 +1,4 @@
 import itertools
-import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -8,6 +7,15 @@ import pytest
 from flagkin import linalg
 from flagkin.errors import BadIndexSet, DimensionMismatch, IndexOutOfRange, NotHomogeneous
 from flagkin.exterior import Multivector, omega1, sigma, wedge
+from flagkin.grassmann_oracle import (
+    dalpha,
+    determinant,
+    elementary_symmetric,
+    generator,
+    monomial,
+    one,
+    rotation_measure_rep,
+)
 from flagkin.invariant_algebras import FlagContext
 from flagkin.linalg import SparseEchelon, certified_rank
 from flagkin.rotation_algebra import (
@@ -20,15 +28,8 @@ from flagkin.rotation_algebra import (
     chord_basis,
     chord_count,
     chord_text,
-    dalpha,
-    determinant,
-    elementary_symmetric,
-    generator,
     graded_dimension,
-    monomial,
     narayana,
-    one,
-    rotation_measure_rep,
     rotation_relation_check,
     rotation_space_dimension,
 )
@@ -358,14 +359,11 @@ def test_elementary_symmetric_identity(n):
 
 
 def test_multiply_commutative_associative():
-    rng = random.Random(7)
     n = 5
-
-    def rand_elem(deg):
-        out = monomial(n, [(rng.randint(2, n), rng.randint(2, n)) for _ in range(deg)])
-        return out.smul(Fraction(rng.randint(1, 3)))
-
-    for _ in range(25):
-        a, b, c = rand_elem(1), rand_elem(1), rand_elem(2)
+    gens = [generator(n, i, j) for i in range(2, n + 1) for j in range(i, n + 1)]
+    chords = [monomial(n, [(d, d) for d in diag] + list(m)) for diag, m in chord_basis(n, 2)]
+    assert (len(gens), len(chords)) == (10, 20)
+    for a, b in itertools.product(gens, repeat=2):
         assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
+        for c in chords:
+            assert (a * b) * c == a * (b * c)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from flagkin import measures, verify
+from flagkin import measures, rotation_algebra, verify
 from flagkin.invariant_algebras import FlagContext, PresentedElement
 
 
@@ -25,9 +25,9 @@ def _clear_caches():
                     value.cache_clear()
 
 
-def _patch(monkeypatch, name, wrap):
-    """Replace measures.<name> by wrap(original) in every module that binds it."""
-    original = getattr(measures, name)
+def _patch(monkeypatch, name, wrap, home=measures):
+    """Replace home.<name> by wrap(original) in every module that binds it."""
+    original = getattr(home, name)
     mutant = wrap(original)
     for module_name, module in list(sys.modules.items()):
         if module_name.startswith("flagkin") and getattr(module, name, None) is original:
@@ -84,12 +84,24 @@ def _phi_ex_dual_doubled(monkeypatch):
     _patch(monkeypatch, "expand_presented", expand)
 
 
+def _rep_term_sign_dropped(monkeypatch):
+    def wrap(f):
+        def rep_term(n, I, J):
+            sign, smask, omask = f(n, I, J)
+            return abs(sign), smask, omask
+
+        return rep_term
+
+    _patch(monkeypatch, "_rep_term", wrap, rotation_algebra)
+
+
 MUTATIONS = {
     "u^2 constant x2": _u_square_doubled,
     "_phi_scale x(a+1)": _phi_scale_times_a_plus_1,
     "c_constant x(i+1)": _c_constant_times_i_plus_1,
     "global_factor x2": _global_factor_doubled,
     "PhiEx dual x2, its inverse x1/2": _phi_ex_dual_doubled,
+    "_rep_term sign dropped": _rep_term_sign_dropped,
 }
 
 
