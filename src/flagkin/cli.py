@@ -13,41 +13,19 @@ import stat
 import sys
 import tempfile
 
-# Only the presented engine is imported here, which is all that table,
-# coproduct, product, basis --p and dim --p use; dim without --p and the
-# chord basis import rotation_algebra, and verify the exterior oracle,
-# when they run.
+# The engines are imported inside the commands that use them: dim without
+# --p and the chord basis load only rotation_algebra, the other commands
+# the presented engine, and verify the exterior oracle.
 from . import __version__
 from .errors import FlagkinError, ValidationError
-from .invariant_algebras import FlagContext, invariant_dimension
-from .kinematics import (
-    KinematicTable,
-    coproduct,
-    coproduct_tables,
-    csv_rows,
-    family_unit,
-    hug_weil_coproduct,
-    table_to_csv,
-    table_to_json,
-    table_to_latex,
-)
-from .measures import (
-    PHI_EX,
-    MeasureLabel,
-    basis_labels,
-    dual_product,
-    phi_label,
-    s_label,
-    validate_label,
-)
-from .scalars import Scalar
 
 # Default size guards.  verify builds exterior forms, whose cost grows
-# like 4^n, dim ranks chord-monomial rows over as many blades, and the
-# chord-diagram basis prints Narayana(n, k) lines; table, coproduct and
-# product compute in the x, y, u presentation, where the slowest table at
-# n = 20 takes one to two seconds, and basis --p and dim --p only list
-# measure labels or count them.
+# like 4^n.  dim checks one lead key per chord monomial, and the
+# chord-diagram basis prints one line per monomial: Narayana(n, k) in
+# degree k, Catalan(n) in all, which also grows like 4^n.  table,
+# coproduct and product compute in the x, y, u presentation, where the
+# slowest table at n = 20 takes one to two seconds, and basis --p and
+# dim --p only list measure labels or count them.
 DEFAULT_MAX_N = 8
 PRESENTED_MAX_N = 20
 ALL_FORMATS = ("text", "json", "csv", "latex")
@@ -126,6 +104,8 @@ def _json_text(data) -> str:
 
 
 def _ctx(args) -> FlagContext:
+    from .invariant_algebras import FlagContext
+
     if args.p is None:
         raise ValidationError("this request needs --p")
     if not 0 <= args.p <= args.n - 1:
@@ -135,6 +115,8 @@ def _ctx(args) -> FlagContext:
 
 def _input_label(ctx: FlagContext, args, suffix: str = "") -> MeasureLabel:
     """The label named by --ex, --k, --a and --i, or by the flags ending in suffix."""
+    from .measures import PHI_EX, phi_label, s_label, validate_label
+
     if getattr(args, "ex" + suffix):
         if not ctx.exceptional:
             raise ValidationError(
@@ -172,6 +154,8 @@ def cmd_dim(args) -> int:
         ]
         title = f"rotation algebra graded dimensions, n={args.n}"
     else:
+        from .invariant_algebras import invariant_dimension
+
         ctx = _ctx(args)
         rows = [
             {"k": k, "dimension": invariant_dimension(ctx, k)} for k in range(args.n)
@@ -213,6 +197,8 @@ def cmd_basis(args) -> int:
             lines += [f"  {m}" for m in mons]
             _emit(args, "\n".join(lines) + "\n")
         return 0
+    from .measures import basis_labels
+
     ctx = _ctx(args)
     labels = basis_labels(ctx, args.k, args.basis)
     if args.format == "json":
@@ -230,6 +216,10 @@ def cmd_basis(args) -> int:
 
 
 def cmd_product(args) -> int:
+    from .kinematics import family_unit
+    from .measures import dual_product
+    from .scalars import Scalar
+
     _guard(args, PRESENTED_MAX_N)
     ctx = _ctx(args)
     left = _input_label(ctx, args)
@@ -259,6 +249,8 @@ def cmd_product(args) -> int:
 
 
 def _render_tables(args, tables: list[KinematicTable]) -> str:
+    from .kinematics import csv_rows, table_to_csv, table_to_json, table_to_latex
+
     if args.format == "json":
         if len(tables) == 1:
             return _json_text(table_to_json(tables[0]))
@@ -283,6 +275,8 @@ def _render_tables(args, tables: list[KinematicTable]) -> str:
 
 
 def cmd_coproduct(args) -> int:
+    from .kinematics import coproduct
+
     _guard(args, PRESENTED_MAX_N)
     ctx = _ctx(args)
     label = _input_label(ctx, args)
@@ -292,6 +286,8 @@ def cmd_coproduct(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .kinematics import coproduct_tables, hug_weil_coproduct
+
     _guard(args, PRESENTED_MAX_N)
     ctx = _ctx(args)
     if args.hug_weil:
@@ -339,66 +335,71 @@ def cmd_verify(args) -> int:
 # -- entry point -------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("dim", "basis", "product", "coproduct", "table", "verify")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The flagkin parser, with every subparser or with only that of command."""
     parser = _Parser(prog="flagkin", description=__doc__)
     parser.add_argument("--version", action="version", version=f"flagkin {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # With one subparser the usage line must still name every command.
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    def common(sp, formats, with_p=True):
+    def add(name, help, formats):
+        if command not in (None, name):
+            return None
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--n", type=int, required=True, help="ambient dimension")
-        if with_p:
-            sp.add_argument("--p", type=int, default=None, help="plane dimension minus one")
+        sp.add_argument("--p", type=int, default=None, help="plane dimension minus one")
         sp.add_argument("--format", choices=formats, default="text")
         sp.add_argument("--output", default=None, help="write to file instead of stdout")
         sp.add_argument("--max-n", type=int, default=None, help="override the size guard")
+        return sp
 
-    sp = sub.add_parser("dim", help="graded dimensions")
-    common(sp, ALL_FORMATS)
-    sp.set_defaults(func=cmd_dim)
+    if sp := add("dim", "graded dimensions", ALL_FORMATS):
+        sp.set_defaults(func=cmd_dim)
 
-    sp = sub.add_parser("basis", help="chord basis or measure labels")
-    common(sp, ("text", "json"))
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--basis", choices=("Phi", "S"), default="S")
-    sp.set_defaults(func=cmd_basis)
+    if sp := add("basis", "chord basis or measure labels", ("text", "json")):
+        sp.add_argument("--k", type=int, default=None)
+        sp.add_argument("--basis", choices=("Phi", "S"), default="S")
+        sp.set_defaults(func=cmd_basis)
 
-    sp = sub.add_parser("product", help="dual basis product expansion")
-    common(sp, ("text", "json"))
-    sp.add_argument("--basis", choices=("Phi", "S"), default="S")
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--a", type=int, default=None)
-    sp.add_argument("--i", type=int, default=None)
-    sp.add_argument("--ex", action="store_true")
-    sp.add_argument("--k2", type=int, default=None)
-    sp.add_argument("--a2", type=int, default=None)
-    sp.add_argument("--i2", type=int, default=None)
-    sp.add_argument("--ex2", action="store_true")
-    sp.set_defaults(func=cmd_product)
+    if sp := add("product", "dual basis product expansion", ("text", "json")):
+        sp.add_argument("--basis", choices=("Phi", "S"), default="S")
+        sp.add_argument("--k", type=int, default=None)
+        sp.add_argument("--a", type=int, default=None)
+        sp.add_argument("--i", type=int, default=None)
+        sp.add_argument("--ex", action="store_true")
+        sp.add_argument("--k2", type=int, default=None)
+        sp.add_argument("--a2", type=int, default=None)
+        sp.add_argument("--i2", type=int, default=None)
+        sp.add_argument("--ex2", action="store_true")
+        sp.set_defaults(func=cmd_product)
 
-    sp = sub.add_parser("coproduct", help="kinematic table of one basis measure")
-    common(sp, ALL_FORMATS)
-    sp.add_argument("--basis", choices=("Phi", "S"), default="S")
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--a", type=int, default=None)
-    sp.add_argument("--i", type=int, default=None)
-    sp.add_argument("--ex", action="store_true")
-    sp.set_defaults(func=cmd_coproduct)
+    if sp := add("coproduct", "kinematic table of one basis measure", ALL_FORMATS):
+        sp.add_argument("--basis", choices=("Phi", "S"), default="S")
+        sp.add_argument("--k", type=int, default=None)
+        sp.add_argument("--a", type=int, default=None)
+        sp.add_argument("--i", type=int, default=None)
+        sp.add_argument("--ex", action="store_true")
+        sp.set_defaults(func=cmd_coproduct)
 
-    sp = sub.add_parser("table", help="all kinematic tables for (n, p)")
-    common(sp, ALL_FORMATS)
-    sp.add_argument("--basis", choices=("Phi", "S"), default="S")
-    sp.add_argument("--hug-weil", action="store_true", help="emit the rescaled S^(p) tables")
-    sp.set_defaults(func=cmd_table)
+    if sp := add("table", "all kinematic tables for (n, p)", ALL_FORMATS):
+        sp.add_argument("--basis", choices=("Phi", "S"), default="S")
+        sp.add_argument("--hug-weil", action="store_true", help="emit the rescaled S^(p) tables")
+        sp.set_defaults(func=cmd_table)
 
-    sp = sub.add_parser("verify", help="run all verification suites for (n, p)")
-    common(sp, ("text",))
-    sp.set_defaults(func=cmd_verify)
+    if sp := add("verify", "run all verification suites for (n, p)", ("text",)):
+        sp.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A request that names its command builds that command's subparser only.
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -14,7 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import Record, _set, factorial
+from .records import Record, _set
+from .scalars import factorial
 
 
 class FlagContext(Record):

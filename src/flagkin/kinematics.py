@@ -35,7 +35,8 @@ from .measures import (
     s_label,
     validate_label,
 )
-from .scalars import Record, Scalar, _set, binom
+from .records import Record, _set
+from .scalars import Scalar, binom
 
 Term = tuple[MeasureLabel, MeasureLabel, Fraction]
 

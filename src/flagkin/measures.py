@@ -21,7 +21,8 @@ from functools import lru_cache
 
 from .errors import ExceptionalUnavailable, IndexOutOfRange, NotHomogeneous
 from .invariant_algebras import FlagContext, PresentedElement, monomial_exponents
-from .scalars import Record, _set, binom, factorial
+from .records import Record, _set
+from .scalars import binom, factorial
 
 
 class MeasureLabel(Record, order=True):

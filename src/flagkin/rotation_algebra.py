@@ -1,25 +1,26 @@
 """The graded algebra R[X]/I by its index sets: chord bases, counts and ranks.
 
 Chord monomials (diagonal factors plus a non-crossing perfect matching)
-give a basis in each degree.  Graded dimensions are certified from +-1
-integer rows built straight from index sets and streamed into a rank
-certificate, with no basis records or cached columns, and the rotation
-relations are checked on blade keys against their witness.  No form is
-built here: grassmann_oracle realizes the generators x_{ij} as invariant
-forms.  AlgebraElement, a form with its n, stays here because
-perfbench/tracer.py reads AlgebraElement.__mul__.
+give a basis in each degree.  Graded dimensions are certified by the
+chord monomials' lead keys, one int each, with no row built and no rank
+routine called (see graded_dimension); the +-1 rows themselves stay as
+the reference that the tests rank.  The primal rotation-measure space is
+ranked from rows streamed into a certificate, and the rotation relations
+are checked on blade keys against their witness.  No form is built here:
+grassmann_oracle realizes the generators x_{ij} as invariant forms.
+AlgebraElement, a form with its n, stays here because perfbench/tracer.py
+reads AlgebraElement.__mul__.  This module loads neither fractions nor
+linalg; the functions that need them import them when they run.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .errors import BadIndexSet, DimensionMismatch, IndexOutOfRange, NotHomogeneous
-from .linalg import column_rank
-from .scalars import Record, _set
+from .errors import BadIndexSet, DimensionMismatch, FlagkinError, IndexOutOfRange, NotHomogeneous
+from .records import Record, _set
 
 
 class AlgebraElement(Record):
@@ -179,16 +180,48 @@ def _chord_columns(n: int, k: int) -> tuple[dict[int, Fraction], ...]:
     Nothing in flagkin calls it; it stays only for perfbench/tracer.py,
     which reads its cache statistics.  The tests compare it with monomial().
     """
+    from fractions import Fraction
+
     return tuple(
         {key: Fraction(e, 1 << len(matching)) for key, e in _chord_row(diag, matching).items()}
         for diag, matching in _chord_index_sets(n, k)
     )
 
 
+def _chord_lead(diagonals: tuple[int, ...], matching: tuple[tuple[int, int], ...]) -> int:
+    """min(_chord_row(diagonals, matching)): sigma takes each chord's start, omega its end."""
+    diag = starts = ends = 0
+    for d in diagonals:
+        diag |= 1 << d
+    for a, b in matching:
+        starts |= 1 << a
+        ends |= 1 << b
+    return (diag | starts) << 32 | diag | ends
+
+
 @lru_cache(maxsize=None)
 def graded_dimension(n: int, k: int) -> int:
-    """Exact rank of the chord-monomial image span in degree k, from the scaled rows."""
-    return column_rank(lambda: _chord_rows(n, k))
+    """Exact rank of the chord-monomial image span in degree k, certified by lead keys.
+
+    Lemma: rows whose smallest keys are pairwise distinct are linearly
+    independent.  In a nonzero combination, the row with the smallest
+    lead among those taken is the only one with a nonzero entry there.
+    A chord row's smallest key is _chord_lead, with entry +-1: orienting a
+    chord (a, b), a < b, as (b, a) adds 2^b - 2^a > 0 to the sigma mask,
+    and sigma fills the high bits.  So when the leads of the chord
+    monomials are distinct, the rank is their number.  The leads are
+    distinct for a correct basis, since sigma & omega gives the diagonals
+    and the matching is the bracket matching of sigma-only indices as "("
+    against omega-only ones as ")".  A collision means the chord basis is
+    wrong, and raises FlagkinError: there is no elimination to fall back on.
+    """
+    leads = set()
+    for diagonals, matching in _chord_index_sets(n, k):
+        lead = _chord_lead(diagonals, matching)
+        if lead in leads:
+            raise FlagkinError(f"chord leads collide at n={n}, k={k}")
+        leads.add(lead)
+    return len(leads)
 
 
 # -- the primal rotation-measure space ----------------------------------------
@@ -232,6 +265,8 @@ def _dalpha_image_columns(n: int, k: int) -> tuple[dict[int, Fraction], ...]:
     Nothing in flagkin calls it; it stays only for perfbench/tracer.py,
     which reads its cache statistics.
     """
+    from fractions import Fraction
+
     return tuple({key: Fraction(e) for key, e in row.items()} for row in _dalpha_rows(n, k))
 
 
@@ -240,6 +275,8 @@ def rotation_space_dimension(n: int, k: int) -> int:
     """dim of (sigma^k x omega^(n-1-k)) modulo the image of wedge-by-dalpha."""
     if not 0 <= k <= n - 1:
         raise IndexOutOfRange(f"degree {k} outside 0..{n - 1}")
+    from .linalg import column_rank
+
     ambient = comb(n - 1, k) * comb(n - 1, n - 1 - k)
     return ambient - column_rank(lambda: _dalpha_rows(n, k))
 

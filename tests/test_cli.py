@@ -201,6 +201,23 @@ def test_verify_reports_a_suite_that_raises(capsys, monkeypatch):
     )
 
 
+def test_colliding_chord_leads_are_a_one_line_error(capsys, monkeypatch):
+    from flagkin import rotation_algebra
+
+    lead = rotation_algebra._chord_lead
+    monkeypatch.setattr(rotation_algebra, "_chord_lead", lambda diag, matching: lead((), matching))
+    rotation_algebra.graded_dimension.cache_clear()
+    try:
+        code, out, err = run(capsys, "dim", "--n", "3")
+        assert (code, out) == (1, "")
+        assert err == "flagkin: error: chord leads collide at n=3, k=1\n"
+        code, out, _ = run(capsys, "verify", "--n", "3", "--p", "0")
+        assert code == 2 and "  [FAIL] dimensions" in out.splitlines()
+        assert out.endswith("first counterexample: dimensions: chord leads collide at n=3, k=1\n")
+    finally:
+        rotation_algebra.graded_dimension.cache_clear()
+
+
 def test_exceptional_coproduct_cli(capsys):
     code, out, _ = run(capsys, "coproduct", "--n", "3", "--p", "1", "--basis", "Phi", "--ex")
     assert code == 0
@@ -304,9 +321,9 @@ def test_basis_refuses_a_degree_out_of_range_in_both_forms(capsys, k, fmt):
         assert err == f"flagkin: error: k={k} outside 0..3\n", form
 
 # Modules a presented request must not load: the dataclass machinery (with
-# inspect behind it), which no module uses, the rank modules, which only
-# dim without --p, verify and the chord basis need, and the exterior
-# oracle, which only verify needs.
+# inspect behind it), which no module uses, rotation_algebra, which only
+# dim without --p, verify and the chord basis need, linalg, which only
+# verify needs, and the exterior oracle, which only verify needs.
 ORACLE_MODULES = {
     "dataclasses",
     "inspect",
@@ -318,7 +335,6 @@ ORACLE_MODULES = {
 }
 
 PRESENTED_REQUESTS = {
-    "version": ["-m", "flagkin.cli", "--version"],
     "table": ["-m", "flagkin.cli", "table", "--n", "5", "--p", "2", "--format", "json"],
     "coproduct": ["-m", "flagkin.cli", "coproduct", "--n", "5", "--p", "2", "--k", "2", "--i", "1"],
     "product": [
@@ -328,6 +344,9 @@ PRESENTED_REQUESTS = {
     "basis --p": ["-m", "flagkin.cli", "basis", "--n", "5", "--p", "2", "--k", "2"],
     "dim --p": ["-m", "flagkin.cli", "dim", "--n", "5", "--p", "2"],
 }
+
+# The engine module a presented request is seen to load, when not measures.
+PRESENTED_ENGINE = {"dim --p": "flagkin.invariant_algebras"}
 
 
 def _loaded_modules(*args) -> set[str]:
@@ -352,7 +371,7 @@ def _bare_interpreter_modules() -> frozenset[str]:
 @pytest.mark.parametrize("request_name", sorted(PRESENTED_REQUESTS))
 def test_presented_requests_load_no_oracle(request_name):
     loaded = _loaded_modules(*PRESENTED_REQUESTS[request_name]) - _bare_interpreter_modules()
-    assert "flagkin.measures" in loaded  # the presented engine itself is seen
+    assert PRESENTED_ENGINE.get(request_name, "flagkin.measures") in loaded  # the engine is seen
     assert not loaded & ORACLE_MODULES, sorted(loaded & ORACLE_MODULES)
 
 
@@ -368,3 +387,30 @@ def test_chord_requests_build_no_form(request_name):
     assert "flagkin.rotation_algebra" in loaded
     forms = loaded & {"flagkin.exterior", "flagkin.grassmann_oracle"}
     assert not forms, sorted(forms)
+
+
+# Modules that only the presented engine and the oracle need: the chord
+# requests count and list index sets, with no rational arithmetic.
+PRESENTED_ONLY = {
+    "fractions",
+    "decimal",
+    "flagkin.scalars",
+    "flagkin.measures",
+    "flagkin.kinematics",
+    "flagkin.invariant_algebras",
+    "flagkin.linalg",
+}
+
+
+@pytest.mark.parametrize("request_name", sorted(CHORD_REQUESTS))
+def test_chord_requests_load_no_rationals(request_name):
+    loaded = _loaded_modules(*CHORD_REQUESTS[request_name]) - _bare_interpreter_modules()
+    assert "flagkin.rotation_algebra" in loaded
+    assert not loaded & PRESENTED_ONLY, sorted(loaded & PRESENTED_ONLY)
+
+
+def test_version_loads_only_the_command_line():
+    loaded = _loaded_modules("-m", "flagkin.cli", "--version") - _bare_interpreter_modules()
+    flagkin_modules = {m for m in loaded if m.startswith("flagkin")}
+    assert flagkin_modules <= {"flagkin", "flagkin.cli", "flagkin.errors"}, sorted(flagkin_modules)
+    assert not loaded & ORACLE_MODULES, sorted(loaded & ORACLE_MODULES)

@@ -8,8 +8,10 @@ every ordered label pair of total degree at most n - 1 and ``coproduct``
 (every format) for every label, at every p in both bases for n <= 4, and
 ``basis --k K`` (text and json) for every k at n <= 8.  The last two hash
 ``verify`` at every p for n <= 8, and ``dim`` (text and json) for
-n <= 10.  A refactor of a renderer or of a verify suite must leave each
-digest unchanged; a failure names the n whose output moved.
+n <= 11.  A refactor of a renderer or of a verify suite must leave each
+digest unchanged; a failure names the n whose output moved.  The usage
+test pins, one request at a time, the exit code, stdout and stderr of
+``--help``, of each command's ``--help`` and of the usage errors.
 """
 
 import contextlib
@@ -131,7 +133,7 @@ def test_verify_output_matches_recorded_digest(n):
 
 def dim_requests(n):
     for fmt in ("text", "json"):
-        yield ["dim", "--n", str(n), "--format", fmt, "--max-n", "10"]
+        yield ["dim", "--n", str(n), "--format", fmt, "--max-n", str(max(n, 10))]
 
 
 # sha256 of dim_requests(n), recorded from the reference output.
@@ -145,9 +147,56 @@ DIM_DIGESTS = {
     8: "e541997e1d048cd7243d9f803f4472cbd57e46385883d67cda49eaaf8a910a95",
     9: "3f819a58e0de51b10172246f7089cd26433a17cce5edb408ba7527f65b551d9f",
     10: "0f677d04853a68512eca8a487fd22bd45c5d8666bb71918c4d740fafe1fe6861",
+    11: "8aaf8dbb0958a3447e8afb68b193d3490074808e6515e13547accac9e6bd8e7a",
 }
 
 
 @pytest.mark.parametrize("n", sorted(DIM_DIGESTS))
 def test_dim_output_matches_recorded_digest(n):
     assert digest(n, dim_requests) == DIM_DIGESTS[n], f"dim output at n={n} changed"
+
+
+# Help and usage errors, at a fixed terminal width.
+USAGE_REQUESTS = {
+    "--help": ["--help"],
+    "--version": ["--version"],
+    "dim --help": ["dim", "--help"],
+    "basis --help": ["basis", "--help"],
+    "product --help": ["product", "--help"],
+    "coproduct --help": ["coproduct", "--help"],
+    "table --help": ["table", "--help"],
+    "verify --help": ["verify", "--help"],
+    "no arguments": [],
+    "unknown command": ["frobnicate", "--n", "3"],
+    "unrecognized argument": ["table", "--n", "3", "--bogus"],
+    "missing --n": ["dim"],
+}
+
+# sha256 of the exit code, stdout and stderr of each USAGE_REQUESTS entry.
+USAGE_DIGESTS = {
+    "--help": "3ec723b7c324279fc3a5d362f5d7b54b82e92522d2979dddf0fabc78bba7946c",
+    "--version": "0663d3be360c6a44b24e59d0b1e5b4384abe0915ab1df6d9758e78e80a103964",
+    "basis --help": "45ccf493139d80ea8ee9c312a90b4d87ac98d005592f396229ac82bc0458dd96",
+    "coproduct --help": "b3ee76a1d4af284566f288cd3bea71ec98daa00ac5ca2f988ea393645695a9c2",
+    "dim --help": "e33655024703cd345d89eeedab77825a513aeee252081da9c9c0d838e383e5d3",
+    "missing --n": "44c499f76d3bb53d7e483213b9cd342f5792802b98ebae12d68a8adb0e8299dd",
+    "no arguments": "ebe911648f64f06bcab541c70a9a022b48120283dd0e5904bb356de9b5f60c33",
+    "product --help": "1a31f581057b7df14f46e49e65d470ded45dda3af27483d2a407ac86d8cafbe0",
+    "table --help": "2daf8bfac4e3e4d69f3de828a403d9dc142bd8817fcce478e33b7aea07cdc397",
+    "unknown command": "84faad32185e651c66559fbcd2e649e76247e6020376e721e3f046fa90b42ad8",
+    "unrecognized argument": "bef25bc3b962e2fd860cb81be492f36a4dcf837beb2388dffe4a15b5279da28d",
+    "verify --help": "8a49da78371d139a23346ec7f0461b423bd39cf5abcb877c7700ec3645079c8d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_REQUESTS))
+def test_usage_output_matches_recorded_digest(monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(USAGE_REQUESTS[name])
+        except SystemExit as exc:
+            code = exc.code
+    text = f"{code}\n{out.getvalue()}\0{err.getvalue()}"
+    assert hashlib.sha256(text.encode()).hexdigest() == USAGE_DIGESTS[name], f"{name}:\n{text}"

@@ -12,7 +12,8 @@ from flagkin.invariant_algebras import FlagContext, PresentedElement
 from flagkin.kinematics import KinematicTable
 from flagkin.measures import MeasureLabel, phi_label, s_label
 from flagkin.rotation_algebra import AlgebraElement
-from flagkin.scalars import Record, Scalar, _set
+from flagkin.records import Record, _set
+from flagkin.scalars import Scalar
 
 CTX = FlagContext(5, 2)
 

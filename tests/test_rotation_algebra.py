@@ -5,7 +5,7 @@ from math import comb, factorial
 import pytest
 
 from flagkin import linalg
-from flagkin.errors import BadIndexSet, DimensionMismatch, IndexOutOfRange, NotHomogeneous
+from flagkin.errors import BadIndexSet, DimensionMismatch, FlagkinError, IndexOutOfRange, NotHomogeneous
 from flagkin.exterior import Multivector, omega1, sigma, wedge
 from flagkin.grassmann_oracle import (
     dalpha,
@@ -18,8 +18,12 @@ from flagkin.grassmann_oracle import (
 )
 from flagkin.invariant_algebras import FlagContext
 from flagkin.linalg import SparseEchelon, certified_rank
+from flagkin import rotation_algebra
 from flagkin.rotation_algebra import (
     _chord_columns,
+    _chord_index_sets,
+    _chord_lead,
+    _chord_row,
     _chord_rows,
     _dalpha_image_columns,
     _dalpha_rows,
@@ -154,16 +158,46 @@ def test_coordinates_requires_homogeneous():
         mixed.degree()
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", range(2, 11))
 def test_graded_dimension(n):
+    # The leads certificate against the rank certificate of the streamed rows.
     for k in range(n):
-        assert graded_dimension(n, k) == narayana(n, k)
+        assert graded_dimension(n, k) == certified_rank(_chord_rows(n, k)) == narayana(n, k), (n, k)
 
 
 def test_graded_dimension_examples():
     assert graded_dimension(4, 1) == 6
     assert graded_dimension(4, 0) == 1
     assert narayana(7, 3) == 175 == graded_dimension(7, 3)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_chord_lead_is_the_row_minimum(n):
+    for k in range(n):
+        for diag, matching in _chord_index_sets(n, k):
+            row = _chord_row(diag, matching)
+            lead = _chord_lead(diag, matching)
+            assert lead == min(row) and abs(row[lead]) == 1, (n, chord_text(diag, matching))
+
+
+def test_graded_dimension_calls_no_rank_routine(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("rank routine called")
+
+    monkeypatch.setattr(linalg, "column_rank", refuse)
+    monkeypatch.setattr(linalg, "certified_rank", refuse)
+    monkeypatch.setattr(rotation_algebra, "_chord_row", refuse)
+    graded_dimension.cache_clear()
+    assert [graded_dimension(9, k) for k in range(9)] == [narayana(9, k) for k in range(9)]
+
+
+def test_colliding_leads_raise_naming_n_and_k(monkeypatch):
+    monkeypatch.setattr(rotation_algebra, "_chord_lead", lambda diag, matching: 0)
+    graded_dimension.cache_clear()
+    assert graded_dimension(3, 0) == 1
+    with pytest.raises(FlagkinError, match=r"n=3, k=1"):
+        graded_dimension(3, 1)
+    graded_dimension.cache_clear()
 
 
 @pytest.mark.parametrize("n", range(2, 7))

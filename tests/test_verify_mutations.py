@@ -2,7 +2,8 @@
 
 Each case rewrites one constant of the production path in-process, the
 way a mistaken edit of the source would, and runs the verify suites over
-every (n, p) with n <= 7 until one returns a counterexample.  A mutation
+every (n, p) with n <= 7 until one returns a counterexample or raises a
+FlagkinError, which ``verify`` reports as a failed suite.  A mutation
 that no suite catches is a constant ``verify`` does not pin.  Every
 cached function in flagkin is cleared before and after each mutation, so
 no cached value of either side leaks into the other.
@@ -14,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from flagkin import measures, rotation_algebra, verify
+from flagkin.errors import FlagkinError
 from flagkin.invariant_algebras import FlagContext, PresentedElement
 
 
@@ -95,6 +97,10 @@ def _rep_term_sign_dropped(monkeypatch):
     _patch(monkeypatch, "_rep_term", wrap, rotation_algebra)
 
 
+def _chord_lead_without_diagonals(monkeypatch):
+    _patch(monkeypatch, "_chord_lead", lambda f: lambda diag, matching: f((), matching), rotation_algebra)
+
+
 MUTATIONS = {
     "u^2 constant x2": _u_square_doubled,
     "_phi_scale x(a+1)": _phi_scale_times_a_plus_1,
@@ -102,6 +108,7 @@ MUTATIONS = {
     "global_factor x2": _global_factor_doubled,
     "PhiEx dual x2, its inverse x1/2": _phi_ex_dual_doubled,
     "_rep_term sign dropped": _rep_term_sign_dropped,
+    "chord lead drops the diagonals": _chord_lead_without_diagonals,
 }
 
 
@@ -110,7 +117,10 @@ def _first_counterexample():
         for p in range(n):
             ctx = FlagContext(n, p)
             for name, suite in verify.VERIFY_SUITES:
-                detail = suite(ctx)
+                try:
+                    detail = suite(ctx)
+                except FlagkinError as exc:
+                    detail = str(exc)
                 if detail is not None:
                     return f"n={n} p={p} {name}: {detail}"
     return None
@@ -126,3 +136,14 @@ def test_verify_catches_mutation(monkeypatch, mutation):
     finally:
         _clear_caches()
     assert detail is not None, f"no suite catches {mutation} at n <= 7"
+
+
+def test_chord_lead_mutation_fails_dimensions_first_at_3_0(monkeypatch):
+    _clear_caches()
+    try:
+        with monkeypatch.context() as m:
+            _chord_lead_without_diagonals(m)
+            detail = _first_counterexample()
+    finally:
+        _clear_caches()
+    assert detail == "n=3 p=0 dimensions: chord leads collide at n=3, k=1", detail
