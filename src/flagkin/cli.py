@@ -216,9 +216,8 @@ def cmd_basis(args) -> int:
 
 
 def cmd_product(args) -> int:
-    from .kinematics import family_unit
+    from .kinematics import family_unit, json_coefficient, text_coefficient
     from .measures import dual_product
-    from .scalars import Scalar
 
     _guard(args, PRESENTED_MAX_N)
     ctx = _ctx(args)
@@ -227,10 +226,10 @@ def cmd_product(args) -> int:
     deg = left.degree(ctx) + right.degree(ctx)
     if deg > ctx.n - 1:
         raise ValidationError(f"total degree {deg} exceeds n-1={ctx.n - 1}")
-    product = sorted(dual_product(ctx, left, right, args.basis).items())
-    units = family_unit(ctx, args.basis).units
-    terms = [(l, Scalar(c, units)) for l, c in product]
+    terms = sorted(dual_product(ctx, left, right, args.basis).items())
+    unit = family_unit(ctx, args.basis)
     if args.format == "json":
+        coeff = json_coefficient(unit)
         data = {
             "schema": "flagkin/product/v1",
             "n": ctx.n,
@@ -238,12 +237,13 @@ def cmd_product(args) -> int:
             "basis": args.basis,
             "left": left.to_text(),
             "right": right.to_text(),
-            "terms": [{"label": l.to_text(), "coeff": c.to_json()} for l, c in terms],
+            "terms": [{"label": l.to_text(), "coeff": coeff(c)} for l, c in terms],
         }
         _emit(args, _json_text(data))
     else:
+        coeff = text_coefficient(unit)
         lines = [f"{left.to_text()}* . {right.to_text()}*  [n={ctx.n}, p={ctx.p}]"]
-        lines += [f"  {l.to_text()}* : {c.to_text()}" for l, c in terms]
+        lines += [f"  {l.to_text()}* : {coeff(c)}" for l, c in terms]
         _emit(args, "\n".join(lines) + "\n")
     return 0
 

@@ -51,9 +51,9 @@ from .errors import (
 )
 from .exterior import Multivector, _key, omega1, sigma, star1, star1_inv, top_coefficient, wedge
 from .invariant_algebras import FlagContext, PresentedElement, embed_monomial
-from .measures import phi_label, validate_label
+from .measures import binom, factorial, phi_label, validate_label
 from .rotation_algebra import AlgebraElement, _perm_sign, _rep_term
-from .scalars import Scalar, binom, factorial
+from .scalars import Scalar
 
 Poly2 = dict[tuple[int, int], Multivector]
 

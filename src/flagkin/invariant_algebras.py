@@ -11,11 +11,11 @@ exterior kernel.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .records import Record, _set
-from .scalars import factorial
 
 
 class FlagContext(Record):
@@ -68,7 +68,7 @@ def embed_monomial(ctx: FlagContext, i: int, j: int):
 
     ei = elementary_symmetric(ctx.n, ctx.block1(), i)
     ej = elementary_symmetric(ctx.n, ctx.block2(), j)
-    return (ei * ej).smul(factorial(i) * factorial(j))
+    return (ei * ej).smul(math.factorial(i) * math.factorial(j))
 
 
 def monomial_exponents(ctx: FlagContext, k: int) -> list[tuple[int, int]]:

@@ -8,9 +8,9 @@ dual basis, and read off the input's slot.  flagkin.verify checks the
 presentation against the exterior realization of the algebra and the
 tables term by term against the closed forms of the coefficient theorems.
 Table coefficients are rationals, like the closed forms: every table
-states its unit once, through its family (family_unit: omega_n^-1, or
-omega_{n-p}^-1 for the rescaled Sp tables), and the renderings attach it
-to each coefficient only when they print it.
+states its unit omega_m^-1 once (family_unit gives m: n, or n - p for the
+rescaled Sp tables), and one formatter per output format attaches it to
+each coefficient it prints; no printed coefficient is zero.
 
 The double-sum closed form for the S basis is implemented with summation
 limits m'_j, m'_{k-j} (the support of its binomial factors, as dictated by
@@ -29,6 +29,7 @@ from .invariant_algebras import FlagContext
 from .measures import (
     MeasureLabel,
     basis_labels,
+    binom,
     c_constant,
     dual_product,
     phi_label,
@@ -36,7 +37,6 @@ from .measures import (
     validate_label,
 )
 from .records import Record, _set
-from .scalars import Scalar, binom
 
 Term = tuple[MeasureLabel, MeasureLabel, Fraction]
 
@@ -45,9 +45,33 @@ def _label_sort_key(ctx: FlagContext, label: MeasureLabel):
     return (label.degree(ctx), 1 if label.kind == "PhiEx" else 0, label.idx)
 
 
-def family_unit(ctx: FlagContext, family: str) -> Scalar:
-    """The unit of a family's coefficients: omega_n^-1 for Phi and S, omega_{n-p}^-1 for Sp."""
-    return Scalar.omega(ctx.n - ctx.p if family == "Sp" else ctx.n, -1)
+def family_unit(ctx: FlagContext, family: str) -> int:
+    """The m of a family's unit omega_m^-1: n for Phi and S, n - p for Sp."""
+    return ctx.n - ctx.p if family == "Sp" else ctx.n
+
+
+def text_coefficient(m: int):
+    """The formatter of a coefficient in the unit omega_m^-1: num/den * omega(m)^-1."""
+    unit = f" * omega({m})^-1"
+    return lambda c: f"{c.numerator}/{c.denominator}{unit}"
+
+
+def json_coefficient(m: int):
+    """The formatter of a coefficient in the unit omega_m^-1: {num, den, units}."""
+    units = [{"sym": f"omega({m})", "exp": -1}]
+    return lambda c: {"num": c.numerator, "den": c.denominator, "units": units}
+
+
+def latex_coefficient(m: int):
+    """The formatter of a coefficient in the unit omega_m^-1: -\\frac{1}{2}\\omega_{m}^{-1}."""
+    unit = f"\\omega_{{{m}}}^{{-1}}"
+
+    def fmt(c: Fraction) -> str:
+        num, den = abs(c.numerator), c.denominator
+        body = f"{num}" if den == 1 else f"\\frac{{{num}}}{{{den}}}"
+        return f"{'-' if c < 0 else ''}{body}{unit}"
+
+    return fmt
 
 
 class KinematicTable(Record):
@@ -64,7 +88,7 @@ class KinematicTable(Record):
         _set(self, "terms", terms)
 
     @property
-    def unit(self) -> Scalar:
+    def unit(self) -> int:
         return family_unit(self.ctx, self.family)
 
     def coefficient(self, left: MeasureLabel, right: MeasureLabel) -> Fraction:
@@ -73,17 +97,10 @@ class KinematicTable(Record):
                 return c
         return Fraction(0)
 
-    def printed_terms(self) -> list[tuple[MeasureLabel, MeasureLabel, Scalar]]:
-        """The terms with the unit attached to each coefficient, for the renderings."""
-        units = self.unit.units
-        return [(l, r, Scalar(c, units)) for l, r, c in self.terms]
-
     def to_text(self) -> str:
         head = f"A({self.input.to_text()})  [n={self.ctx.n}, p={self.ctx.p}]"
-        rows = [
-            f"  {l.to_text()} (x) {r.to_text()}  :  {c.to_text()}"
-            for l, r, c in self.printed_terms()
-        ]
+        coeff = text_coefficient(self.unit)
+        rows = [f"  {l.to_text()} (x) {r.to_text()}  :  {coeff(c)}" for l, r, c in self.terms]
         return "\n".join([head] + rows)
 
 
@@ -204,21 +221,22 @@ def hug_weil_coproduct(ctx: FlagContext, k: int) -> KinematicTable:
 
 
 def table_to_json(table: KinematicTable) -> dict:
+    coeff = json_coefficient(table.unit)
     return {
         "schema": "flagkin/table/v1",
         "n": table.ctx.n,
         "p": table.ctx.p,
         "input": table.input.to_text(),
         "terms": [
-            {"left": l.to_text(), "right": r.to_text(), "coeff": c.to_json()}
-            for l, r, c in table.printed_terms()
+            {"left": l.to_text(), "right": r.to_text(), "coeff": coeff(c)}
+            for l, r, c in table.terms
         ],
     }
 
 
 def csv_rows(table: KinematicTable) -> list[str]:
     """One "left,right,num,den,units" line per term of the table."""
-    units = " ".join(f"{sym}^{exp}" for sym, exp in table.unit.units)
+    units = f"omega({table.unit})^-1"
     return [
         f"{l.to_text()},{r.to_text()},{c.numerator},{c.denominator},{units}"
         for l, r, c in table.terms
@@ -240,9 +258,10 @@ def _label_to_latex(label: MeasureLabel) -> str:
 
 
 def table_to_latex(table: KinematicTable) -> str:
+    coeff = latex_coefficient(table.unit)
     rows = [
-        f"{_label_to_latex(l)} \\otimes {_label_to_latex(r)} & {c.to_latex()} \\\\"
-        for l, r, c in table.printed_terms()
+        f"{_label_to_latex(l)} \\otimes {_label_to_latex(r)} & {coeff(c)} \\\\"
+        for l, r, c in table.terms
     ]
     return "\n".join(
         [

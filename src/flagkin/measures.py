@@ -16,13 +16,24 @@ of a label to the global area measure of its degree.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ExceptionalUnavailable, IndexOutOfRange, NotHomogeneous
 from .invariant_algebras import FlagContext, PresentedElement, monomial_exponents
 from .records import Record, _set
-from .scalars import binom, factorial
+
+
+def binom(m: int, r: int) -> Fraction:
+    """Binomial coefficient with C(m, r) = 0 outside 0 <= r <= m."""
+    if r < 0 or r > m or m < 0:
+        return Fraction(0)
+    return Fraction(math.comb(m, r))
+
+
+def factorial(k: int) -> Fraction:
+    return Fraction(math.factorial(k))
 
 
 class MeasureLabel(Record, order=True):

@@ -1,12 +1,12 @@
 """Exact scalars: rationals times a Laurent monomial in formal volume units.
 
 The unit symbols omega(m) (volume of the (m-1)-sphere) and volSO(n) are
-opaque and commute; they are never given numeric values.
+opaque and commute; they are never given numeric values.  Only the oracle
+pairings and the checks of them use Scalar.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
@@ -161,37 +161,5 @@ class Scalar(Record):
         parts += [f"{sym}^{exp}" for sym, exp in self.units]
         return " * ".join(parts)
 
-    def to_json(self) -> dict:
-        return {
-            "num": self.value.numerator,
-            "den": self.value.denominator,
-            "units": [{"sym": sym, "exp": exp} for sym, exp in self.units],
-        }
-
-    def to_latex(self) -> str:
-        num, den = self.value.numerator, self.value.denominator
-        sign = "-" if num < 0 else ""
-        num = abs(num)
-        body = f"{sign}{num}" if den == 1 else f"{sign}\\frac{{{num}}}{{{den}}}"
-        for sym, exp in self.units:
-            m = _SYM_RE.match(sym)
-            if m.group(1) == "omega":
-                tex = f"\\omega_{{{m.group(2)}}}"
-            else:
-                tex = f"\\operatorname{{vol}}\\mathrm{{SO}}({m.group(2)})"
-            body += tex if exp == 1 else f"{tex}^{{{exp}}}"
-        return body
-
     def __str__(self) -> str:
         return self.to_text()
-
-
-def binom(m: int, r: int) -> Fraction:
-    """Binomial coefficient with C(m, r) = 0 outside 0 <= r <= m."""
-    if r < 0 or r > m or m < 0:
-        return Fraction(0)
-    return Fraction(math.comb(m, r))
-
-
-def factorial(k: int) -> Fraction:
-    return Fraction(math.factorial(k))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from . import grassmann_oracle, kinematics, measures, rotation_algebra, scalars
+from . import grassmann_oracle, kinematics, measures, rotation_algebra
 from .errors import IndexOutOfRange
 from .invariant_algebras import FlagContext, PresentedElement
 from .scalars import Scalar
@@ -213,7 +213,7 @@ def verify_structure(ctx: FlagContext) -> str | None:
             got = _global_table(ctx, table)
             k = label.degree(ctx)
             front = measures.global_factor(ctx, label)
-            want = {(j, k - j): front * scalars.binom(k, j) for j in range(k + 1) if front}
+            want = {(j, k - j): front * measures.binom(k, j) for j in range(k + 1) if front}
             if got != want:
                 return f"globalization[{family}]: A({label})"
     return None

@@ -39,6 +39,7 @@ from flagkin.measures import (
     PHI_EX,
     MeasureLabel,
     basis_labels,
+    binom,
     expand_presented,
     phi_in_s_matrix,
     phi_label,
@@ -46,7 +47,7 @@ from flagkin.measures import (
     s_in_phi_matrix,
     s_label,
 )
-from flagkin.scalars import Scalar, binom
+from flagkin.scalars import Scalar
 from flagkin.verify import (
     _global_table,
     _suite_base_change,
@@ -236,7 +237,7 @@ def test_criterion_6_kinematic_tables():
         ctx = FlagContext(n, p)
         phi_table = coproduct(ctx, phi_label(n - 1, p), "Phi")
         corr = phi_table.coefficient(PHI_EX, PHI_EX)
-        assert phi_table.unit == Scalar.omega(n, -1)
+        assert phi_table.unit == n
         assert corr == Fraction((-1) ** p * (p + 1), 2 ** (2 * p))
         assert corr == Fraction((-1) ** ((n - 1) // 2) * (n + 1), 2**n)
         # S[n-1,0] and Phi[n-1,p] tables agree term by term after base change
@@ -273,12 +274,12 @@ def test_criterion_7_structural_laws():
             for k in range(n):
                 for i in range(ctx.m(k) + 1):
                     table = tables[s_label(k, i)]
-                    assert table.unit == Scalar.omega(n, -1)
+                    assert table.unit == n
                     want = {(j, k - j): binom(k, j) for j in range(k + 1)}
                     assert _global_table(ctx, table) == want, (n, p, k, i)
             for k in range(n - p):
                 table = hug_weil_coproduct(ctx, k)
-                assert table.unit == Scalar.omega(n - p, -1)
+                assert table.unit == n - p
                 for j in range(k + 1):
                     got = table.coefficient(MeasureLabel("Sp", j), MeasureLabel("Sp", k - j))
                     assert got == binom(k, j), (n, p, k, j)

@@ -323,7 +323,8 @@ def test_basis_refuses_a_degree_out_of_range_in_both_forms(capsys, k, fmt):
 # Modules a presented request must not load: the dataclass machinery (with
 # inspect behind it), which no module uses, rotation_algebra, which only
 # dim without --p, verify and the chord basis need, linalg, which only
-# verify needs, and the exterior oracle, which only verify needs.
+# verify needs, the exterior oracle, which only verify needs, and
+# scalars, whose unit-carrying Scalar only the oracle pairings use.
 ORACLE_MODULES = {
     "dataclasses",
     "inspect",
@@ -332,6 +333,7 @@ ORACLE_MODULES = {
     "flagkin.linalg",
     "flagkin.verify",
     "flagkin.grassmann_oracle",
+    "flagkin.scalars",
 }
 
 PRESENTED_REQUESTS = {

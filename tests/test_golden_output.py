@@ -6,10 +6,12 @@ hashes the argument lists, exit codes and stdout of all those requests in
 order.  The second hashes, the same way, ``product`` (text and json) for
 every ordered label pair of total degree at most n - 1 and ``coproduct``
 (every format) for every label, at every p in both bases for n <= 4, and
-``basis --k K`` (text and json) for every k at n <= 8.  The last two hash
+``basis --k K`` (text and json) for every k at n <= 8.  The next two hash
 ``verify`` at every p for n <= 8, and ``dim`` (text and json) for
-n <= 11.  A refactor of a renderer or of a verify suite must leave each
-digest unchanged; a failure names the n whose output moved.  The usage
+n <= 11.  Two more pin ``table --hug-weil`` in json, csv and latex at
+every p for n <= 8, and every ``table`` rendering at (n, p) = (12, 5).
+A refactor of a renderer or of a verify suite must leave each digest
+unchanged; a failure names the n whose output moved.  The usage
 test pins, one request at a time, the exit code, stdout and stderr of
 ``--help``, of each command's ``--help`` and of the usage errors.
 """
@@ -200,3 +202,44 @@ def test_usage_output_matches_recorded_digest(monkeypatch, name):
             code = exc.code
     text = f"{code}\n{out.getvalue()}\0{err.getvalue()}"
     assert hashlib.sha256(text.encode()).hexdigest() == USAGE_DIGESTS[name], f"{name}:\n{text}"
+
+
+def hug_weil_requests(n):
+    """table --hug-weil in every format but text, which requests(n) pins."""
+    for p in range(n):
+        for fmt in FORMATS[1:]:
+            yield ["table", "--n", str(n), "--p", str(p), "--hug-weil", "--format", fmt]
+
+
+# sha256 of hug_weil_requests(n), recorded from the reference output.
+HUG_WEIL_DIGESTS = {
+    2: "f7d32f364913a71b4c364d6fd66c8c5f36e98cae531e4ea121c3803c883f5d87",
+    3: "f4cce08871cc182edef99dba5387613e323951efdf4a595b27dce0762723dba3",
+    4: "857ff8e73b1237e8a5272f87a92fda02e3115d79a16cf11d861ff78e5aa75af5",
+    5: "380925afd2ade489dc79456bcb21151f7d40575a93d6b1f0a54f0b39d70d611d",
+    6: "ede69c50bb48337649b382ee6d90a743be8bf13b846c038f609be1f8d3553bbd",
+    7: "a19c2af63fe3df6ac6b7b228d4ac7ef355410829fe7c1a03ba84ca1176677f7e",
+    8: "c7082716d30b228ab86790b30a30cfba328794c16c88eeca85a4e2bdf3da4c5e",
+}
+
+
+@pytest.mark.parametrize("n", sorted(HUG_WEIL_DIGESTS))
+def test_hug_weil_renderings_match_recorded_digest(n):
+    assert digest(n, hug_weil_requests) == HUG_WEIL_DIGESTS[n], f"hug-weil output at n={n} changed"
+
+
+def large_table_requests(n, p=5):
+    """Every table rendering at one large (n, p): both bases and --hug-weil, every format."""
+    head = ["table", "--n", str(n), "--p", str(p)]
+    for fmt in FORMATS:
+        for basis in ("Phi", "S"):
+            yield [*head, "--basis", basis, "--format", fmt]
+        yield [*head, "--hug-weil", "--format", fmt]
+
+
+# sha256 of large_table_requests(12), recorded from the reference output.
+LARGE_TABLE_DIGEST = "c23ed01f821e7adbb24b9888aeac23c099500f48ce292e9361596a622987f402"
+
+
+def test_large_table_renderings_match_recorded_digest():
+    assert digest(12, large_table_requests) == LARGE_TABLE_DIGEST, "table output at (12, 5) changed"

@@ -36,8 +36,9 @@ from flagkin.grassmann_oracle import (
     tau_tilde,
 )
 from flagkin.invariant_algebras import FlagContext
+from flagkin.measures import binom, factorial
 from flagkin.rotation_algebra import chord_basis
-from flagkin.scalars import Scalar, binom, factorial
+from flagkin.scalars import Scalar
 
 CONTEXTS = [(n, p) for n in range(2, 7) for p in range(n)]
 

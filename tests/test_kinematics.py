@@ -13,19 +13,21 @@ from flagkin.kinematics import (
     coproduct_tables,
     csv_rows,
     hug_weil_coproduct,
+    json_coefficient,
+    latex_coefficient,
     table_to_csv,
     table_to_json,
     table_to_latex,
+    text_coefficient,
 )
-from flagkin.measures import PHI_EX, MeasureLabel, phi_label, s_in_phi_matrix, s_label
-from flagkin.scalars import Scalar, binom
+from flagkin.measures import PHI_EX, MeasureLabel, binom, phi_label, s_in_phi_matrix, s_label
 from flagkin.verify import _global_table, check_phi_closed_form, check_s_closed_form, verify_structure
 
 
 def test_coproduct_degree_one():
     ctx = FlagContext(5, 2)
     table = coproduct(ctx, phi_label(1, 0))
-    assert table.unit == Scalar.omega(5, -1)
+    assert table.unit == 5
     assert table.coefficient(phi_label(0, 0), phi_label(1, 0)) == 1
     assert table.coefficient(phi_label(1, 0), phi_label(0, 0)) == 1
     assert table.coefficient(phi_label(1, 0), phi_label(1, 0)) == Fraction(0)
@@ -36,7 +38,7 @@ def test_coproduct_counit():
     ctx = FlagContext(5, 2)
     table = coproduct(ctx, s_label(0, 0), "S")
     assert table.terms == ((s_label(0, 0), s_label(0, 0), Fraction(1)),)
-    assert table.unit == Scalar.omega(5, -1)
+    assert table.unit == 5
 
 
 def test_coproduct_phi_ex():
@@ -112,7 +114,7 @@ def test_n3_S_table_exceptional_value():
     ctx = FlagContext(3, 1)
     table = coproduct(ctx, s_label(2, 0), "S")
     assert table.coefficient(PHI_EX, PHI_EX) == Fraction(-1, 2)
-    assert table.unit == Scalar.omega(3, -1)
+    assert table.unit == 3
 
 
 @pytest.mark.parametrize("n,p", [(3, 1), (5, 2)])
@@ -157,7 +159,7 @@ def test_hug_weil_tables():
     hw = lambda k: MeasureLabel("Sp", k)
     t0 = hug_weil_coproduct(ctx, 0)
     assert t0.terms == ((hw(0), hw(0), Fraction(1)),)
-    assert t0.unit == Scalar.omega(3, -1)
+    assert t0.unit == 3
     t1 = hug_weil_coproduct(ctx, 1)
     assert t1.coefficient(hw(0), hw(1)) == 1
     assert t1.coefficient(hw(1), hw(0)) == 1
@@ -190,6 +192,41 @@ def test_table_renderings_deterministic():
     assert "\\omega_{4}^{-1}" in tex and "\\begin{tabular}" in tex
 
 
+@pytest.mark.parametrize(
+    "table,left,right,text,latex,csv,num,den,m",
+    [
+        # an S table, in omega_n^-1: a negative non-integer coefficient
+        (
+            coproduct(FlagContext(4, 2), s_label(2, 0), "S"),
+            s_label(1, 1), s_label(1, 1),
+            "-1/2 * omega(4)^-1", "-\\frac{1}{2}\\omega_{4}^{-1}", "S[1,1],S[1,1],-1,2,omega(4)^-1",
+            -1, 2, 4,
+        ),
+        # an Sp table at (5, 1), in omega_{n-p}^-1: an integer coefficient
+        (
+            hug_weil_coproduct(FlagContext(5, 1), 2),
+            MeasureLabel("Sp", 1), MeasureLabel("Sp", 1),
+            "2/1 * omega(4)^-1", "2\\omega_{4}^{-1}", "Sp[1],Sp[1],2,1,omega(4)^-1",
+            2, 1, 4,
+        ),
+    ],
+    ids=["S-negative-fraction", "Sp-integer"],
+)
+def test_coefficient_formatters(table, left, right, text, latex, csv, num, den, m):
+    c = table.coefficient(left, right)
+    assert c == Fraction(num, den) and table.unit == m
+    units = [{"sym": f"omega({m})", "exp": -1}]
+    assert text_coefficient(m)(c) == text
+    assert json_coefficient(m)(c) == {"num": num, "den": den, "units": units}
+    assert latex_coefficient(m)(c) == latex
+    # each rendering of the table prints the coefficient in its format
+    assert f"  {left} (x) {right}  :  {text}" in table.to_text().splitlines()
+    term = {"left": str(left), "right": str(right), "coeff": {"num": num, "den": den, "units": units}}
+    assert term in table_to_json(table)["terms"]
+    assert any(line.endswith(f" & {latex} \\\\") for line in table_to_latex(table).splitlines())
+    assert csv in csv_rows(table)
+
+
 def test_every_coefficient_carries_inverse_omega():
     # Phi and S tables share omega_n^-1; the rescaled Sp tables carry
     # omega_{n-p}^-1, which is the same unit at p = 0
@@ -198,9 +235,8 @@ def test_every_coefficient_carries_inverse_omega():
         phi_and_s = [t for family in ("Phi", "S") for t in coproduct_tables(ctx, family).values()]
         rescaled = [hug_weil_coproduct(ctx, k) for k in range(n - p)]
         for tables, m in ((phi_and_s, n), (rescaled, n - p)):
-            unit = Scalar.omega(m, -1)
             for table in tables:
-                assert table.unit == unit, (n, p, table.input)
+                assert table.unit == m, (n, p, table.input)
                 assert all(isinstance(c, Fraction) and c for _, _, c in table.terms)
                 for row in csv_rows(table):
                     assert row.endswith(f",omega({m})^-1"), (n, p, row)

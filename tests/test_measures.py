@@ -9,8 +9,10 @@ from flagkin.measures import (
     PHI_EX,
     MeasureLabel,
     basis_labels,
+    binom,
     c_constant,
     expand_presented,
+    factorial,
     global_factor,
     phi_in_s_matrix,
     phi_label,
@@ -19,7 +21,6 @@ from flagkin.measures import (
     s_label,
     validate_label,
 )
-from flagkin.scalars import binom, factorial
 
 
 def test_c_constant_examples():

@@ -70,19 +70,8 @@ def test_canonical_form_idempotent(a):
 
 def test_text_round_trip():
     s = Scalar.of(-5, 6) * Scalar.omega(3, -1) * Scalar.vol_so(4)
-    # the text and JSON forms are written, never read back
+    # the text form is written, never read back
     assert s.to_text() == str(s) == "-5/6 * omega(3)^-1 * volSO(4)^1"
-
-
-def test_json_round_trip():
-    s = Scalar.of(7, 3) * Scalar.vol_so(5, -2)
-    data = s.to_json()
-    assert data == {"num": 7, "den": 3, "units": [{"sym": "volSO(5)", "exp": -2}]}
-
-
-def test_latex():
-    s = Scalar.of(-1, 2) * Scalar.omega(4, -1)
-    assert s.to_latex() == "-\\frac{1}{2}\\omega_{4}^{-1}"
 
 
 @pytest.mark.parametrize(
