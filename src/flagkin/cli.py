@@ -248,11 +248,12 @@ def cmd_product(args) -> int:
     return 0
 
 
-def _render_tables(args, tables: list[KinematicTable]) -> str:
+def _render_tables(args, tables: list[KinematicTable], sweep: bool) -> str:
+    """The tables in args.format, as a sweep (of one table or many) or as a coproduct's table."""
     from .kinematics import csv_rows, table_to_csv, table_to_json, table_to_latex
 
     if args.format == "json":
-        if len(tables) == 1:
+        if not sweep:
             return _json_text(table_to_json(tables[0]))
         return _json_text(
             {
@@ -263,7 +264,7 @@ def _render_tables(args, tables: list[KinematicTable]) -> str:
             }
         )
     if args.format == "csv":
-        if len(tables) == 1:
+        if not sweep:
             return table_to_csv(tables[0])
         lines = ["input,left,right,num,den,units"]
         for t in tables:
@@ -281,7 +282,7 @@ def cmd_coproduct(args) -> int:
     ctx = _ctx(args)
     label = _input_label(ctx, args)
     table = coproduct(ctx, label, args.basis)
-    _emit(args, _render_tables(args, [table]))
+    _emit(args, _render_tables(args, [table], sweep=False))
     return 0
 
 
@@ -294,7 +295,7 @@ def cmd_table(args) -> int:
         tables = [hug_weil_coproduct(ctx, k) for k in range(ctx.n - ctx.p)]
     else:
         tables = list(coproduct_tables(ctx, args.basis).values())
-    _emit(args, _render_tables(args, tables))
+    _emit(args, _render_tables(args, tables, sweep=True))
     return 0
 
 

@@ -41,10 +41,6 @@ from .records import Record, _set
 Term = tuple[MeasureLabel, MeasureLabel, Fraction]
 
 
-def _label_sort_key(ctx: FlagContext, label: MeasureLabel):
-    return (label.degree(ctx), 1 if label.kind == "PhiEx" else 0, label.idx)
-
-
 def family_unit(ctx: FlagContext, family: str) -> int:
     """The m of a family's unit omega_m^-1: n for Phi and S, n - p for Sp."""
     return ctx.n - ctx.p if family == "Sp" else ctx.n
@@ -104,17 +100,15 @@ class KinematicTable(Record):
         return "\n".join([head] + rows)
 
 
-def _sorted_terms(ctx: FlagContext, terms: dict[tuple[MeasureLabel, MeasureLabel], Fraction]):
-    items = [(l, r, c) for (l, r), c in terms.items() if c]
-    items.sort(key=lambda t: (_label_sort_key(ctx, t[0]), _label_sort_key(ctx, t[1])))
-    return tuple(items)
-
-
 def _degree_tables(ctx: FlagContext, family: str, k: int) -> dict[MeasureLabel, KinematicTable]:
-    """Coproducts of the family labels of degree k.
+    """Coproducts of the family labels of degree k, with their terms in print order.
 
     Only pairs of degrees j + l = k contribute, and each dual product
-    feeds one coefficient into every input of degree k.
+    feeds one coefficient into every input of degree k.  The loop runs
+    over j, then left, then right, each in basis_labels order, so every
+    table receives its terms in print order: left by degree, PhiEx after
+    the other labels of its degree, then by index; then right the same
+    way.  expand_presented returns no zero, so no term is zero either.
     """
     acc: dict[MeasureLabel, dict[tuple[MeasureLabel, MeasureLabel], Fraction]] = {
         label: {} for label in basis_labels(ctx, k, family)
@@ -125,7 +119,7 @@ def _degree_tables(ctx: FlagContext, family: str, k: int) -> dict[MeasureLabel, 
                 for slot, coeff in dual_product(ctx, left, right, family).items():
                     acc[slot][(left, right)] = coeff
     return {
-        label: KinematicTable(ctx, label, family, _sorted_terms(ctx, terms))
+        label: KinematicTable(ctx, label, family, tuple((l, r, c) for (l, r), c in terms.items()))
         for label, terms in acc.items()
     }
 
@@ -204,17 +198,19 @@ def hug_weil_coproduct(ctx: FlagContext, k: int) -> KinematicTable:
 
     Derived from the a = 0 Phi table by the substitution
     Phi_{j,0} = (omega_n / omega_{n-p}) C(q,j) S_j^(p), which leaves the
-    factor C(q,j) C(q,l) / C(q,k) on each coefficient.
+    factor C(q,j) C(q,l) / C(q,k) on each coefficient.  The Phi table is
+    mapped term by term, in its print order, and no factor is zero, as
+    j, l <= k <= q.
     """
     if not (0 <= k <= ctx.n - 1 and ctx.p <= ctx.n - k - 1):
         raise IndexOutOfRange(f"S^(p)_k needs p <= n-k-1, got p={ctx.p}, k={k}")
     base = coproduct(ctx, phi_label(k, 0), "Phi")
-    terms: dict[tuple[MeasureLabel, MeasureLabel], Fraction] = {}
-    for left, right, c in base.terms:
-        j, l = left.k, right.k
-        coeff = c * binom(ctx.q, j) * binom(ctx.q, l) / binom(ctx.q, k)
-        terms[(MeasureLabel("Sp", j), MeasureLabel("Sp", l))] = coeff
-    return KinematicTable(ctx, MeasureLabel("Sp", k), "Sp", _sorted_terms(ctx, terms))
+    scale = [binom(ctx.q, j) for j in range(k + 1)]
+    terms = tuple(
+        (MeasureLabel("Sp", l.k), MeasureLabel("Sp", r.k), c * scale[l.k] * scale[r.k] / scale[k])
+        for l, r, c in base.terms
+    )
+    return KinematicTable(ctx, MeasureLabel("Sp", k), "Sp", terms)
 
 
 # -- renderings -------------------------------------------------------------------

@@ -5,17 +5,17 @@ Fraction.  The echelon accumulator turns every pivot row into Fractions
 with leading entry 1, which makes rank computation incremental and
 membership in the span a reduction to zero.
 
-Ranks of integer rows are first attempted as a certificate modulo the
-prime 2^61 - 1: an integer matrix has rank mod p at most its rank over Q,
-so full rank mod p proves full rank over Q.  The certificate reads the
-rows once, as a stream.  When it cannot decide, the echelon reads the same
-rows again and gives the rank.  No floats are used.
+Ranks of integer rows are certified modulo the prime 2^61 - 1: an
+integer matrix has rank mod p at most its rank over Q, so full rank mod p
+proves full rank over Q.  The certificate reads the rows once, as a
+stream, and is the only rank that flagkin computes; the echelon is the
+exact reference that the tests rank against.  No floats are used.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from fractions import Fraction
 
 Row = dict[int, Fraction]  # or dict[int, int]: the entries only need to be rational
@@ -104,18 +104,3 @@ def certified_rank(rows: Iterable[dict[int, int]]) -> int | None:
         else:
             return None
     return count
-
-
-def column_rank(make_rows: Callable[[], Iterable[dict[int, int]]]) -> int:
-    """Exact rank of the integer rows that make_rows() yields.
-
-    The certificate reads make_rows() once; only when it cannot decide does
-    the echelon read make_rows() a second time.
-    """
-    rank = certified_rank(make_rows())
-    if rank is not None:
-        return rank
-    ech = SparseEchelon()
-    for row in make_rows():
-        ech.add(row)
-    return ech.rank

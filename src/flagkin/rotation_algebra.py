@@ -5,8 +5,9 @@ give a basis in each degree.  Graded dimensions are certified by the
 chord monomials' lead keys, one int each, with no row built and no rank
 routine called (see graded_dimension); the +-1 rows themselves stay as
 the reference that the tests rank.  The primal rotation-measure space is
-ranked from rows streamed into a certificate, and the rotation relations
-are checked on blade keys against their witness.  No form is built here:
+ranked by one stream of rows into the mod-p certificate, and the rotation
+relations are checked on blade keys against their witness, so every rank
+here is a certificate and none is an elimination.  No form is built here:
 grassmann_oracle realizes the generators x_{ij} as invariant forms.
 AlgebraElement, a form with its n, stays here because perfbench/tracer.py
 reads AlgebraElement.__mul__.  This module loads neither fractions nor
@@ -272,13 +273,23 @@ def _dalpha_image_columns(n: int, k: int) -> tuple[dict[int, Fraction], ...]:
 
 @lru_cache(maxsize=None)
 def rotation_space_dimension(n: int, k: int) -> int:
-    """dim of (sigma^k x omega^(n-1-k)) modulo the image of wedge-by-dalpha."""
+    """dim of (sigma^k x omega^(n-1-k)) modulo the image of wedge-by-dalpha, certified mod p.
+
+    Wedge-by-dalpha is injective below the middle degree: up to +-1
+    scalings its blocks are the inclusion matrices W_{b,b+1}(2b+2), which
+    have full rank (Gottlieb 1966, Kantor 1972).  So the rank is the number
+    of rows, and _dalpha_rows streams once into certified_rank to prove it.
+    Only a dependency modulo the prime can leave the certificate undecided;
+    that raises FlagkinError, as there is no elimination to fall back on.
+    """
     if not 0 <= k <= n - 1:
         raise IndexOutOfRange(f"degree {k} outside 0..{n - 1}")
-    from .linalg import column_rank
+    from .linalg import certified_rank
 
-    ambient = comb(n - 1, k) * comb(n - 1, n - 1 - k)
-    return ambient - column_rank(lambda: _dalpha_rows(n, k))
+    rank = certified_rank(_dalpha_rows(n, k))
+    if rank is None:
+        raise FlagkinError(f"dalpha rank certificate undecided at n={n}, k={k}")
+    return comb(n - 1, k) * comb(n - 1, n - 1 - k) - rank
 
 
 def _perm_sign(seq) -> int:

@@ -166,6 +166,19 @@ def test_coproduct_other_formats(capsys):
     assert code == 0 and out.splitlines()[0] == "input,left,right,num,den,units"
 
 
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_table_with_one_table_prints_the_sweep_form(capsys, n):
+    # table --hug-weil at p = n - 1 builds only Sp[0]; it is still a sweep
+    head = ["table", "--n", str(n), "--p", str(n - 1), "--hug-weil", "--format"]
+    code, out, _ = run(capsys, *head, "json")
+    data = json.loads(out)
+    assert code == 0 and data["schema"] == "flagkin/tables/v1"
+    assert [t["input"] for t in data["tables"]] == ["Sp[0]"]
+    code, out, _ = run(capsys, *head, "csv")
+    assert code == 0 and out.splitlines()[0] == "input,left,right,num,den,units"
+    assert out.splitlines()[1:] == ["Sp[0],Sp[0],Sp[0],1,1,omega(1)^-1"]
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     import flagkin.cli as cli
 

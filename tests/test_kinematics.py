@@ -177,6 +177,23 @@ def test_hug_weil_binomial_everywhere(n, p):
             assert got == binom(k, j), (n, p, k, j)
 
 
+def _print_key(ctx, label):
+    """The print order of labels: by degree, PhiEx after the others of its degree, then by index."""
+    return (label.degree(ctx), label.kind == "PhiEx", label.idx)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_terms_are_built_in_print_order_without_zeros(n):
+    for p in range(n):
+        ctx = FlagContext(n, p)
+        tables = [*coproduct_tables(ctx, "Phi").values(), *coproduct_tables(ctx, "S").values()]
+        tables += [hug_weil_coproduct(ctx, k) for k in range(n - p)]
+        for table in tables:
+            keys = [(_print_key(ctx, l), _print_key(ctx, r)) for l, r, _ in table.terms]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (n, p, table.input)
+            assert all(c for _, _, c in table.terms), (n, p, table.input)
+
+
 def test_table_renderings_deterministic():
     ctx = FlagContext(4, 1)
     table = coproduct(ctx, s_label(1, 0), "S")

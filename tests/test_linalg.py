@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from flagkin.linalg import PRIME, SparseEchelon, certified_rank, column_rank
+from flagkin.linalg import PRIME, SparseEchelon, certified_rank
 
 F = Fraction
 
@@ -16,22 +16,21 @@ def test_incremental_add():
 def test_mod_p_certifies_independent_columns():
     rows = [{0: 3, 1: 2}, {1: 4}, {0: 12, 2: -7}]
     assert certified_rank(rows) == 3
-    assert column_rank(lambda: rows) == 3
 
 
-def test_mod_p_dependent_columns_fall_back_to_echelon():
+def test_mod_p_dependent_columns_are_not_certified():
     rows = [{0: 2, 1: 4}, {0: 1, 1: 2}]
     assert certified_rank(rows) is None
-    assert column_rank(lambda: rows) == 1
+    assert _echelon_rank(rows) == 1
     assert certified_rank([{}]) is None
-    assert column_rank(lambda: [{}]) == 0
+    assert _echelon_rank([{}]) == 0
 
 
 def test_dependent_only_mod_p_gets_the_rank_over_q():
     # (1, 1) and (1, 1 + p) are independent over Q but equal modulo p
     rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + PRIME}]
     assert certified_rank(rows) is None
-    assert column_rank(lambda: rows) == 2
+    assert _echelon_rank(rows) == 2
 
 
 def test_echelon_and_solve_stay_exact_on_int_rows():
@@ -82,26 +81,7 @@ def test_certificate_skips_a_leading_entry_divisible_by_p():
     # PRIME * e_0 + e_1 reduces to e_1 modulo p
     assert certified_rank([{0: PRIME, 1: 1}, {0: 1}]) == 2
     assert certified_rank([{0: PRIME, 1: 1}, {1: 1}]) is None
-    assert column_rank(lambda: [{0: PRIME, 1: 1}, {1: 1}]) == 2
-
-
-def test_column_rank_falls_back_to_the_exact_columns():
-    # (1, 1) and (1, 1 + p) are independent over Q but equal modulo p: the
-    # echelon reads the one-pass stream a second time; certified rows are read once
-    cases = [
-        ([{0: 1, 1: 1}, {0: 1, 1: 1 + PRIME}], 2),
-        ([{0: 1, 1: 1}, {0: 1, 2: 1}], 1),
-        ([{0: 1, 1: 1}], 1),
-    ]
-    for cols, reads in cases:
-        calls = []
-
-        def make_rows():
-            calls.append(None)
-            return (dict(c) for c in cols)
-
-        assert column_rank(make_rows) == len(cols), cols
-        assert len(calls) == reads, cols
+    assert _echelon_rank([{0: PRIME, 1: 1}, {1: 1}]) == 2
 
 
 def _echelon_rank(columns):

@@ -184,7 +184,6 @@ def test_graded_dimension_calls_no_rank_routine(monkeypatch):
     def refuse(*args):
         raise AssertionError("rank routine called")
 
-    monkeypatch.setattr(linalg, "column_rank", refuse)
     monkeypatch.setattr(linalg, "certified_rank", refuse)
     monkeypatch.setattr(rotation_algebra, "_chord_row", refuse)
     graded_dimension.cache_clear()
@@ -200,10 +199,14 @@ def test_colliding_leads_raise_naming_n_and_k(monkeypatch):
     graded_dimension.cache_clear()
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 11))
 def test_rotation_space_dimension(n):
+    # Wedge-by-dalpha is injective: the certificate decides, and proves every row independent.
     for k in range(n):
-        assert rotation_space_dimension(n, k) == narayana(n, k)
+        rank = certified_rank(_dalpha_rows(n, k))
+        assert rank is not None, (n, k)
+        want = narayana(n, k)
+        assert comb(n - 1, k) ** 2 - rank == want == rotation_space_dimension(n, k), (n, k)
 
 
 def test_rotation_space_dimension_examples():
@@ -292,19 +295,21 @@ def test_dimensions_build_no_basis_records_or_columns():
     assert [fn.cache_info().currsize for fn in cached] == [0, 0, 0]
 
 
-def test_dimensions_fall_back_to_the_echelon_on_the_same_rows(monkeypatch):
+def test_undecided_dalpha_certificate_is_a_one_line_failure(monkeypatch, capsys):
+    from flagkin.cli import main
+
     monkeypatch.setattr(linalg, "certified_rank", lambda rows: None)
-    cached = (_chord_columns, _dalpha_image_columns)
-    for fn in cached + (graded_dimension, rotation_space_dimension):
-        fn.cache_clear()
+    rotation_space_dimension.cache_clear()
     try:
-        for n in range(2, 8):
-            for k in range(n):
-                want = narayana(n, k)
-                assert graded_dimension(n, k) == want == rotation_space_dimension(n, k), (n, k)
-        assert [fn.cache_info().currsize for fn in cached] == [0, 0]
+        with pytest.raises(FlagkinError, match=r"^dalpha rank certificate undecided at n=5, k=2$"):
+            rotation_space_dimension(5, 2)
+        assert main(["verify", "--n", "4", "--p", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert err == "" and "  [FAIL] dimensions" in out.splitlines()
+        assert out.endswith(
+            "first counterexample: dimensions: dalpha rank certificate undecided at n=4, k=0\n"
+        )
     finally:
-        graded_dimension.cache_clear()
         rotation_space_dimension.cache_clear()
 
 
