@@ -59,16 +59,28 @@ def _guard(args, default: int = DEFAULT_MAX_N) -> None:
         raise ValidationError("n must be at least 2")
 
 
-def _emit(args, text: str) -> None:
-    """Write to stdout or --output.
+def _emit(args, chunks: Iterable[str]) -> None:
+    """Write the chunks, in order, to stdout or --output.
 
-    A regular or missing file is replaced whole through a temporary file in
-    its directory, so a failed request leaves no partial file; symlinks are
+    stdout is looked up at write time and flushed here, so that a closed
+    pipe or a full device is reported as a one-line error.  A regular or
+    missing file is replaced whole through a temporary file in its
+    directory, so a failed request leaves no partial file; symlinks are
     followed and an existing file keeps its mode.  Devices, FIFOs and
     /dev/fd paths are written directly.
     """
     if not args.output:
-        sys.stdout.write(text)
+        out = sys.stdout
+        try:
+            out.writelines(chunks)
+            out.flush()
+        except OSError as exc:
+            # The interpreter flushes stdout again at exit; point the
+            # stream at /dev/null, so that flush adds no second message.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
+            raise ValidationError(f"cannot write stdout: {exc.strerror or exc}") from None
         return
     path = os.path.realpath(args.output)
     try:
@@ -78,7 +90,7 @@ def _emit(args, text: str) -> None:
             mode = None
         if mode is not None and not stat.S_ISREG(mode):
             with open(path, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
             return
         if mode is None:
             umask = os.umask(0)
@@ -87,7 +99,7 @@ def _emit(args, text: str) -> None:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path))
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
             os.chmod(tmp, stat.S_IMODE(mode))
             os.replace(tmp, path)
         finally:
@@ -98,7 +110,7 @@ def _emit(args, text: str) -> None:
 
 
 def _json_text(data) -> str:
-    import json  # imported here, so that only JSON output pays for it
+    import json  # imported here, so that only dim and basis JSON pay for it
 
     return json.dumps(data, indent=2) + "\n"
 
@@ -162,19 +174,17 @@ def cmd_dim(args) -> int:
         ]
         title = f"flag invariant subalgebra dimensions, n={args.n}, p={args.p}"
     if args.format == "json":
-        _emit(args, _json_text({"title": title, "rows": rows}))
+        _emit(args, [_json_text({"title": title, "rows": rows})])
     elif args.format == "csv":
         lines = ["k,dimension"] + [f"{r['k']},{r['dimension']}" for r in rows]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, ["\n".join(lines) + "\n"])
     elif args.format == "latex":
         body = " & ".join(str(r["dimension"]) for r in rows)
-        _emit(
-            args,
-            f"% {title}\n\\begin{{tabular}}{{{'c' * args.n}}}\n{body} \\\\\n\\end{{tabular}}\n",
-        )
+        text = f"% {title}\n\\begin{{tabular}}{{{'c' * args.n}}}\n{body} \\\\\n\\end{{tabular}}\n"
+        _emit(args, [text])
     else:
         lines = [title] + [f"  k={r['k']}: {r['dimension']}" for r in rows]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, ["\n".join(lines) + "\n"])
     return 0
 
 
@@ -191,11 +201,11 @@ def cmd_basis(args) -> int:
         mons = [chord_text(*m) for m in chord_basis(args.n, args.k)]
         if args.format == "json":
             data = {"n": args.n, "k": args.k, "count": len(mons), "monomials": mons}
-            _emit(args, _json_text(data))
+            _emit(args, [_json_text(data)])
         else:
             lines = [f"chord basis n={args.n} k={args.k} ({len(mons)} monomials)"]
             lines += [f"  {m}" for m in mons]
-            _emit(args, "\n".join(lines) + "\n")
+            _emit(args, ["\n".join(lines) + "\n"])
         return 0
     from .measures import basis_labels
 
@@ -209,14 +219,14 @@ def cmd_basis(args) -> int:
             "basis": args.basis,
             "labels": [l.to_text() for l in labels],
         }
-        _emit(args, _json_text(data))
+        _emit(args, [_json_text(data)])
     else:
-        _emit(args, "\n".join(l.to_text() for l in labels) + "\n")
+        _emit(args, ["\n".join(l.to_text() for l in labels) + "\n"])
     return 0
 
 
 def cmd_product(args) -> int:
-    from .kinematics import family_unit, json_coefficient, text_coefficient
+    from .kinematics import family_unit, json_array, json_coefficient, text_coefficient
     from .measures import dual_product
 
     _guard(args, PRESENTED_MAX_N)
@@ -229,50 +239,60 @@ def cmd_product(args) -> int:
     terms = sorted(dual_product(ctx, left, right, args.basis).items())
     unit = family_unit(ctx, args.basis)
     if args.format == "json":
-        coeff = json_coefficient(unit)
-        data = {
-            "schema": "flagkin/product/v1",
-            "n": ctx.n,
-            "p": ctx.p,
-            "basis": args.basis,
-            "left": left.to_text(),
-            "right": right.to_text(),
-            "terms": [{"label": l.to_text(), "coeff": coeff(c)} for l, c in terms],
-        }
-        _emit(args, _json_text(data))
+        coeff = json_coefficient(unit, "      ")
+        items = [
+            f'    {{\n      "label": "{l.to_text()}",\n      "coeff": {coeff(c)}\n    }}'
+            for l, c in terms
+        ]
+        text = (
+            f'{{\n  "schema": "flagkin/product/v1",\n  "n": {ctx.n},\n  "p": {ctx.p},\n'
+            f'  "basis": "{args.basis}",\n  "left": "{left.to_text()}",\n'
+            f'  "right": "{right.to_text()}",\n  "terms": {json_array(items, "  ")}\n}}\n'
+        )
+        _emit(args, [text])
     else:
         coeff = text_coefficient(unit)
         lines = [f"{left.to_text()}* . {right.to_text()}*  [n={ctx.n}, p={ctx.p}]"]
         lines += [f"  {l.to_text()}* : {coeff(c)}" for l, c in terms]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, ["\n".join(lines) + "\n"])
     return 0
 
 
-def _render_tables(args, tables: list[KinematicTable], sweep: bool) -> str:
-    """The tables in args.format, as a sweep (of one table or many) or as a coproduct's table."""
+def _joined(parts: Iterable[str], sep: str, head: str = "", tail: str = "\n") -> Iterator[str]:
+    """head + sep.join(parts) + tail, one string per part (parts is not empty)."""
+    lead = head
+    for part in parts:
+        yield lead + part
+        lead = sep
+    yield tail
+
+
+def _render_tables(args, tables: list[KinematicTable], sweep: bool) -> Iterable[str]:
+    """The tables in args.format, as a sweep (of one table or many) or as a coproduct's table.
+
+    One string per table, each formatted only when it is taken, so the
+    whole output is never held at once.
+    """
     from .kinematics import csv_rows, table_to_csv, table_to_json, table_to_latex
 
     if args.format == "json":
         if not sweep:
-            return _json_text(table_to_json(tables[0]))
-        return _json_text(
-            {
-                "schema": "flagkin/tables/v1",
-                "n": tables[0].ctx.n,
-                "p": tables[0].ctx.p,
-                "tables": [table_to_json(t) for t in tables],
-            }
+            return [table_to_json(tables[0]) + "\n"]
+        ctx = tables[0].ctx
+        head = (
+            f'{{\n  "schema": "flagkin/tables/v1",\n  "n": {ctx.n},\n  "p": {ctx.p},\n'
+            '  "tables": [\n'
         )
+        parts = (table_to_json(t, "    ") for t in tables)
+        return _joined(parts, ",\n", head, "\n  ]\n}\n")
     if args.format == "csv":
         if not sweep:
-            return table_to_csv(tables[0])
-        lines = ["input,left,right,num,den,units"]
-        for t in tables:
-            lines += [f"{t.input.to_text()},{row}" for row in csv_rows(t)]
-        return "\n".join(lines) + "\n"
+            return [table_to_csv(tables[0])]
+        parts = ("\n".join(f"{t.input.to_text()},{row}" for row in csv_rows(t)) for t in tables)
+        return _joined(parts, "\n", "input,left,right,num,den,units\n")
     if args.format == "latex":
-        return "\n".join(table_to_latex(t) for t in tables) + "\n"
-    return "\n\n".join(t.to_text() for t in tables) + "\n"
+        return _joined(map(table_to_latex, tables), "\n")
+    return _joined((t.to_text() for t in tables), "\n\n")
 
 
 def cmd_coproduct(args) -> int:
@@ -329,7 +349,7 @@ def cmd_verify(args) -> int:
             failure = f"{name}: {detail}"
     if failure:
         lines.append(f"first counterexample: {failure}")
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, ["\n".join(lines) + "\n"])
     return 0 if failure is None else 2
 
 

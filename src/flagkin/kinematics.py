@@ -52,10 +52,24 @@ def text_coefficient(m: int):
     return lambda c: f"{c.numerator}/{c.denominator}{unit}"
 
 
-def json_coefficient(m: int):
-    """The formatter of a coefficient in the unit omega_m^-1: {num, den, units}."""
-    units = [{"sym": f"omega({m})", "exp": -1}]
-    return lambda c: {"num": c.numerator, "den": c.denominator, "units": units}
+def json_coefficient(m: int, pad: str):
+    """The formatter of a coefficient in the unit omega_m^-1, as JSON text of {num, den, units}.
+
+    pad is the indentation of the line the object opens on; the text is
+    what json.dumps(..., indent=2) prints there, with the units block
+    formatted once.
+    """
+    key = pad + "  "
+    units = (
+        f'"units": [\n{key}  {{\n{key}    "sym": "omega({m})",\n{key}    "exp": -1\n'
+        f"{key}  }}\n{key}]\n{pad}}}"
+    )
+    return lambda c: f'{{\n{key}"num": {c.numerator},\n{key}"den": {c.denominator},\n{key}{units}'
+
+
+def json_array(items: list[str], pad: str) -> str:
+    """The JSON text of an array of formatted items, closed at indentation pad."""
+    return ("[\n" + ",\n".join(items) + f"\n{pad}]") if items else "[]"
 
 
 def latex_coefficient(m: int):
@@ -216,18 +230,24 @@ def hug_weil_coproduct(ctx: FlagContext, k: int) -> KinematicTable:
 # -- renderings -------------------------------------------------------------------
 
 
-def table_to_json(table: KinematicTable) -> dict:
-    coeff = json_coefficient(table.unit)
-    return {
-        "schema": "flagkin/table/v1",
-        "n": table.ctx.n,
-        "p": table.ctx.p,
-        "input": table.input.to_text(),
-        "terms": [
-            {"left": l.to_text(), "right": r.to_text(), "coeff": coeff(c)}
-            for l, r, c in table.terms
-        ],
-    }
+def table_to_json(table: KinematicTable, pad: str = "") -> str:
+    """The table as json.dumps(..., indent=2) prints it at indentation pad, with no final newline.
+
+    The text is formatted, not encoded: label texts and unit symbols hold
+    no character that JSON escapes.
+    """
+    item, key = pad + "    ", pad + "      "
+    coeff = json_coefficient(table.unit, key)
+    terms = [
+        f'{item}{{\n{key}"left": "{l.to_text()}",\n{key}"right": "{r.to_text()}",\n'
+        f'{key}"coeff": {coeff(c)}\n{item}}}'
+        for l, r, c in table.terms
+    ]
+    return (
+        f'{pad}{{\n{pad}  "schema": "flagkin/table/v1",\n{pad}  "n": {table.ctx.n},\n'
+        f'{pad}  "p": {table.ctx.p},\n{pad}  "input": "{table.input.to_text()}",\n'
+        f'{pad}  "terms": {json_array(terms, pad + "  ")}\n{pad}}}'
+    )
 
 
 def csv_rows(table: KinematicTable) -> list[str]:

@@ -138,6 +138,106 @@ def test_max_n_env_override(capsys, monkeypatch):
     assert code == 1
 
 
+def _label_args(label, basis, suffix=""):
+    if label.kind == "PhiEx":
+        return [f"--ex{suffix}"]
+    flag = "--a" if basis == "Phi" else "--i"
+    return [f"--k{suffix}", str(label.k), f"{flag}{suffix}", str(label.idx)]
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_product_json_matches_the_encoder(capsys, n):
+    # every product at n prints what json.dumps(indent=2) prints for its reference dict
+    from flagkin.invariant_algebras import FlagContext
+    from flagkin.measures import basis_labels, dual_product
+
+    for p in range(n):
+        ctx = FlagContext(n, p)
+        for basis in ("Phi", "S"):
+            units = [{"sym": f"omega({n})", "exp": -1}]
+            labels = [l for k in range(n) for l in basis_labels(ctx, k, basis)]
+            head = ["product", "--n", str(n), "--p", str(p), "--basis", basis, "--format", "json"]
+            for left in labels:
+                for right in labels:
+                    if left.degree(ctx) + right.degree(ctx) > n - 1:
+                        continue
+                    terms = sorted(dual_product(ctx, left, right, basis).items())
+                    reference = {
+                        "schema": "flagkin/product/v1",
+                        "n": n,
+                        "p": p,
+                        "basis": basis,
+                        "left": left.to_text(),
+                        "right": right.to_text(),
+                        "terms": [
+                            {
+                                "label": l.to_text(),
+                                "coeff": {"num": c.numerator, "den": c.denominator, "units": units},
+                            }
+                            for l, c in terms
+                        ],
+                    }
+                    args = _label_args(left, basis) + _label_args(right, basis, "2")
+                    code, out, _ = run(capsys, *head, *args)
+                    assert (code, out) == (0, json.dumps(reference, indent=2) + "\n"), args
+
+
+def test_failed_render_keeps_the_output_file(tmp_path, capsys, monkeypatch):
+    # rendering raises after the first table has been written to the temporary file
+    from flagkin import kinematics
+    from flagkin.errors import FlagkinError
+
+    render = kinematics.table_to_latex
+    calls = []
+
+    def fails_on_the_second_table(table):
+        calls.append(table)
+        if len(calls) > 1:
+            raise FlagkinError("planted rendering failure")
+        return render(table)
+
+    monkeypatch.setattr(kinematics, "table_to_latex", fails_on_the_second_table)
+    target = tmp_path / "tables.tex"
+    target.write_bytes(b"old\n")
+    target.chmod(0o640)
+    argv = ["table", "--n", "4", "--p", "1", "--format", "latex", "--output", str(target)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "flagkin: error: planted rendering failure\n")
+    assert len(calls) == 2
+    assert target.read_bytes() == b"old\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert [p.name for p in tmp_path.iterdir()] == ["tables.tex"]  # no temporary file left
+
+
+def _flagkin(*argv, **kwargs):
+    src = str(Path(flagkin.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.Popen([sys.executable, "-m", "flagkin.cli", *argv], env=env, **kwargs)
+
+
+def test_closed_stdout_pipe_is_one_line():
+    # the reader takes 100 bytes of a table of several MB and closes the pipe
+    argv = ["table", "--n", "14", "--p", "6", "--max-n", "14", "--format", "json"]
+    proc = _flagkin(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert head.startswith(b'{\n  "schema": "flagkin/tables/v1"')
+    assert err.decode() == "flagkin: error: cannot write stdout: Broken pipe\n"
+
+
+def test_full_stdout_device_is_one_line():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    with open("/dev/full", "w") as full:
+        proc = _flagkin("verify", "--n", "5", "--p", "2", stdout=full, stderr=subprocess.PIPE)
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err.decode() == "flagkin: error: cannot write stdout: No space left on device\n"
+
+
 def test_output_file(tmp_path, capsys):
     path = tmp_path / "out.json"
     code, out, _ = run(
@@ -388,6 +488,22 @@ def test_presented_requests_load_no_oracle(request_name):
     loaded = _loaded_modules(*PRESENTED_REQUESTS[request_name]) - _bare_interpreter_modules()
     assert PRESENTED_ENGINE.get(request_name, "flagkin.measures") in loaded  # the engine is seen
     assert not loaded & ORACLE_MODULES, sorted(loaded & ORACLE_MODULES)
+
+
+# table, coproduct and product print JSON by template, so they load no json.
+JSON_REQUESTS = {
+    "table": PRESENTED_REQUESTS["table"],
+    "coproduct": [*PRESENTED_REQUESTS["coproduct"], "--format", "json"],
+    "product": [*PRESENTED_REQUESTS["product"], "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("request_name", sorted(JSON_REQUESTS))
+def test_json_requests_load_no_json_encoder(request_name):
+    loaded = _loaded_modules(*JSON_REQUESTS[request_name]) - _bare_interpreter_modules()
+    assert "flagkin.kinematics" in loaded
+    encoder = {m for m in loaded if m == "json" or m.startswith("json.")}
+    assert not encoder, sorted(encoder)
 
 
 CHORD_REQUESTS = {

@@ -9,7 +9,8 @@ every ordered label pair of total degree at most n - 1 and ``coproduct``
 ``basis --k K`` (text and json) for every k at n <= 8.  The next two hash
 ``verify`` at every p for n <= 8, and ``dim`` (text and json) for
 n <= 11.  Two more pin ``table --hug-weil`` in json, csv and latex at
-every p for n <= 8, and every ``table`` rendering at (n, p) = (12, 5).
+every p for n <= 8, and every ``table`` rendering at (n, p) = (12, 5);
+one digest per format pins ``table`` in both bases at (20, 9).
 A refactor of a renderer or of a verify suite must leave each digest
 unchanged; a failure names the n whose output moved.  The usage
 test pins, one request at a time, the exit code, stdout and stderr of
@@ -245,3 +246,24 @@ LARGE_TABLE_DIGEST = "c23ed01f821e7adbb24b9888aeac23c099500f48ce292e9361596a6229
 
 def test_large_table_renderings_match_recorded_digest():
     assert digest(12, large_table_requests) == LARGE_TABLE_DIGEST, "table output at (12, 5) changed"
+
+
+def larger_table_requests(fmt, n=20, p=9):
+    """table in one format at a larger (n, p), in both bases."""
+    for basis in ("Phi", "S"):
+        yield ["table", "--n", str(n), "--p", str(p), "--basis", basis, "--format", fmt]
+
+
+# sha256 of larger_table_requests(fmt), recorded from the reference output.
+LARGER_TABLE_DIGESTS = {
+    "text": "b90a59847d80aa111d9329f7a16bd39bd0c93ab5e580c87c666120385a391ca3",
+    "json": "750d93cff70dc6fd30b0891e6f4f6e4988dc94f7d34958d4f9b4413b0960d327",
+    "csv": "3ee09c4f87228b2cf0826c17ddd429e3aa710483f2295fdd2fde84c986ba7539",
+    "latex": "a71cea041513a2edff81226b6b5f8ae72fbf8957fbc29c43244dc26b592883e1",
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_larger_table_renderings_match_recorded_digest(fmt):
+    got = digest(fmt, larger_table_requests)
+    assert got == LARGER_TABLE_DIGESTS[fmt], f"table output at (20, 9) in {fmt} changed"

@@ -1,12 +1,17 @@
+import argparse
+import contextlib
+import io
 import json
 import re
 from fractions import Fraction
 
 import pytest
 
+from flagkin.cli import _render_tables, main
 from flagkin.errors import ExceptionalUnavailable, IndexOutOfRange
 from flagkin.invariant_algebras import FlagContext
 from flagkin.kinematics import (
+    KinematicTable,
     closed_form_S,
     closed_form_phi,
     coproduct,
@@ -147,6 +152,21 @@ def test_structure_report(n, p):
     assert verify_structure(FlagContext(n, p)) is None
 
 
+def test_cocommutativity_reports_the_first_asymmetric_term(monkeypatch):
+    # S[1,1] (x) S[1,0] of A(S[2,0]) altered from 2 to 3: the mirror term
+    # S[1,0] (x) S[1,1] comes first in print order and is reported
+    ctx = FlagContext(4, 1)
+    tables = coproduct_tables(ctx, "S")
+    table = tables[s_label(2, 0)]
+    altered = tuple(
+        (l, r, Fraction(3) if (l, r) == (s_label(1, 1), s_label(1, 0)) else c)
+        for l, r, c in table.terms
+    )
+    assert altered != table.terms
+    monkeypatch.setitem(tables, table.input, KinematicTable(ctx, table.input, "S", altered))
+    assert verify_structure(ctx) == "cocommutativity[S]: A(S[2,0]) at S[1,0] (x) S[1,1]"
+
+
 def test_globalized_area_formula_middle_coefficient():
     ctx = FlagContext(4, 1)
     table = coproduct(ctx, s_label(2, 0), "S")
@@ -194,11 +214,31 @@ def test_terms_are_built_in_print_order_without_zeros(n):
             assert all(c for _, _, c in table.terms), (n, p, table.input)
 
 
+def _reference_coefficient(m, c):
+    return {"num": c.numerator, "den": c.denominator, "units": [{"sym": f"omega({m})", "exp": -1}]}
+
+
+def _reference_json(table):
+    """The table as a dict, for json.dumps to print: what the template must reproduce."""
+    m = table.unit
+    terms = [
+        {"left": l.to_text(), "right": r.to_text(), "coeff": _reference_coefficient(m, c)}
+        for l, r, c in table.terms
+    ]
+    return {
+        "schema": "flagkin/table/v1",
+        "n": table.ctx.n,
+        "p": table.ctx.p,
+        "input": table.input.to_text(),
+        "terms": terms,
+    }
+
+
 def test_table_renderings_deterministic():
     ctx = FlagContext(4, 1)
     table = coproduct(ctx, s_label(1, 0), "S")
-    blob = json.dumps(table_to_json(table), indent=2)
-    assert json.dumps(table_to_json(table), indent=2) == blob
+    blob = table_to_json(table)
+    assert table_to_json(table) == blob == json.dumps(_reference_json(table), indent=2)
     data = json.loads(blob)
     assert data["schema"] == "flagkin/table/v1"
     assert data["input"] == "S[1,0]"
@@ -207,6 +247,36 @@ def test_table_renderings_deterministic():
     assert "S[0,0],S[1,0],1,1,omega(4)^-1" in csv
     tex = table_to_latex(table)
     assert "\\omega_{4}^{-1}" in tex and "\\begin{tabular}" in tex
+
+
+def _json_requests(n):
+    """Every table of n in both families and --hug-weil: (argv, tables) per p and kind."""
+    for p in range(n):
+        ctx = FlagContext(n, p)
+        head = ["table", "--n", str(n), "--p", str(p), "--format", "json"]
+        for basis in ("Phi", "S"):
+            yield [*head, "--basis", basis], list(coproduct_tables(ctx, basis).values())
+        yield [*head, "--hug-weil"], [hug_weil_coproduct(ctx, k) for k in range(n - p)]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_json_template_matches_the_encoder(n):
+    # the template prints what json.dumps(indent=2) prints for the
+    # reference dicts, as a single table (coproduct) and as a sweep (table)
+    for argv, tables in _json_requests(n):
+        for table in tables:
+            single = "".join(_render_tables(argparse.Namespace(format="json"), [table], False))
+            assert single == json.dumps(_reference_json(table), indent=2) + "\n", argv
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        sweep = {
+            "schema": "flagkin/tables/v1",
+            "n": n,
+            "p": tables[0].ctx.p,
+            "tables": [_reference_json(t) for t in tables],
+        }
+        assert out.getvalue() == json.dumps(sweep, indent=2) + "\n", argv
 
 
 @pytest.mark.parametrize(
@@ -234,12 +304,13 @@ def test_coefficient_formatters(table, left, right, text, latex, csv, num, den, 
     assert c == Fraction(num, den) and table.unit == m
     units = [{"sym": f"omega({m})", "exp": -1}]
     assert text_coefficient(m)(c) == text
-    assert json_coefficient(m)(c) == {"num": num, "den": den, "units": units}
+    reference = {"num": num, "den": den, "units": units}
+    assert json_coefficient(m, "")(c) == json.dumps(reference, indent=2)
     assert latex_coefficient(m)(c) == latex
     # each rendering of the table prints the coefficient in its format
     assert f"  {left} (x) {right}  :  {text}" in table.to_text().splitlines()
-    term = {"left": str(left), "right": str(right), "coeff": {"num": num, "den": den, "units": units}}
-    assert term in table_to_json(table)["terms"]
+    term = {"left": str(left), "right": str(right), "coeff": reference}
+    assert term in json.loads(table_to_json(table))["terms"]
     assert any(line.endswith(f" & {latex} \\\\") for line in table_to_latex(table).splitlines())
     assert csv in csv_rows(table)
 
