@@ -10,7 +10,8 @@ every ordered label pair of total degree at most n - 1 and ``coproduct``
 ``verify`` at every p for n <= 8, and ``dim`` (text and json) for
 n <= 11.  Two more pin ``table --hug-weil`` in json, csv and latex at
 every p for n <= 8, and every ``table`` rendering at (n, p) = (12, 5);
-one digest per format pins ``table`` in both bases at (20, 9).
+one digest per format pins ``table`` in both bases at (20, 9), and one
+per format, in text and json, at (24, 11) with ``--max-n 24``.
 A refactor of a renderer or of a verify suite must leave each digest
 unchanged; a failure names the n whose output moved.  The usage
 test pins, one request at a time, the exit code, stdout and stderr of
@@ -267,3 +268,22 @@ LARGER_TABLE_DIGESTS = {
 def test_larger_table_renderings_match_recorded_digest(fmt):
     got = digest(fmt, larger_table_requests)
     assert got == LARGER_TABLE_DIGESTS[fmt], f"table output at (20, 9) in {fmt} changed"
+
+
+def largest_table_requests(fmt):
+    """table in one format at (24, 11), above the default guard of 20, in both bases."""
+    for argv in larger_table_requests(fmt, 24, 11):
+        yield [*argv, "--max-n", "24"]
+
+
+# sha256 of largest_table_requests(fmt), recorded from the reference output.
+LARGEST_TABLE_DIGESTS = {
+    "text": "fe62819ddeedc9e82e374ef5349115b7a18f0030110a5b95e42715449ac8dc24",
+    "json": "ae1b68b5742070ca1172715bce789f782fc6d4f1eb104512554c13fbbbd675a3",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(LARGEST_TABLE_DIGESTS))
+def test_largest_table_renderings_match_recorded_digest(fmt):
+    got = digest(fmt, largest_table_requests)
+    assert got == LARGEST_TABLE_DIGESTS[fmt], f"table output at (24, 11) in {fmt} changed"
