@@ -23,11 +23,11 @@ from .errors import FlagkinError, ValidationError
 # like 4^n.  dim checks one lead key per chord monomial, and the
 # chord-diagram basis prints one line per monomial: Narayana(n, k) in
 # degree k, Catalan(n) in all, which also grows like 4^n.  table,
-# coproduct and product compute in the x, y, u presentation, where the
-# slowest table at n = 20 takes one to two seconds, and basis --p and
-# dim --p only list measure labels or count them.
+# coproduct and product compute in the x, y, u presentation, in integers,
+# where the slowest table at n = 30 takes one to two seconds, and basis --p
+# and dim --p only list measure labels or count them.
 DEFAULT_MAX_N = 8
-PRESENTED_MAX_N = 20
+PRESENTED_MAX_N = 30
 ALL_FORMATS = ("text", "json", "csv", "latex")
 
 
@@ -109,10 +109,13 @@ def _emit(args, chunks: Iterable[str]) -> None:
         raise ValidationError(f"cannot write {args.output}: {exc.strerror or exc}") from None
 
 
-def _json_text(data) -> str:
-    import json  # imported here, so that only dim and basis JSON pay for it
+def _json_strings(items: list[str], pad: str) -> str:
+    """The JSON text of a non-empty array of strings, closed at indentation pad.
 
-    return json.dumps(data, indent=2) + "\n"
+    The strings are labels and chord monomials, which hold no character
+    that JSON escapes.
+    """
+    return "[\n" + ",\n".join(f'{pad}  "{item}"' for item in items) + f"\n{pad}]"
 
 
 def _ctx(args) -> FlagContext:
@@ -161,29 +164,28 @@ def cmd_dim(args) -> int:
     if args.p is None:
         from .rotation_algebra import graded_dimension
 
-        rows = [
-            {"k": k, "dimension": graded_dimension(args.n, k)} for k in range(args.n)
-        ]
+        dims = [graded_dimension(args.n, k) for k in range(args.n)]
         title = f"rotation algebra graded dimensions, n={args.n}"
     else:
         from .invariant_algebras import invariant_dimension
 
         ctx = _ctx(args)
-        rows = [
-            {"k": k, "dimension": invariant_dimension(ctx, k)} for k in range(args.n)
-        ]
+        dims = [invariant_dimension(ctx, k) for k in range(args.n)]
         title = f"flag invariant subalgebra dimensions, n={args.n}, p={args.p}"
     if args.format == "json":
-        _emit(args, [_json_text({"title": title, "rows": rows})])
+        rows = ",\n".join(
+            f'    {{\n      "k": {k},\n      "dimension": {d}\n    }}' for k, d in enumerate(dims)
+        )
+        _emit(args, [f'{{\n  "title": "{title}",\n  "rows": [\n{rows}\n  ]\n}}\n'])
     elif args.format == "csv":
-        lines = ["k,dimension"] + [f"{r['k']},{r['dimension']}" for r in rows]
+        lines = ["k,dimension"] + [f"{k},{d}" for k, d in enumerate(dims)]
         _emit(args, ["\n".join(lines) + "\n"])
     elif args.format == "latex":
-        body = " & ".join(str(r["dimension"]) for r in rows)
+        body = " & ".join(map(str, dims))
         text = f"% {title}\n\\begin{{tabular}}{{{'c' * args.n}}}\n{body} \\\\\n\\end{{tabular}}\n"
         _emit(args, [text])
     else:
-        lines = [title] + [f"  k={r['k']}: {r['dimension']}" for r in rows]
+        lines = [title] + [f"  k={k}: {d}" for k, d in enumerate(dims)]
         _emit(args, ["\n".join(lines) + "\n"])
     return 0
 
@@ -200,8 +202,11 @@ def cmd_basis(args) -> int:
 
         mons = [chord_text(*m) for m in chord_basis(args.n, args.k)]
         if args.format == "json":
-            data = {"n": args.n, "k": args.k, "count": len(mons), "monomials": mons}
-            _emit(args, [_json_text(data)])
+            text = (
+                f'{{\n  "n": {args.n},\n  "k": {args.k},\n  "count": {len(mons)},\n'
+                f'  "monomials": {_json_strings(mons, "  ")}\n}}\n'
+            )
+            _emit(args, [text])
         else:
             lines = [f"chord basis n={args.n} k={args.k} ({len(mons)} monomials)"]
             lines += [f"  {m}" for m in mons]
@@ -212,14 +217,11 @@ def cmd_basis(args) -> int:
     ctx = _ctx(args)
     labels = basis_labels(ctx, args.k, args.basis)
     if args.format == "json":
-        data = {
-            "n": ctx.n,
-            "p": ctx.p,
-            "k": args.k,
-            "basis": args.basis,
-            "labels": [l.to_text() for l in labels],
-        }
-        _emit(args, [_json_text(data)])
+        text = (
+            f'{{\n  "n": {ctx.n},\n  "p": {ctx.p},\n  "k": {args.k},\n  "basis": "{args.basis}",\n'
+            f'  "labels": {_json_strings([l.to_text() for l in labels], "  ")}\n}}\n'
+        )
+        _emit(args, [text])
     else:
         _emit(args, ["\n".join(l.to_text() for l in labels) + "\n"])
     return 0

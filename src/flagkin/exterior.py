@@ -76,6 +76,13 @@ def _below_parity(mask: int) -> int:
     return p
 
 
+def _exact(c: int | Fraction) -> Fraction:
+    """c as a Fraction; a float is refused, since no verification path may round."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"a form coefficient must be exact, got {type(c).__name__}")
+    return Fraction(c)
+
+
 class Multivector:
     """Finite rational linear combination of blades: a map from blade key to nonzero Fraction."""
 
@@ -83,7 +90,7 @@ class Multivector:
 
     def __init__(self, terms: dict[int, int | Fraction] | None = None):
         self._row = {
-            _key(k >> 32, k & _LOW): Fraction(c) for k, c in (terms or {}).items() if c
+            _key(k >> 32, k & _LOW): _exact(c) for k, c in (terms or {}).items() if c
         }
 
     @classmethod
@@ -165,7 +172,7 @@ class Multivector:
         return self + (-other)
 
     def smul(self, s: int | Fraction) -> "Multivector":
-        s = Fraction(s)
+        s = _exact(s)
         if not s or not self._row:
             return Multivector()
         return Multivector._of({k: c * s for k, c in self._row.items()})

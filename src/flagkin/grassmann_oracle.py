@@ -152,16 +152,17 @@ def rotation_measure_rep(n: int, I, J) -> Multivector:
 def realize(ctx: FlagContext, element: PresentedElement) -> AlgebraElement:
     """The form of a presented element: x^a y^b -> embed_monomial(ctx, a, b), u -> u_element(ctx).
 
-    A key outside 0 <= a <= p, 0 <= b <= q is no basis monomial and raises
+    Each integer coordinate is divided by the element's denominator.  A
+    key outside 0 <= a <= p, 0 <= b <= q is no basis monomial and raises
     IndexOutOfRange, so a product that keeps x^(p+1) cannot realize to zero.
     """
     out = zero(ctx.n)
     for (a, b), c in element.xy.items():
         if not (0 <= a <= ctx.p and 0 <= b <= ctx.q):
             raise IndexOutOfRange(f"x^{a} y^{b} is no basis monomial for p={ctx.p}, q={ctx.q}")
-        out = out + embed_monomial(ctx, a, b).smul(c)
+        out = out + embed_monomial(ctx, a, b).smul(Fraction(c, element.den))
     if element.u:
-        out = out + u_element(ctx).smul(element.u)
+        out = out + u_element(ctx).smul(Fraction(element.u, element.den))
     return out
 
 
@@ -208,7 +209,7 @@ def eta_ex(ctx: FlagContext) -> Multivector:
 @lru_cache(maxsize=None)
 def tau_tilde(ctx: FlagContext, k: int, a: int) -> AlgebraElement:
     """The algebra element E_a(first block) E_{k-a}(second block), x^a y^(k-a) / (a! (k-a)!)."""
-    return embed_monomial(ctx, a, k - a).smul(1 / (factorial(a) * factorial(k - a)))
+    return embed_monomial(ctx, a, k - a).smul(Fraction(1, factorial(a) * factorial(k - a)))
 
 
 def pairing(ctx: FlagContext, dual: AlgebraElement, primal: Multivector) -> Scalar:
@@ -365,7 +366,7 @@ def honest_exceptional_pairing(ctx: FlagContext) -> Scalar:
     if not ctx.exceptional:
         raise ExceptionalUnavailable(f"n={ctx.n}, p={ctx.p} is not exceptional")
     p = ctx.p
-    return Scalar((-1) ** p * factorial(p) / 2**p) * Scalar.omega(ctx.n)
+    return Scalar.of((-1) ** p * factorial(p), 2**p) * Scalar.omega(ctx.n)
 
 
 def tau_ex(ctx: FlagContext) -> AlgebraElement:

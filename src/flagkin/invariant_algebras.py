@@ -1,7 +1,9 @@
 """The flag algebra, the H-invariant subalgebra for H = S(O(p) x O(q)).
 
 Production tables are computed in its presentation by x, y and u
-(PresentedElement).  The oracle checks that presentation against the
+(PresentedElement), in integers: an element holds integer coordinates
+over one positive denominator, so the presented engine loads no rational
+arithmetic.  The oracle checks that presentation against the
 realization by forms in grassmann_oracle: x^i y^j is
 embed_monomial(ctx, i, j), built on the diagonal index blocks {2..p+1}
 and {p+2..n}, and u is grassmann_oracle.u_element(ctx).  embed_monomial
@@ -12,7 +14,6 @@ exterior kernel.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .records import Record, _set
@@ -81,33 +82,47 @@ class PresentedElement(Record):
     The algebra is Q[x,y]/(x^(p+1), y^(q+1)), plus Q u when n is odd and
     p == q, with u x = u y = 0 and u^2 = (-1)^p (p+1)/4^p x^p y^p
     (relations the flag algebra suite checks on the exterior realization).
-    xy maps (a, b) to the rational coefficient of x^a y^b; unit factors
-    are left to the caller.
+    The element is (sum xy[(a, b)] x^a y^b + u u) / den: xy maps (a, b)
+    to a nonzero integer, and u and the positive den are integers.  It is
+    kept in lowest terms, so equal elements are equal records.  Unit
+    factors are left to the caller.
     """
 
-    __slots__ = ("ctx", "xy", "u")
+    __slots__ = ("ctx", "xy", "u", "den")
 
     def __init__(
-        self, ctx: FlagContext, xy: dict[tuple[int, int], Fraction], u: Fraction = Fraction(0)
+        self, ctx: FlagContext, xy: dict[tuple[int, int], int], u: int = 0, den: int = 1
     ) -> None:
+        if den < 1:
+            raise ValueError(f"denominator {den} is not positive")
+        g = math.gcd(den, u, *xy.values())
+        if g > 1:
+            xy = {key: c // g for key, c in xy.items()}
+            u //= g
+            den //= g
         _set(self, "ctx", ctx)
         _set(self, "xy", xy)
         _set(self, "u", u)
+        _set(self, "den", den)
 
     def __mul__(self, other: "PresentedElement") -> "PresentedElement":
         p, q = self.ctx.p, self.ctx.q
-        xy: dict[tuple[int, int], Fraction] = {}
+        xy: dict[tuple[int, int], int] = {}
         for (a, b), c in self.xy.items():
             for (a2, b2), c2 in other.xy.items():
                 if a + a2 <= p and b + b2 <= q:
                     key = (a + a2, b + b2)
                     xy[key] = xy.get(key, 0) + c * c2
         u = self.u * other.xy.get((0, 0), 0) + other.u * self.xy.get((0, 0), 0)
+        den = self.den * other.den
         if self.u and other.u:
-            xy[(p, q)] = xy.get((p, q), 0) + self.u * other.u * Fraction(
-                (-1) ** p * (p + 1), 4**p
-            )
-        return PresentedElement(self.ctx, {key: c for key, c in xy.items() if c}, u)
+            # u^2 = (-1)^p (p+1)/4^p x^p y^q: the coordinates and den take the 4^p
+            scale = 4**p
+            xy = {key: c * scale for key, c in xy.items()}
+            xy[(p, q)] = xy.get((p, q), 0) + self.u * other.u * (-1) ** p * (p + 1)
+            u *= scale
+            den *= scale
+        return PresentedElement(self.ctx, {key: c for key, c in xy.items() if c}, u, den)
 
 
 def invariant_dimension(ctx: FlagContext, k: int) -> int:

@@ -7,10 +7,13 @@ multiply the dual elements of left and right, expand the product over the
 dual basis, and read off the input's slot.  flagkin.verify checks the
 presentation against the exterior realization of the algebra and the
 tables term by term against the closed forms of the coefficient theorems.
-Table coefficients are rationals, like the closed forms: every table
-states its unit omega_m^-1 once (family_unit gives m: n, or n - p for the
-rescaled Sp tables), and one formatter per output format attaches it to
-each coefficient it prints; no printed coefficient is zero.
+Table coefficients are rationals held as reduced (num, den) int pairs,
+the numerator and denominator of the rational, so building and printing a
+table loads no rational arithmetic; the closed forms, which only verify
+and the tests evaluate, are Fractions.  Every table states its unit
+omega_m^-1 once (family_unit gives m: n, or n - p for the rescaled Sp
+tables), and one formatter per output format attaches it to each
+coefficient it prints; no printed coefficient is zero.
 
 The double-sum closed form for the S basis is implemented with summation
 limits m'_j, m'_{k-j} (the support of its binomial factors, as dictated by
@@ -21,13 +24,14 @@ coefficient, so the support limits are the ones asserted.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from functools import lru_cache
 
 from .errors import IndexOutOfRange
 from .invariant_algebras import FlagContext
 from .measures import (
     MeasureLabel,
+    Ratio,
     basis_labels,
     binom,
     c_constant,
@@ -38,7 +42,7 @@ from .measures import (
 )
 from .records import Record, _set
 
-Term = tuple[MeasureLabel, MeasureLabel, Fraction]
+Term = tuple[MeasureLabel, MeasureLabel, Ratio]
 
 
 def family_unit(ctx: FlagContext, family: str) -> int:
@@ -47,13 +51,13 @@ def family_unit(ctx: FlagContext, family: str) -> int:
 
 
 def text_coefficient(m: int):
-    """The formatter of a coefficient in the unit omega_m^-1: num/den * omega(m)^-1."""
+    """The formatter of a (num, den) coefficient in the unit omega_m^-1: num/den * omega(m)^-1."""
     unit = f" * omega({m})^-1"
-    return lambda c: f"{c.numerator}/{c.denominator}{unit}"
+    return lambda c: f"{c[0]}/{c[1]}{unit}"
 
 
 def json_coefficient(m: int, pad: str):
-    """The formatter of a coefficient in the unit omega_m^-1, as JSON text of {num, den, units}.
+    """The formatter of a (num, den) coefficient in the unit omega_m^-1, as JSON {num, den, units}.
 
     pad is the indentation of the line the object opens on; the text is
     what json.dumps(..., indent=2) prints there, with the units block
@@ -64,7 +68,7 @@ def json_coefficient(m: int, pad: str):
         f'"units": [\n{key}  {{\n{key}    "sym": "omega({m})",\n{key}    "exp": -1\n'
         f"{key}  }}\n{key}]\n{pad}}}"
     )
-    return lambda c: f'{{\n{key}"num": {c.numerator},\n{key}"den": {c.denominator},\n{key}{units}'
+    return lambda c: f'{{\n{key}"num": {c[0]},\n{key}"den": {c[1]},\n{key}{units}'
 
 
 def json_array(items: list[str], pad: str) -> str:
@@ -73,19 +77,19 @@ def json_array(items: list[str], pad: str) -> str:
 
 
 def latex_coefficient(m: int):
-    """The formatter of a coefficient in the unit omega_m^-1: -\\frac{1}{2}\\omega_{m}^{-1}."""
+    """The formatter of a (num, den) coefficient in omega_m^-1, as -\\frac{1}{2}\\omega_{m}^{-1}."""
     unit = f"\\omega_{{{m}}}^{{-1}}"
 
-    def fmt(c: Fraction) -> str:
-        num, den = abs(c.numerator), c.denominator
-        body = f"{num}" if den == 1 else f"\\frac{{{num}}}{{{den}}}"
-        return f"{'-' if c < 0 else ''}{body}{unit}"
+    def fmt(c: Ratio) -> str:
+        num, den = c
+        body = f"{abs(num)}" if den == 1 else f"\\frac{{{abs(num)}}}{{{den}}}"
+        return f"{'-' if num < 0 else ''}{body}{unit}"
 
     return fmt
 
 
 class KinematicTable(Record):
-    """The coproduct of input: terms (left, right, c) for c times the family unit."""
+    """The coproduct of input: terms (left, right, (num, den)) for num/den times the family unit."""
 
     __slots__ = ("ctx", "input", "family", "terms")
 
@@ -101,11 +105,12 @@ class KinematicTable(Record):
     def unit(self) -> int:
         return family_unit(self.ctx, self.family)
 
-    def coefficient(self, left: MeasureLabel, right: MeasureLabel) -> Fraction:
+    def coefficient(self, left: MeasureLabel, right: MeasureLabel) -> Ratio:
+        """The (num, den) of left (x) right, and (0, 1) when the table has no such term."""
         for l, r, c in self.terms:
             if (l, r) == (left, right):
                 return c
-        return Fraction(0)
+        return (0, 1)
 
     def to_text(self) -> str:
         head = f"A({self.input.to_text()})  [n={self.ctx.n}, p={self.ctx.p}]"
@@ -124,7 +129,7 @@ def _degree_tables(ctx: FlagContext, family: str, k: int) -> dict[MeasureLabel, 
     the other labels of its degree, then by index; then right the same
     way.  expand_presented returns no zero, so no term is zero either.
     """
-    acc: dict[MeasureLabel, dict[tuple[MeasureLabel, MeasureLabel], Fraction]] = {
+    acc: dict[MeasureLabel, dict[tuple[MeasureLabel, MeasureLabel], Ratio]] = {
         label: {} for label in basis_labels(ctx, k, family)
     }
     for j in range(k + 1):
@@ -163,22 +168,24 @@ def coproduct(ctx: FlagContext, input: MeasureLabel, family: str | None = None) 
 
 def closed_form_phi(ctx: FlagContext, k: int, a: int, j: int, b: int) -> Fraction:
     """c^{k,a}_{j,b}: the O(n) coefficient of Phi_{j,b} (x) Phi_{k-j,a-b}."""
+    from fractions import Fraction  # only verify and the tests evaluate the closed forms
+
     validate_label(ctx, phi_label(k, a))
     if not 0 <= j <= k:
         raise IndexOutOfRange(f"j={j} outside 0..{k}")
     if not max(0, j - k + a) <= b <= min(a, j):
         raise IndexOutOfRange(f"b={b} outside Theorem ranges for (k,a,j)=({k},{a},{j})")
     p, q = ctx.p, ctx.q
-    return (
-        binom(q - k + j + a - b, j - b)
-        * binom(p - a + b, b)
-        / binom(q, j - b)
-        / binom(p, b)
+    return Fraction(
+        binom(q - k + j + a - b, j - b) * binom(p - a + b, b),
+        binom(q, j - b) * binom(p, b),
     )
 
 
 def closed_form_S(ctx: FlagContext, k: int, i: int, j: int, b: int, c: int) -> Fraction:
     """C^{k,i}_{j,b,c}: the coefficient of S_j^(p),b (x) S_{k-j}^(p),c."""
+    from fractions import Fraction  # only verify and the tests evaluate the closed forms
+
     validate_label(ctx, s_label(k, i))
     if not 0 <= j <= k:
         raise IndexOutOfRange(f"j={j} outside 0..{k}")
@@ -191,20 +198,21 @@ def closed_form_S(ctx: FlagContext, k: int, i: int, j: int, b: int, c: int) -> F
     for t in range(mpk - mk, mpk - i + 1):
         inner = Fraction(0)
         for s in range(max(mpj - b, t - mpl), min(mpj, t - mpl + c) + 1):
-            inner += (
+            inner += Fraction(
                 binom(b, mpj - s)
                 * binom(c, mpl - t + s)
-                / binom(q, j - s)
-                / binom(p, s)
                 * binom(q - k + t - s + j, j - s)
-                * binom(p - t + s, s)
+                * binom(p - t + s, s),
+                binom(q, j - s) * binom(p, s),
             )
         total += (-1) ** t * binom(mpk - t, i) * inner
     sign = (-1) ** (b + c + mpj + mpl)
-    ratio = c_constant(ctx.n, k, p, i) / (
-        c_constant(ctx.n, j, p, b) * c_constant(ctx.n, k - j, p, c)
+    (num_i, den_i), (num_b, den_b), (num_c, den_c) = (
+        c_constant(ctx.n, k, p, i),
+        c_constant(ctx.n, j, p, b),
+        c_constant(ctx.n, k - j, p, c),
     )
-    return sign * ratio * total
+    return sign * Fraction(num_i * den_b * den_c, den_i * num_b * num_c) * total
 
 
 def hug_weil_coproduct(ctx: FlagContext, k: int) -> KinematicTable:
@@ -220,11 +228,12 @@ def hug_weil_coproduct(ctx: FlagContext, k: int) -> KinematicTable:
         raise IndexOutOfRange(f"S^(p)_k needs p <= n-k-1, got p={ctx.p}, k={k}")
     base = coproduct(ctx, phi_label(k, 0), "Phi")
     scale = [binom(ctx.q, j) for j in range(k + 1)]
-    terms = tuple(
-        (MeasureLabel("Sp", l.k), MeasureLabel("Sp", r.k), c * scale[l.k] * scale[r.k] / scale[k])
-        for l, r, c in base.terms
-    )
-    return KinematicTable(ctx, MeasureLabel("Sp", k), "Sp", terms)
+    terms = []
+    for l, r, (num, den) in base.terms:
+        num, den = num * scale[l.k] * scale[r.k], den * scale[k]
+        g = math.gcd(num, den)
+        terms.append((MeasureLabel("Sp", l.k), MeasureLabel("Sp", r.k), (num // g, den // g)))
+    return KinematicTable(ctx, MeasureLabel("Sp", k), "Sp", tuple(terms))
 
 
 # -- renderings -------------------------------------------------------------------
@@ -254,8 +263,8 @@ def csv_rows(table: KinematicTable) -> list[str]:
     """One "left,right,num,den,units" line per term of the table."""
     units = f"omega({table.unit})^-1"
     return [
-        f"{l.to_text()},{r.to_text()},{c.numerator},{c.denominator},{units}"
-        for l, r, c in table.terms
+        f"{l.to_text()},{r.to_text()},{num},{den},{units}"
+        for l, r, (num, den) in table.terms
     ]
 
 

@@ -3,37 +3,42 @@
 Labels: Phi[k,a] and S[k,i] index the two bases of flag area measures,
 PhiEx the exceptional one (only for odd n with p == q) and Sp[k] the
 rescaled family of Corollary-style binomial tables.  The S basis is one
-change of the Phi basis in each degree, stated once as the rational matrix
-s_in_phi_matrix and once as its inverse phi_in_s_matrix.  Dual elements
-are elements of the flag algebra in its presentation by x, y and u
-(presented_dual): the Phi duals are x^a y^(k-a) times explicit binomial
-constants, the S duals follow through the inverse change, and
-expand_presented inverts both, so that every kinematic coefficient is
-computed purely inside the algebra, as the rational multiple of
-omega_n^-1 that dual_product returns.  global_factor gives the pushforward
-of a label to the global area measure of its degree.
+change of the Phi basis in each degree, stated once, in integers, by
+base_change: a binomial matrix, its signed inverse and the constants
+c_{n,k,p,i} as reduced (num, den) pairs.  Dual elements are elements of
+the flag algebra in its presentation by x, y and u (presented_dual): the
+Phi duals are x^a y^(k-a) over explicit integer scales, the S duals
+follow through the inverse change, and expand_presented inverts both, so
+that every kinematic coefficient is computed purely inside the algebra,
+as the rational multiple of omega_n^-1 that dual_product returns.  Every
+coefficient is an integer sum over a known denominator, reduced once to
+a (num, den) pair with den > 0: the numerator and denominator of the
+rational.  global_factor gives the pushforward of a label to the global
+area measure of its degree.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import ExceptionalUnavailable, IndexOutOfRange, NotHomogeneous
 from .invariant_algebras import FlagContext, PresentedElement, monomial_exponents
 from .records import Record, _set
 
+Ratio = tuple[int, int]
 
-def binom(m: int, r: int) -> Fraction:
+
+def binom(m: int, r: int) -> int:
     """Binomial coefficient with C(m, r) = 0 outside 0 <= r <= m."""
     if r < 0 or r > m or m < 0:
-        return Fraction(0)
-    return Fraction(math.comb(m, r))
+        return 0
+    return math.comb(m, r)
 
 
-def factorial(k: int) -> Fraction:
-    return Fraction(math.factorial(k))
+def factorial(k: int) -> int:
+    return math.factorial(k)
 
 
 class MeasureLabel(Record, order=True):
@@ -104,52 +109,42 @@ def basis_labels(ctx: FlagContext, k: int, family: str) -> list[MeasureLabel]:
 
 
 @lru_cache(maxsize=None)
-def c_constant(n: int, k: int, p: int, i: int) -> Fraction:
-    """c_{n,k,p,i}, the binomial normalization of the S-basis."""
+def c_constant(n: int, k: int, p: int, i: int) -> Ratio:
+    """c_{n,k,p,i}, the binomial normalization of the S-basis, as a reduced (num, den)."""
     ctx = FlagContext(n, p)
     validate_label(ctx, s_label(k, i))
     m_k = ctx.m(k)
-    return binom(n - 1, i) / binom(n - 1, k) / binom(m_k, i) / binom(abs(k - ctx.q) + m_k, i)
+    num = binom(n - 1, i)
+    den = binom(n - 1, k) * binom(m_k, i) * binom(abs(k - ctx.q) + m_k, i)
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 @lru_cache(maxsize=None)
-def s_in_phi_matrix(ctx: FlagContext, k: int) -> tuple[tuple[Fraction, ...], ...]:
-    """S_k^(p),i = sum_a c_{n,k,p,i} C(m'_k - a, i) Phi_{k,a}.
+def base_change(ctx: FlagContext, k: int):
+    """The change between the S and Phi bases in degree k, in integers: (B, B_inv, c).
 
-    Rows are indexed by i in 0..m_k, columns by a in ctx.phi_indices(k).
+    S_k^(p),i = c_i sum_a B[i][a] Phi_{k,a} with B[i][a] = C(m'_k - a, i),
+    and Phi_{k,a} = sum_i B_inv[a][i] / c_i S_k^(p),i with the signed
+    inverse B_inv[a][i] = (-1)^(a+m'_k+i) C(i, m'_k - a).  Rows of B are
+    indexed by i in 0..m_k and columns by a in ctx.phi_indices(k), B_inv
+    the other way round, and c[i] = c_constant(n, k, p, i).
     """
     mp = ctx.m_prime(k)
-    return tuple(
-        tuple(c_constant(ctx.n, k, ctx.p, i) * binom(mp - a, i) for a in ctx.phi_indices(k))
-        for i in range(ctx.m(k) + 1)
-    )
-
-
-@lru_cache(maxsize=None)
-def phi_in_s_matrix(ctx: FlagContext, k: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Phi_{k,a} = sum_i (-1)^(a+m'_k+i) C(i, m'_k - a) / c_{n,k,p,i} S_k^(p),i.
-
-    The inverse of s_in_phi_matrix: rows are indexed by a in
-    ctx.phi_indices(k), columns by i in 0..m_k.
-    """
-    mp = ctx.m_prime(k)
-    return tuple(
-        tuple(
-            (-1) ** (a + mp + i) * binom(i, mp - a) / c_constant(ctx.n, k, ctx.p, i)
-            for i in range(ctx.m(k) + 1)
-        )
-        for a in ctx.phi_indices(k)
-    )
+    rows, cols = range(ctx.m(k) + 1), ctx.phi_indices(k)
+    B = tuple(tuple(binom(mp - a, i) for a in cols) for i in rows)
+    B_inv = tuple(tuple((-1) ** (a + mp + i) * binom(i, mp - a) for i in rows) for a in cols)
+    return B, B_inv, tuple(c_constant(ctx.n, k, ctx.p, i) for i in rows)
 
 
 # -- duals in the x, y, u presentation -----------------------------------------
 #
 # Every dual carries the same unit omega_n^-1, so it is factored out:
-# presented_dual(L) is omega_n times the dual of L, over rationals, and
-# dual_product returns rationals, the multiples of omega_n^-1.
+# presented_dual(L) is omega_n times the dual of L, and dual_product
+# returns the rationals that multiply omega_n^-1.
 
 
-def _phi_scale(ctx: FlagContext, a: int, b: int) -> Fraction:
+def _phi_scale(ctx: FlagContext, a: int, b: int) -> int:
     """C(q,b) C(p,a) a! b!, the multiple of omega_n Phi_{a+b,a}^* that is x^a y^b."""
     return binom(ctx.q, b) * binom(ctx.p, a) * factorial(a) * factorial(b)
 
@@ -159,69 +154,92 @@ def presented_dual(ctx: FlagContext, label: MeasureLabel) -> PresentedElement:
     """omega_n times the dual element of label, in the x, y, u presentation.
 
     Phi_{k,a}^* = x^a y^(k-a) / (omega_n C(q,k-a) C(p,a) a! (k-a)!),
-    S_k^(p),i,* = sum_a Q[a][i] Phi_{k,a}^* with Q = phi_in_s_matrix (the
-    inverse transpose of the change S = P Phi), and Phi_ex^* = (-1)^p u / (omega_n p!).
+    S_k^(p),i,* = sum_a B_inv[a][i] / c_i Phi_{k,a}^* (the inverse
+    transpose of the change S = c B Phi), and Phi_ex^* = (-1)^p u / (omega_n p!).
     """
     validate_label(ctx, label)
     k = label.k
     if label.kind == "Phi":
         a = label.idx
-        return PresentedElement(ctx, {(a, k - a): 1 / _phi_scale(ctx, a, k - a)})
+        return PresentedElement(ctx, {(a, k - a): 1}, den=_phi_scale(ctx, a, k - a))
     if label.kind == "S":
         i = label.idx
-        xy = {
-            (a, k - a): row[i] / _phi_scale(ctx, a, k - a)
-            for a, row in zip(ctx.phi_indices(k), phi_in_s_matrix(ctx, k))
+        _, B_inv, c = base_change(ctx, k)
+        num, den = c[i]
+        terms = [
+            ((a, k - a), row[i], _phi_scale(ctx, a, k - a))
+            for a, row in zip(ctx.phi_indices(k), B_inv)
             if row[i]
-        }
-        return PresentedElement(ctx, xy)
+        ]
+        common = math.lcm(*(scale for _, _, scale in terms))
+        xy = {key: e * den * (common // scale) for key, e, scale in terms}
+        return PresentedElement(ctx, xy, den=num * common)
     if label.kind == "PhiEx":
-        return PresentedElement(ctx, {}, (-1) ** ctx.p / factorial(ctx.p))
+        return PresentedElement(ctx, {}, (-1) ** ctx.p, factorial(ctx.p))
     raise ValueError(f"no dual element for {label}")
 
 
 @lru_cache(maxsize=None)
 def _expansion_rows(ctx: FlagContext, k: int, family: str):
-    """Per family label of degree k, the weight of each x^a y^b coordinate."""
+    """The x^a y^b keys of degree k and, per family label, its weights on them and a denominator.
+
+    A degree-k element with coordinates e over those keys has the
+    coefficient sum(weights * e) / den on the label's dual; a weight tuple
+    may stop early, where the rest of its weights are zero.
+    """
     keys = monomial_exponents(ctx, k)
     phi_weight = [_phi_scale(ctx, a, b) for a, b in keys]
     if family == "Phi":
-        return tuple((phi_label(k, a), {(a, b): w}) for (a, b), w in zip(keys, phi_weight))
-    if family == "S":
-        return tuple(
-            (s_label(k, i), {key: c * w for key, c, w in zip(keys, row, phi_weight) if c})
-            for i, row in enumerate(s_in_phi_matrix(ctx, k))
+        rows = tuple(
+            (phi_label(k, a), (0,) * t + (w,), 1)
+            for t, ((a, _), w) in enumerate(zip(keys, phi_weight))
         )
-    raise ValueError(f"unknown family {family!r}")
+    elif family == "S":
+        B, _, c = base_change(ctx, k)
+        rows = tuple(
+            (s_label(k, i), tuple(num * e * w for e, w in zip(row, phi_weight)), den)
+            for i, (row, (num, den)) in enumerate(zip(B, c))
+        )
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    return keys, rows
 
 
 def expand_presented(
     ctx: FlagContext, element: PresentedElement, k: int, family: str
-) -> dict[MeasureLabel, Fraction]:
+) -> dict[MeasureLabel, Ratio]:
     """Coefficients of a degree-k element over the presented duals of family.
 
     The inverse of presented_dual: the x^a y^(k-a) coefficient rescales
     into the Phi coefficient, then base-changes for the S family; the u
-    coefficient becomes the PhiEx coefficient.
+    coefficient becomes the PhiEx coefficient.  Each coefficient is a
+    reduced (num, den) with num != 0 and den > 0; a zero one is left out.
     """
     if any(a + b != k for a, b in element.xy) or (element.u and k != ctx.middle):
         raise NotHomogeneous(f"element is not homogeneous of degree {k}")
-    out: dict[MeasureLabel, Fraction] = {}
-    for label, weights in _expansion_rows(ctx, k, family):
-        c = sum(w * element.xy.get(key, 0) for key, w in weights.items())
-        if c:
-            out[label] = c
+    keys, rows = _expansion_rows(ctx, k, family)
+    coords = [element.xy.get(key, 0) for key in keys]
+    out: dict[MeasureLabel, Ratio] = {}
+    for label, weights, den in rows:
+        num = sum(map(mul, weights, coords))
+        if num:
+            den *= element.den
+            g = math.gcd(num, den)
+            out[label] = (num // g, den // g)
     if element.u:
-        out[PHI_EX] = element.u * (-1) ** ctx.p * factorial(ctx.p)
+        num, den = element.u * (-1) ** ctx.p * factorial(ctx.p), element.den
+        g = math.gcd(num, den)
+        out[PHI_EX] = (num // g, den // g)
     return out
 
 
 def dual_product(
     ctx: FlagContext, left: MeasureLabel, right: MeasureLabel, family: str
-) -> dict[MeasureLabel, Fraction]:
+) -> dict[MeasureLabel, Ratio]:
     """The product of the duals of left and right over the dual basis of family.
 
-    The coefficients are multiples of omega_n^-1, as every dual carries it.
+    The coefficients are reduced (num, den) multiples of omega_n^-1, as
+    every dual carries it.
     """
     product = presented_dual(ctx, left) * presented_dual(ctx, right)
     deg = left.degree(ctx) + right.degree(ctx)
@@ -231,16 +249,16 @@ def dual_product(
 # -- globalization ----------------------------------------------------------------
 
 
-def global_factor(ctx: FlagContext, label: MeasureLabel) -> Fraction:
+def global_factor(ctx: FlagContext, label: MeasureLabel) -> int:
     """The multiple of the global area measure S_k that label pushes forward to.
 
     S[k,i] maps to S_k and Phi[k,a] to C(q,k-a) C(p,a) S_k; PhiEx has no
     stated global image in the basis and is sent to zero.
     """
     if label.kind == "S":
-        return Fraction(1)
+        return 1
     if label.kind == "Phi":
         return binom(ctx.q, label.k - label.idx) * binom(ctx.p, label.idx)
     if label.kind == "PhiEx":
-        return Fraction(0)
+        return 0
     raise ValueError(f"cannot globalize {label}")

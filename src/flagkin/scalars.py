@@ -55,9 +55,13 @@ class Scalar(Record):
     def __post_init__(self, value, units) -> None:
         """Store value as a Fraction and units sorted, with no units on zero.
 
-        Each unit symbol appears at most once, with a nonzero exponent.
+        value is an int or a Fraction: a float is refused, since no
+        verification path may round.  Each unit symbol appears at most
+        once, with a nonzero exponent.
         """
         if not isinstance(value, Fraction):
+            if not isinstance(value, int):
+                raise TypeError(f"a Scalar value must be exact, got {type(value).__name__}")
             value = Fraction(value)
         if value == 0:
             units = ()

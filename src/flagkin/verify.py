@@ -7,7 +7,8 @@ suite covers every case at its (n, p) along one path; none samples.
 
 Layer functions are looked up through their modules at call time, never
 bound here by name, so that a wrapper installed on a module attribute sees
-every call.
+every call.  The engine's table coefficients are (num, den) int pairs; the
+checks convert them to Fractions once, at this boundary.
 """
 
 from __future__ import annotations
@@ -52,12 +53,16 @@ def _suite_ideal(ctx: FlagContext):
 
 
 def _suite_base_change(ctx: FlagContext):
+    """B B_inv = I in every degree, for the integer base change the engine reads.
+
+    The constants c_i cancel from S = c B Phi and its inverse; the closed
+    forms and the structural laws pin them.
+    """
     for k in range(ctx.n):
-        P = measures.s_in_phi_matrix(ctx, k)
-        Q = measures.phi_in_s_matrix(ctx, k)
-        for i, row in enumerate(P):
-            for j in range(len(P)):
-                if sum(c * Q[t][j] for t, c in enumerate(row)) != int(i == j):
+        B, B_inv, _ = measures.base_change(ctx, k)
+        for i, row in enumerate(B):
+            for j in range(len(B)):
+                if sum(e * B_inv[t][j] for t, e in enumerate(row)) != int(i == j):
                     return f"base change not inverse at k={k}"
     return None
 
@@ -73,11 +78,11 @@ def _suite_flag_algebra(ctx: FlagContext):
     realize = grassmann_oracle.realize
 
     def monomial(a, b):
-        return f"x^{a} y^{b}", a + b, PresentedElement(ctx, {(a, b): Fraction(1)})
+        return f"x^{a} y^{b}", a + b, PresentedElement(ctx, {(a, b): 1})
 
     basis = [monomial(a, b) for a in range(ctx.p + 1) for b in range(ctx.q + 1)]
     if ctx.exceptional:
-        basis.append(("u", ctx.middle, PresentedElement(ctx, {}, Fraction(1))))
+        basis.append(("u", ctx.middle, PresentedElement(ctx, {}, 1)))
     forms = []
     owner: dict[int, str] = {}  # blade key -> the monomial whose form holds it
     for name, _, element in basis:
@@ -163,10 +168,23 @@ def _suite_oracle(ctx: FlagContext):
 # -- structural laws -------------------------------------------------------------
 
 
+def _fraction_terms(table: kinematics.KinematicTable) -> list[tuple]:
+    """The table's terms (left, right, c) with each (num, den) as the Fraction num/den."""
+    return [(l, r, Fraction(num, den)) for l, r, (num, den) in table.terms]
+
+
+def _fraction_tables(ctx: FlagContext, family: str) -> dict:
+    """Every table of the family, as {input: _fraction_terms(table)}."""
+    return {
+        label: _fraction_terms(table)
+        for label, table in kinematics.coproduct_tables(ctx, family).items()
+    }
+
+
 def _global_table(ctx: FlagContext, table: kinematics.KinematicTable) -> dict[tuple[int, int], Fraction]:
     """Push both sides of a table forward to the global area measures, keyed by degrees."""
     out: dict[tuple[int, int], Fraction] = {}
-    for left, right, c in table.terms:
+    for left, right, c in _fraction_terms(table):
         factor = measures.global_factor(ctx, left) * measures.global_factor(ctx, right)
         key = (left.k, right.k)
         out[key] = out.get(key, 0) + c * factor
@@ -179,26 +197,26 @@ def verify_structure(ctx: FlagContext) -> str | None:
     Coefficients are the tables' rationals, in the unit omega_n^-1 they share.
     """
     for family in ("Phi", "S"):
-        tables = kinematics.coproduct_tables(ctx, family)
+        tables = _fraction_tables(ctx, family)
         zero_label = measures.basis_labels(ctx, 0, family)[0]
         coefficients = {
-            label: {(l, r): c for l, r, c in table.terms} for label, table in tables.items()
+            label: {(l, r): c for l, r, c in terms} for label, terms in tables.items()
         }
 
-        for label, table in tables.items():
+        for label, terms in tables.items():
             coeff = coefficients[label]
-            for l, r, c in table.terms:
+            for l, r, c in terms:
                 if coeff.get((r, l), 0) != c:
                     return f"cocommutativity[{family}]: A({label}) at {l} (x) {r}"
 
-        for label, table in tables.items():
+        for label, terms in tables.items():
             left_assoc: dict[tuple, Fraction] = {}
             right_assoc: dict[tuple, Fraction] = {}
-            for l, r, c in table.terms:
-                for l2, r2, c2 in tables[l].terms:
+            for l, r, c in terms:
+                for l2, r2, c2 in tables[l]:
                     key = (l2, r2, r)
                     left_assoc[key] = left_assoc.get(key, 0) + c * c2
-                for l2, r2, c2 in tables[r].terms:
+                for l2, r2, c2 in tables[r]:
                     key = (l, l2, r2)
                     right_assoc[key] = right_assoc.get(key, 0) + c * c2
             left_assoc = {k: v for k, v in left_assoc.items() if v}
@@ -210,7 +228,7 @@ def verify_structure(ctx: FlagContext) -> str | None:
             if coeff.get((zero_label, label), 0) != 1 or coeff.get((label, zero_label), 0) != 1:
                 return f"counit[{family}]: A({label})"
 
-        for label, table in tables.items():
+        for label, table in kinematics.coproduct_tables(ctx, family).items():
             got = _global_table(ctx, table)
             k = label.degree(ctx)
             front = measures.global_factor(ctx, label)
@@ -250,11 +268,11 @@ def _check_tables(ctx: FlagContext, family: str, closed_form_terms) -> str | Non
     term of the label's table that a closed form states.
     """
     exceptional = _exceptional_terms(ctx, family)
-    for input, table in kinematics.coproduct_tables(ctx, family).items():
+    for input, terms in _fraction_tables(ctx, family).items():
         want = dict(exceptional.get(input, {}))
         if input.kind == family:
             want.update(closed_form_terms(input))
-        got = {(l, r): c for l, r, c in table.terms}
+        got = {(l, r): c for l, r, c in terms}
         for (l, r), c in want.items():
             have = got.get((l, r), 0)
             if have != c:

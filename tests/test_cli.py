@@ -172,14 +172,52 @@ def test_product_json_matches_the_encoder(capsys, n):
                         "terms": [
                             {
                                 "label": l.to_text(),
-                                "coeff": {"num": c.numerator, "den": c.denominator, "units": units},
+                                "coeff": {"num": num, "den": den, "units": units},
                             }
-                            for l, c in terms
+                            for l, (num, den) in terms
                         ],
                     }
                     args = _label_args(left, basis) + _label_args(right, basis, "2")
                     code, out, _ = run(capsys, *head, *args)
                     assert (code, out) == (0, json.dumps(reference, indent=2) + "\n"), args
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_dim_json_matches_the_encoder(capsys, n):
+    # dim prints, with and without --p, what json.dumps(indent=2) prints for its reference dict
+    from flagkin.invariant_algebras import FlagContext, invariant_dimension
+    from flagkin.rotation_algebra import graded_dimension
+
+    forms = [([], f"rotation algebra graded dimensions, n={n}", lambda k: graded_dimension(n, k))]
+    for p in range(n):
+        ctx = FlagContext(n, p)
+        title = f"flag invariant subalgebra dimensions, n={n}, p={p}"
+        forms.append((["--p", str(p)], title, lambda k, ctx=ctx: invariant_dimension(ctx, k)))
+    for form, title, dimension in forms:
+        reference = {"title": title, "rows": [{"k": k, "dimension": dimension(k)} for k in range(n)]}
+        code, out, _ = run(capsys, "dim", "--n", str(n), *form, "--format", "json", "--max-n", "11")
+        assert (code, out) == (0, json.dumps(reference, indent=2) + "\n"), form
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_basis_json_matches_the_encoder(capsys, n):
+    # the chord basis and the measure labels print what json.dumps(indent=2) prints
+    from flagkin.invariant_algebras import FlagContext
+    from flagkin.measures import basis_labels
+    from flagkin.rotation_algebra import chord_basis, chord_text
+
+    for k in range(n):
+        mons = [chord_text(*m) for m in chord_basis(n, k)]
+        reference = {"n": n, "k": k, "count": len(mons), "monomials": mons}
+        code, out, _ = run(capsys, "basis", "--n", str(n), "--k", str(k), "--format", "json")
+        assert (code, out) == (0, json.dumps(reference, indent=2) + "\n"), k
+        for p in range(n):
+            for basis in ("Phi", "S"):
+                labels = [l.to_text() for l in basis_labels(FlagContext(n, p), k, basis)]
+                reference = {"n": n, "p": p, "k": k, "basis": basis, "labels": labels}
+                argv = ["--n", str(n), "--p", str(p), "--k", str(k), "--basis", basis]
+                code, out, _ = run(capsys, "basis", *argv, "--format", "json")
+                assert (code, out) == (0, json.dumps(reference, indent=2) + "\n"), argv
 
 
 def test_failed_render_keeps_the_output_file(tmp_path, capsys, monkeypatch):
@@ -396,8 +434,8 @@ def test_presented_commands_have_their_own_guard(capsys, monkeypatch):
     monkeypatch.delenv("FLAGKIN_MAX_N", raising=False)
     code, out, _ = run(capsys, "table", "--n", "12", "--p", "5")
     assert code == 0 and out.startswith("A(S[0,0])  [n=12, p=5]")
-    code, _, err = run(capsys, "table", "--n", "21", "--p", "10")
-    assert code == 1 and "max-n=20" in err
+    code, _, err = run(capsys, "table", "--n", "31", "--p", "10")
+    assert code == 1 and "max-n=30" in err
     code, _, err = run(capsys, "verify", "--n", "9", "--p", "4")
     assert code == 1 and "max-n=8" in err
     code, _, _ = run(capsys, "coproduct", "--n", "12", "--p", "5", "--k", "3", "--i", "1", "--max-n", "11")
@@ -408,8 +446,8 @@ def test_basis_guard_depends_on_the_form(capsys, monkeypatch):
     monkeypatch.delenv("FLAGKIN_MAX_N", raising=False)
     code, out, _ = run(capsys, "basis", "--n", "12", "--p", "5", "--k", "5", "--basis", "S")
     assert code == 0 and out.splitlines()[0].startswith("S[")
-    code, _, err = run(capsys, "basis", "--n", "21", "--p", "5", "--k", "5", "--basis", "S")
-    assert code == 1 and "max-n=20" in err
+    code, _, err = run(capsys, "basis", "--n", "31", "--p", "5", "--k", "5", "--basis", "S")
+    assert code == 1 and "max-n=30" in err
     code, out, err = run(capsys, "basis", "--n", "12", "--k", "5")
     assert code == 1 and out == "" and "max-n=8" in err
 
@@ -418,8 +456,8 @@ def test_dim_guard_depends_on_the_form(capsys, monkeypatch):
     monkeypatch.delenv("FLAGKIN_MAX_N", raising=False)
     code, out, _ = run(capsys, "dim", "--n", "12", "--p", "5")
     assert code == 0 and out.startswith("flag invariant subalgebra dimensions, n=12, p=5")
-    code, _, err = run(capsys, "dim", "--n", "21", "--p", "5")
-    assert code == 1 and "max-n=20" in err
+    code, _, err = run(capsys, "dim", "--n", "31", "--p", "5")
+    assert code == 1 and "max-n=30" in err
     code, out, err = run(capsys, "dim", "--n", "12")
     assert code == 1 and out == "" and "max-n=8" in err
 
@@ -490,18 +528,28 @@ def test_presented_requests_load_no_oracle(request_name):
     assert not loaded & ORACLE_MODULES, sorted(loaded & ORACLE_MODULES)
 
 
-# table, coproduct and product print JSON by template, so they load no json.
+# Every request prints JSON by template: table, coproduct and product
+# through kinematics, dim and basis in cli.  So no request loads json.
+# Each request names the module it is seen to load.
 JSON_REQUESTS = {
-    "table": PRESENTED_REQUESTS["table"],
-    "coproduct": [*PRESENTED_REQUESTS["coproduct"], "--format", "json"],
-    "product": [*PRESENTED_REQUESTS["product"], "--format", "json"],
+    "table": (PRESENTED_REQUESTS["table"], "flagkin.kinematics"),
+    "coproduct": ([*PRESENTED_REQUESTS["coproduct"], "--format", "json"], "flagkin.kinematics"),
+    "product": ([*PRESENTED_REQUESTS["product"], "--format", "json"], "flagkin.kinematics"),
+    "dim": (["-m", "flagkin.cli", "dim", "--n", "5", "--format", "json"], "flagkin.rotation_algebra"),
+    "dim --p": ([*PRESENTED_REQUESTS["dim --p"], "--format", "json"], "flagkin.invariant_algebras"),
+    "basis": (
+        ["-m", "flagkin.cli", "basis", "--n", "5", "--k", "2", "--format", "json"],
+        "flagkin.rotation_algebra",
+    ),
+    "basis --p": ([*PRESENTED_REQUESTS["basis --p"], "--format", "json"], "flagkin.measures"),
 }
 
 
 @pytest.mark.parametrize("request_name", sorted(JSON_REQUESTS))
 def test_json_requests_load_no_json_encoder(request_name):
-    loaded = _loaded_modules(*JSON_REQUESTS[request_name]) - _bare_interpreter_modules()
-    assert "flagkin.kinematics" in loaded
+    args, engine = JSON_REQUESTS[request_name]
+    loaded = _loaded_modules(*args) - _bare_interpreter_modules()
+    assert engine in loaded
     encoder = {m for m in loaded if m == "json" or m.startswith("json.")}
     assert not encoder, sorted(encoder)
 
@@ -538,6 +586,18 @@ def test_chord_requests_load_no_rationals(request_name):
     loaded = _loaded_modules(*CHORD_REQUESTS[request_name]) - _bare_interpreter_modules()
     assert "flagkin.rotation_algebra" in loaded
     assert not loaded & PRESENTED_ONLY, sorted(loaded & PRESENTED_ONLY)
+
+
+# The rational number modules: fractions, and decimal and numbers behind it.
+RATIONALS = {"fractions", "decimal", "numbers"}
+
+
+@pytest.mark.parametrize("request_name", sorted(PRESENTED_REQUESTS))
+def test_presented_requests_load_no_rationals(request_name):
+    # the presented engine computes in integers over one denominator
+    loaded = _loaded_modules(*PRESENTED_REQUESTS[request_name]) - _bare_interpreter_modules()
+    assert PRESENTED_ENGINE.get(request_name, "flagkin.measures") in loaded
+    assert not loaded & RATIONALS, sorted(loaded & RATIONALS)
 
 
 def test_version_loads_only_the_command_line():

@@ -202,6 +202,20 @@ def test_forms_hold_rationals_only():
     assert Multivector.__slots__ == ("_row",)
 
 
+def test_floats_are_refused():
+    # no verification path may round: a float coefficient or factor is an error, not a conversion
+    with pytest.raises(TypeError):
+        Multivector({_blade(sigma=4): 0.5})
+    with pytest.raises(TypeError):
+        sigma(2).smul(0.25)
+    with pytest.raises(TypeError):
+        Scalar(0.5)
+    with pytest.raises(TypeError):
+        Scalar.of(1) * 0.5
+    assert sigma(2).smul(Fraction(1, 4)) == Multivector({_blade(sigma=4): Fraction(1, 4)})
+    assert Scalar(2) == Scalar(Fraction(2))
+
+
 def test_indices_above_31_are_refused():
     assert not sigma(31).wedge(omega1(31)).is_zero()
     assert Multivector({_blade(1 << 31, 1 << 31): 1}) == sigma(31).wedge(omega1(31))

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,59 +9,65 @@ from flagkin.invariant_algebras import FlagContext, PresentedElement, embed_mono
 from flagkin.measures import (
     PHI_EX,
     MeasureLabel,
+    base_change,
     basis_labels,
     binom,
     c_constant,
     expand_presented,
     factorial,
     global_factor,
-    phi_in_s_matrix,
     phi_label,
     presented_dual,
-    s_in_phi_matrix,
     s_label,
     validate_label,
 )
 
 
 def test_c_constant_examples():
+    # c_constant is a reduced (num, den)
     for n, p in ((4, 1), (5, 2), (6, 0)):
-        assert c_constant(n, 1, p, 0) == Fraction(1, n - 1)
+        assert c_constant(n, 1, p, 0) == (1, n - 1)
         for k in range(n):
-            assert c_constant(n, k, p, 0) == 1 / binom(n - 1, k)
-        assert c_constant(n, n - 1, p, 0) == 1
+            assert c_constant(n, k, p, 0) == (1, binom(n - 1, k))
+        assert c_constant(n, n - 1, p, 0) == (1, 1)
+    assert c_constant(5, 1, 2, 1) == (1, 2)  # C(4,1) / (C(4,1) C(1,1) C(2,1)), reduced
     with pytest.raises(IndexOutOfRange):
         c_constant(5, 1, 2, 2)
 
 
 def test_s_in_phi_examples():
+    # S[k,i] = c_i sum_a B[i][a] Phi[k,a]
     ctx = FlagContext(5, 2)
-    assert s_in_phi_matrix(ctx, 1)[0] == (Fraction(1, 4), Fraction(1, 4))
-    assert s_in_phi_matrix(ctx, 4) == ((1,),)  # S[4,0] = Phi[4,2]
-    assert s_in_phi_matrix(ctx, 0) == ((1,),)
+    B, _, c = base_change(ctx, 1)
+    assert (B[0], c[0]) == ((1, 1), (1, 4))  # S[1,0] = (Phi[1,0] + Phi[1,1]) / 4
+    assert base_change(ctx, 4)[::2] == (((1,),), ((1, 1),))  # S[4,0] = Phi[4,2]
+    assert base_change(ctx, 0)[::2] == (((1,),), ((1, 1),))
 
 
 def test_phi_in_s_examples():
+    # Phi[k,a] = sum_i B_inv[a][i] / c_i S[k,i]
     ctx = FlagContext(5, 2)
-    assert phi_in_s_matrix(ctx, 0) == ((1,),)
-    row = phi_in_s_matrix(ctx, 1)[1]  # Phi[1,1]
-    assert row == (4, -1 / c_constant(5, 1, 2, 1))
+    assert base_change(ctx, 0)[1] == ((1,),)
+    _, B_inv, c = base_change(ctx, 1)
+    assert B_inv[1] == (1, -1)  # Phi[1,1] = 4 S[1,0] - 2 S[1,1]
+    assert c == ((1, 4), (1, 2))
 
 
-@pytest.mark.parametrize("n,p", [(n, p) for n in range(2, 21) for p in range(n)])
+@pytest.mark.parametrize("n,p", [(n, p) for n in range(2, 31) for p in range(n)])
 def test_base_change_mutual_inverse(n, p):
-    # every (n, p) that table serves, up to its size guard n = 20
+    # every (n, p) that table serves, up to its size guard n = 30; the c_i
+    # cancel from both products, and each is a positive reduced (num, den)
     ctx = FlagContext(n, p)
     for k in range(n):
-        P = s_in_phi_matrix(ctx, k)
-        Q = phi_in_s_matrix(ctx, k)
+        B, B_inv, c = base_change(ctx, k)
         m = ctx.m(k) + 1
-        assert len(P) == len(Q) == m == len(ctx.phi_indices(k)), (n, p, k)
+        assert len(B) == len(B_inv) == len(c) == m == len(ctx.phi_indices(k)), (n, p, k)
         for i in range(m):
             for j in range(m):
-                pq = sum(P[i][t] * Q[t][j] for t in range(m))
-                qp = sum(Q[i][t] * P[t][j] for t in range(m))
+                pq = sum(B[i][t] * B_inv[t][j] for t in range(m))
+                qp = sum(B_inv[i][t] * B[t][j] for t in range(m))
                 assert pq == qp == int(i == j), (n, p, k, i, j)
+        assert all(num > 0 and den > 0 and math.gcd(num, den) == 1 for num, den in c)
 
 
 @pytest.mark.parametrize("n,p", [(4, 1), (5, 2), (6, 3), (7, 2)])
@@ -69,28 +76,29 @@ def test_dual_base_change_is_inverse_transpose(n, p):
     # of the Phi-in-S matrix, i.e. the inverse transpose of the primal change.
     ctx = FlagContext(n, p)
     for k in range(n):
-        Q = phi_in_s_matrix(ctx, k)  # rows a, cols i
+        _, B_inv, c = base_change(ctx, k)  # Phi-in-S: rows a, cols i, over c_i
         a_vals = [l.idx for l in basis_labels(ctx, k, "Phi") if l.kind == "Phi"]
         for i in range(ctx.m(k) + 1):
             expansion = expand_presented(ctx, presented_dual(ctx, s_label(k, i)), k, "Phi")
             for row, a in enumerate(a_vals):
-                assert expansion.get(phi_label(k, a), 0) == Q[row][i], (n, p, k, i, a)
+                got = Fraction(*expansion.get(phi_label(k, a), (0, 1)))
+                assert got == B_inv[row][i] / Fraction(*c[i]), (n, p, k, i, a)
 
 
 def test_phi_dual_examples():
     # presented duals are omega_n times the duals
     ctx = FlagContext(5, 2)
-    y_over_q = PresentedElement(ctx, {(0, 1): Fraction(1, ctx.q)})
+    y_over_q = PresentedElement(ctx, {(0, 1): 1}, den=ctx.q)
     assert presented_dual(ctx, phi_label(1, 0)) == y_over_q
-    assert presented_dual(ctx, phi_label(0, 0)) == PresentedElement(ctx, {(0, 0): Fraction(1)})
-    assert presented_dual(ctx, phi_label(4, 2)) == PresentedElement(ctx, {(2, 2): Fraction(1, 4)})
+    assert presented_dual(ctx, phi_label(0, 0)) == PresentedElement(ctx, {(0, 0): 1})
+    assert presented_dual(ctx, phi_label(4, 2)) == PresentedElement(ctx, {(2, 2): 1}, den=4)
 
 
 def test_phi_ex_dual_examples():
     ctx3 = FlagContext(3, 1)
-    assert presented_dual(ctx3, PHI_EX) == PresentedElement(ctx3, {}, Fraction(-1))
+    assert presented_dual(ctx3, PHI_EX) == PresentedElement(ctx3, {}, -1)
     ctx5 = FlagContext(5, 2)
-    assert presented_dual(ctx5, PHI_EX) == PresentedElement(ctx5, {}, Fraction(1, 2))
+    assert presented_dual(ctx5, PHI_EX) == PresentedElement(ctx5, {}, 1, 2)
     with pytest.raises(ExceptionalUnavailable):
         presented_dual(FlagContext(4, 1), PHI_EX)
 
@@ -102,7 +110,7 @@ def test_expand_in_duals_inverts_duals(n, p):
         for family in ("Phi", "S"):
             for label in basis_labels(ctx, k, family):
                 got = expand_presented(ctx, presented_dual(ctx, label), k, family)
-                assert got == {label: 1}, (n, p, k, family, label)
+                assert got == {label: (1, 1)}, (n, p, k, family, label)
 
 
 @pytest.mark.parametrize("n,p", [(4, 1), (5, 2), (6, 2), (5, 1)])
@@ -135,8 +143,9 @@ def test_globalize_consistency(n, p):
     ctx = FlagContext(n, p)
     for k in range(n):
         phi_factors = [global_factor(ctx, phi_label(k, a)) for a in ctx.phi_indices(k)]
-        for i, row in enumerate(s_in_phi_matrix(ctx, k)):
-            lhs = sum(c * f for c, f in zip(row, phi_factors))
+        B, _, c = base_change(ctx, k)
+        for i, row in enumerate(B):
+            lhs = Fraction(*c[i]) * sum(e * f for e, f in zip(row, phi_factors))
             assert lhs == global_factor(ctx, s_label(k, i)), (n, p, k, i)
 
 

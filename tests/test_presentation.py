@@ -1,5 +1,6 @@
 """The x, y, u presentation route against its exterior realization."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -46,9 +47,10 @@ def test_products_equal_exterior_expansion(n, p):
                 if left.degree(ctx) + right.degree(ctx) > n - 1:
                     continue
                 got = zero(n)
-                for label, c in dual_product(ctx, left, right, family).items():
-                    assert isinstance(c, Fraction), (left, right, label)
-                    got = got + forms[label].smul(c)
+                for label, (num, den) in dual_product(ctx, left, right, family).items():
+                    assert type(num) is int and den > 0, (left, right, label)
+                    assert num and math.gcd(num, den) == 1, (left, right, label)
+                    got = got + forms[label].smul(Fraction(num, den))
                 assert got == forms[left] * forms[right], (left, right)
 
 
@@ -58,21 +60,23 @@ def test_expand_inverts_presented_duals(n, p):
     # gives back every basis monomial, u included.
     ctx = FlagContext(n, p)
     monomials = [
-        (PresentedElement(ctx, {(a, k - a): Fraction(1)}), k)
+        (PresentedElement(ctx, {(a, k - a): 1}), k)
         for k in range(n)
         for a in ctx.phi_indices(k)
     ]
     if ctx.exceptional:
-        monomials.append((PresentedElement(ctx, {}, Fraction(1)), ctx.middle))
+        monomials.append((PresentedElement(ctx, {}, 1), ctx.middle))
     for family in ("Phi", "S"):
         for element, k in monomials:
             xy, u = {}, Fraction(0)
             for label, c in expand_presented(ctx, element, k, family).items():
                 dual = presented_dual(ctx, label)
+                c = Fraction(*c) / dual.den
                 for key, v in dual.xy.items():
                     xy[key] = xy.get(key, 0) + c * v
                 u += c * dual.u
-            assert PresentedElement(ctx, {key: v for key, v in xy.items() if v}, u) == element
+            # each monomial has denominator 1
+            assert ({key: v for key, v in xy.items() if v}, u) == (element.xy, element.u)
 
 
 def test_expand_rejects_wrong_degree():
@@ -88,18 +92,22 @@ def test_expand_rejects_wrong_degree():
 _real_mul = PresentedElement.__mul__
 
 
-def _with_xy(element, extra):
-    xy = dict(element.xy)
+def _with_xy(element, extra, den=1):
+    """element plus extra[(a, b)] x^a y^b / den, over a common denominator."""
+    xy = {key: c * den for key, c in element.xy.items()}
     for key, c in extra.items():
-        xy[key] = xy.get(key, 0) + c
-    return PresentedElement(element.ctx, xy, element.u)
+        xy[key] = xy.get(key, 0) + c * element.den
+    xy = {key: c for key, c in xy.items() if c}
+    return PresentedElement(element.ctx, xy, element.u * den, element.den * den)
 
 
 def _u_square_doubled(self, other):
     out = _real_mul(self, other)
     if self.u and other.u:
-        u1, u2 = PresentedElement(self.ctx, {}, self.u), PresentedElement(self.ctx, {}, other.u)
-        out = _with_xy(out, _real_mul(u1, u2).xy)
+        u1 = PresentedElement(self.ctx, {}, self.u, self.den)
+        u2 = PresentedElement(self.ctx, {}, other.u, other.den)
+        square = _real_mul(u1, u2)
+        out = _with_xy(out, square.xy, square.den)
     return out
 
 
@@ -110,13 +118,14 @@ def _x_power_kept(self, other):
         for (a2, b2), c2 in other.xy.items():
             if a + a2 > p and b + b2 <= q:
                 extra[(a + a2, b + b2)] = extra.get((a + a2, b + b2), 0) + c * c2
-    return _with_xy(_real_mul(self, other), extra)
+    return _with_xy(_real_mul(self, other), extra, self.den * other.den)
 
 
 def _ux_in_one_order(self, other):
     out = _real_mul(self, other)
     if self.u and (1, 0) in other.xy:
-        out = _with_xy(out, {(self.ctx.p, 1): self.u * other.xy[(1, 0)]})
+        extra = {(self.ctx.p, 1): self.u * other.xy[(1, 0)]}
+        out = _with_xy(out, extra, self.den * other.den)
     return out
 
 

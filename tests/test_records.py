@@ -27,18 +27,17 @@ RECORDS = [
     ),
     (lambda: FlagContext(5, 2), "FlagContext(n=5, p=2)"),
     (
-        lambda: PresentedElement(CTX, {(1, 0): Fraction(1, 2)}, Fraction(3)),
-        "PresentedElement(ctx=FlagContext(n=5, p=2), xy={(1, 0): Fraction(1, 2)},"
-        " u=Fraction(3, 1))",
+        lambda: PresentedElement(CTX, {(1, 0): 1}, 6, 2),
+        "PresentedElement(ctx=FlagContext(n=5, p=2), xy={(1, 0): 1}, u=6, den=2)",
     ),
     (lambda: s_label(2, 1), "MeasureLabel(kind='S', k=2, idx=1)"),
     (
         lambda: KinematicTable(
-            CTX, s_label(0, 0), "S", ((s_label(0, 0), s_label(0, 0), Fraction(1)),)
+            CTX, s_label(0, 0), "S", ((s_label(0, 0), s_label(0, 0), (1, 1)),)
         ),
         "KinematicTable(ctx=FlagContext(n=5, p=2), input=MeasureLabel(kind='S', k=0, idx=0),"
         " family='S', terms=((MeasureLabel(kind='S', k=0, idx=0),"
-        " MeasureLabel(kind='S', k=0, idx=0), Fraction(1, 1)),))",
+        " MeasureLabel(kind='S', k=0, idx=0), (1, 1)),))",
     ),
     (
         lambda: AlgebraElement(3, generator(3, 2, 2).body),
@@ -130,4 +129,13 @@ def test_constructors_still_normalize_and_validate():
     assert Scalar(0, (("omega(3)", 1),)) == Scalar() and Scalar(2).value == Fraction(2)
     with pytest.raises(ValueError):
         FlagContext(3, 3)
+    # a presented element is kept in lowest terms over a positive denominator
+    assert PresentedElement(CTX, {(1, 0): 4, (0, 1): -2}, 6, 8) == PresentedElement(
+        CTX, {(1, 0): 2, (0, 1): -1}, 3, 4
+    )
+    assert PresentedElement(CTX, {}, 0, 5) == PresentedElement(CTX, {})
+    with pytest.raises(ValueError):
+        PresentedElement(CTX, {(1, 0): 1}, den=0)
+    with pytest.raises(TypeError):
+        PresentedElement(CTX, {(1, 0): Fraction(1, 2)})
     assert Multivector({4 << 32: 2}).terms() == [(4 << 32, Fraction(2))]

@@ -9,8 +9,8 @@ cached function in flagkin is cleared before and after each mutation, so
 no cached value of either side leaks into the other.
 """
 
+import math
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -43,10 +43,14 @@ def _u_square_doubled(monkeypatch):
         out = original(self, other)
         if not (self.u and other.u):
             return out
+        # the x^p y^q term of u^2, (-1)^p (p+1)/4^p over the factors' denominators,
+        # added once more, over a common denominator
         p, q = self.ctx.p, self.ctx.q
-        xy = dict(out.xy)
-        xy[(p, q)] = xy.get((p, q), 0) + self.u * other.u * Fraction((-1) ** p * (p + 1), 4**p)
-        return PresentedElement(self.ctx, {key: c for key, c in xy.items() if c}, out.u)
+        scale = self.den * other.den * 4**p
+        xy = {key: c * scale for key, c in out.xy.items()}
+        xy[(p, q)] = xy.get((p, q), 0) + self.u * other.u * (-1) ** p * (p + 1) * out.den
+        xy = {key: c for key, c in xy.items() if c}
+        return PresentedElement(self.ctx, xy, out.u * scale, out.den * scale)
 
     monkeypatch.setattr(PresentedElement, "__mul__", mul)
 
@@ -56,7 +60,27 @@ def _phi_scale_times_a_plus_1(monkeypatch):
 
 
 def _c_constant_times_i_plus_1(monkeypatch):
-    _patch(monkeypatch, "c_constant", lambda f: lambda n, k, p, i: f(n, k, p, i) * (i + 1))
+    def wrap(f):
+        def c_constant(n, k, p, i):
+            num, den = f(n, k, p, i)
+            return num * (i + 1), den
+
+        return c_constant
+
+    _patch(monkeypatch, "c_constant", wrap)
+
+
+def _inverse_base_change_sign_flipped(monkeypatch):
+    # the last entry of the signed inverse, B_inv[m'_k][m_k] = (-1)^(m'_k+m_k+m_k) C(m_k, 0)
+    def wrap(f):
+        def base_change(ctx, k):
+            B, B_inv, c = f(ctx, k)
+            *rows, last = B_inv
+            return B, (*rows, (*last[:-1], -last[-1])), c
+
+        return base_change
+
+    _patch(monkeypatch, "base_change", wrap)
 
 
 def _global_factor_doubled(monkeypatch):
@@ -69,7 +93,7 @@ def _phi_ex_dual_doubled(monkeypatch):
             element = f(ctx, label)
             if label.kind != "PhiEx":
                 return element
-            return PresentedElement(ctx, element.xy, element.u * 2)
+            return PresentedElement(ctx, element.xy, element.u * 2, element.den)
 
         return presented_dual
 
@@ -77,7 +101,9 @@ def _phi_ex_dual_doubled(monkeypatch):
         def expand_presented(ctx, element, k, family):
             out = f(ctx, element, k, family)
             if measures.PHI_EX in out:
-                out[measures.PHI_EX] /= 2
+                num, den = out[measures.PHI_EX]
+                g = math.gcd(num, 2 * den)
+                out[measures.PHI_EX] = (num // g, 2 * den // g)
             return out
 
         return expand_presented
@@ -105,6 +131,7 @@ MUTATIONS = {
     "u^2 constant x2": _u_square_doubled,
     "_phi_scale x(a+1)": _phi_scale_times_a_plus_1,
     "c_constant x(i+1)": _c_constant_times_i_plus_1,
+    "inverse base change: last sign flipped": _inverse_base_change_sign_flipped,
     "global_factor x2": _global_factor_doubled,
     "PhiEx dual x2, its inverse x1/2": _phi_ex_dual_doubled,
     "_rep_term sign dropped": _rep_term_sign_dropped,
