@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .errors import IndexOutOfRange
 from .invariant_algebras import FlagContext
@@ -41,6 +42,9 @@ from .measures import (
     validate_label,
 )
 from .records import Record, _set
+
+if TYPE_CHECKING:  # the closed forms import fractions when they run
+    from fractions import Fraction
 
 Term = tuple[MeasureLabel, MeasureLabel, Ratio]
 
