@@ -7,11 +7,10 @@ byte-identical across runs for identical requests.
 
 from __future__ import annotations
 
-import argparse
 import os
 import stat
 import sys
-import tempfile
+from types import SimpleNamespace
 
 # The engines are imported inside the commands that use them: dim without
 # --p and the chord basis load only rotation_algebra, the other commands
@@ -29,13 +28,6 @@ from .errors import FlagkinError, ValidationError
 DEFAULT_MAX_N = 8
 PRESENTED_MAX_N = 30
 ALL_FORMATS = ("text", "json", "csv", "latex")
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 def _max_n(args, default: int) -> int:
@@ -96,6 +88,8 @@ def _emit(args, chunks: Iterable[str]) -> None:
             umask = os.umask(0)
             os.umask(umask)
             mode = 0o666 & ~umask
+        import tempfile  # only a replaced file needs it, and it loads re, shutil and random
+
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path))
         try:
             with os.fdopen(fd, "w") as fh:
@@ -358,73 +352,152 @@ def cmd_verify(args) -> int:
 # -- entry point -------------------------------------------------------------------
 
 
-COMMANDS = ("dim", "basis", "product", "coproduct", "table", "verify")
+# The command-line grammar, stated once: per command its help, its --format
+# choices and the options it adds to the common ones (_options).  An option
+# is (flag, kind, default, help), where kind is int, str, a tuple of
+# choices, or bool for a switch that is off by default.  --n is required.
+_REQUIRED = "--n"
+
+
+def _label_options(suffix: str = "") -> tuple:
+    return (
+        (f"--k{suffix}", int, None, None),
+        (f"--a{suffix}", int, None, None),
+        (f"--i{suffix}", int, None, None),
+        (f"--ex{suffix}", bool, False, None),
+    )
+
+
+_BASIS = ("--basis", ("Phi", "S"), "S", None)
+GRAMMAR = {
+    "dim": ("graded dimensions", ALL_FORMATS, ()),
+    "basis": (
+        "chord basis or measure labels",
+        ("text", "json"),
+        (("--k", int, None, None), _BASIS),
+    ),
+    "product": (
+        "dual basis product expansion",
+        ("text", "json"),
+        (_BASIS, *_label_options(), *_label_options("2")),
+    ),
+    "coproduct": ("kinematic table of one basis measure", ALL_FORMATS, (_BASIS, *_label_options())),
+    "table": (
+        "all kinematic tables for (n, p)",
+        ALL_FORMATS,
+        (_BASIS, ("--hug-weil", bool, False, "emit the rescaled S^(p) tables")),
+    ),
+    "verify": ("run all verification suites for (n, p)", ("text",), ()),
+}
+
+
+def _options(command: str) -> tuple:
+    """The options of command in the order its help lists them: the common ones, then its own."""
+    _, formats, own = GRAMMAR[command]
+    return (
+        ("--n", int, None, "ambient dimension"),
+        ("--p", int, None, "plane dimension minus one"),
+        ("--format", formats, "text", None),
+        ("--output", str, None, "write to file instead of stdout"),
+        ("--max-n", int, None, "override the size guard"),
+        *own,
+    )
+
+
+def _command_function(command: str):
+    # looked up when a request is parsed, so a wrapper set on this module
+    # (by a tracer) is the one that runs
+    return globals()[f"cmd_{command}"]
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The flagkin parser, with every subparser or with only that of command."""
-    parser = _Parser(prog="flagkin", description=__doc__)
+    """The flagkin parser, with every subparser or with only that of command.
+
+    main parses a well-formed request without it; argparse is loaded only
+    here, for help and for the usage errors it words.
+    """
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(1)
+
+    parser = Parser(prog="flagkin", description=__doc__)
     parser.add_argument("--version", action="version", version=f"flagkin {__version__}")
     # With one subparser the usage line must still name every command.
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    metavar = None if command is None else "{" + ",".join(GRAMMAR) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-
-    def add(name, help, formats):
-        if command not in (None, name):
-            return None
-        sp = sub.add_parser(name, help=help)
-        sp.add_argument("--n", type=int, required=True, help="ambient dimension")
-        sp.add_argument("--p", type=int, default=None, help="plane dimension minus one")
-        sp.add_argument("--format", choices=formats, default="text")
-        sp.add_argument("--output", default=None, help="write to file instead of stdout")
-        sp.add_argument("--max-n", type=int, default=None, help="override the size guard")
-        return sp
-
-    if sp := add("dim", "graded dimensions", ALL_FORMATS):
-        sp.set_defaults(func=cmd_dim)
-
-    if sp := add("basis", "chord basis or measure labels", ("text", "json")):
-        sp.add_argument("--k", type=int, default=None)
-        sp.add_argument("--basis", choices=("Phi", "S"), default="S")
-        sp.set_defaults(func=cmd_basis)
-
-    if sp := add("product", "dual basis product expansion", ("text", "json")):
-        sp.add_argument("--basis", choices=("Phi", "S"), default="S")
-        sp.add_argument("--k", type=int, default=None)
-        sp.add_argument("--a", type=int, default=None)
-        sp.add_argument("--i", type=int, default=None)
-        sp.add_argument("--ex", action="store_true")
-        sp.add_argument("--k2", type=int, default=None)
-        sp.add_argument("--a2", type=int, default=None)
-        sp.add_argument("--i2", type=int, default=None)
-        sp.add_argument("--ex2", action="store_true")
-        sp.set_defaults(func=cmd_product)
-
-    if sp := add("coproduct", "kinematic table of one basis measure", ALL_FORMATS):
-        sp.add_argument("--basis", choices=("Phi", "S"), default="S")
-        sp.add_argument("--k", type=int, default=None)
-        sp.add_argument("--a", type=int, default=None)
-        sp.add_argument("--i", type=int, default=None)
-        sp.add_argument("--ex", action="store_true")
-        sp.set_defaults(func=cmd_coproduct)
-
-    if sp := add("table", "all kinematic tables for (n, p)", ALL_FORMATS):
-        sp.add_argument("--basis", choices=("Phi", "S"), default="S")
-        sp.add_argument("--hug-weil", action="store_true", help="emit the rescaled S^(p) tables")
-        sp.set_defaults(func=cmd_table)
-
-    if sp := add("verify", "run all verification suites for (n, p)", ("text",)):
-        sp.set_defaults(func=cmd_verify)
-
+    for name in GRAMMAR if command is None else (command,):
+        sp = sub.add_parser(name, help=GRAMMAR[name][0])
+        for flag, kind, default, help in _options(name):
+            if kind is bool:
+                sp.add_argument(flag, action="store_true", help=help)
+            else:
+                sp.add_argument(
+                    flag,
+                    type=int if kind is int else None,
+                    choices=kind if isinstance(kind, tuple) else None,
+                    default=default,
+                    required=flag == _REQUIRED,
+                    help=help,
+                )
+        sp.set_defaults(func=_command_function(name))
     return parser
+
+
+def _direct_parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a well-formed request, or None to leave argv to argparse.
+
+    A well-formed request is a command followed by exact long options of
+    it, --n among them; a value option takes the next token, which must not
+    start with "-" and must be an int or one of the choices where its kind
+    asks.  A repeated option keeps its last value, as in argparse.  Every
+    other input (help, --opt=value, an abbreviation, a negative number, an
+    unknown token, a missing value or --n) goes to argparse, which accepts
+    it or words the usage error.
+    """
+    if not argv or argv[0] not in GRAMMAR:
+        return None
+    options = _options(argv[0])
+    kinds = {flag: kind for flag, kind, _, _ in options}
+    values = {flag: default for flag, _, default, _ in options}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        kind = kinds.get(flag)
+        if kind is None:
+            return None
+        if kind is bool:
+            values[flag] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif isinstance(kind, tuple) and value not in kind:
+            return None
+        values[flag] = value
+    if values[_REQUIRED] is None:
+        return None
+    dests = {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+    return SimpleNamespace(command=argv[0], func=_command_function(argv[0]), **dests)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # A request that names its command builds that command's subparser only.
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+    if argv == ["--version"]:
+        print(f"flagkin {__version__}")
+        return 0
     try:
-        args = parser.parse_args(argv)
+        args = _direct_parse(argv)
+        if args is None:
+            # A request that names its command builds that command's subparser only.
+            args = build_parser(argv[0] if argv and argv[0] in GRAMMAR else None).parse_args(argv)
         return args.func(args)
     except FlagkinError as exc:
         print(f"flagkin: error: {exc}", file=sys.stderr)

@@ -36,8 +36,9 @@ from .measures import (
     basis_labels,
     binom,
     c_constant,
-    dual_product,
+    expand_presented,
     phi_label,
+    presented_dual,
     s_label,
     validate_label,
 )
@@ -126,25 +127,25 @@ class KinematicTable(Record):
 def _degree_tables(ctx: FlagContext, family: str, k: int) -> dict[MeasureLabel, KinematicTable]:
     """Coproducts of the family labels of degree k, with their terms in print order.
 
-    Only pairs of degrees j + l = k contribute, and each dual product
+    Only pairs of degrees j + l = k contribute, and each product of duals
     feeds one coefficient into every input of degree k.  The loop runs
     over j, then left, then right, each in basis_labels order, so every
     table receives its terms in print order: left by degree, PhiEx after
     the other labels of its degree, then by index; then right the same
     way.  expand_presented returns no zero, so no term is zero either.
     """
-    acc: dict[MeasureLabel, dict[tuple[MeasureLabel, MeasureLabel], Ratio]] = {
-        label: {} for label in basis_labels(ctx, k, family)
-    }
+    duals = [
+        [(label, presented_dual(ctx, label)) for label in basis_labels(ctx, j, family)]
+        for j in range(k + 1)
+    ]
+    acc: dict[MeasureLabel, list[Term]] = {label: [] for label, _ in duals[k]}
     for j in range(k + 1):
-        for left in basis_labels(ctx, j, family):
-            for right in basis_labels(ctx, k - j, family):
-                for slot, coeff in dual_product(ctx, left, right, family).items():
-                    acc[slot][(left, right)] = coeff
-    return {
-        label: KinematicTable(ctx, label, family, tuple((l, r, c) for (l, r), c in terms.items()))
-        for label, terms in acc.items()
-    }
+        for left, left_dual in duals[j]:
+            for right, right_dual in duals[k - j]:
+                product = expand_presented(ctx, left_dual * right_dual, k, family)
+                for slot, coeff in product.items():
+                    acc[slot].append((left, right, coeff))
+    return {label: KinematicTable(ctx, label, family, tuple(terms)) for label, terms in acc.items()}
 
 
 @lru_cache(maxsize=None)

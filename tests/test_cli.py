@@ -1,4 +1,7 @@
+import contextlib
 import functools
+import hashlib
+import io
 import json
 import os
 import stat
@@ -7,8 +10,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flagkin
+from flagkin import cli
 from flagkin.cli import main
 
 
@@ -502,18 +508,31 @@ PRESENTED_REQUESTS = {
 PRESENTED_ENGINE = {"dim --p": "flagkin.invariant_algebras"}
 
 
-def _loaded_modules(*args) -> set[str]:
-    """Every module a fresh interpreter imports to run args, read from -X importtime."""
+def _import_run(*args, **env) -> tuple[set[str], int, str, str]:
+    """Run args in a fresh interpreter under -X importtime, with env added to the environment.
+
+    Returns every module it imports, its exit code, its stdout, and its
+    stderr without the import time lines.
+    """
     src = str(Path(flagkin.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", *args],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path, **env),
     )
-    assert proc.returncode == 0, proc.stderr
-    lines = [l for l in proc.stderr.splitlines() if l.startswith("import time:")]
-    assert lines, proc.stderr
-    return {line.rsplit("|", 1)[1].strip() for line in lines[1:]}
+    lines = proc.stderr.splitlines(keepends=True)
+    timed = [l for l in lines if l.startswith("import time:")]
+    assert timed, proc.stderr
+    modules = {line.rsplit("|", 1)[1].strip() for line in timed[1:]}
+    err = "".join(l for l in lines if not l.startswith("import time:"))
+    return modules, proc.returncode, proc.stdout, err
+
+
+def _loaded_modules(*args) -> set[str]:
+    """Every module a fresh interpreter imports to run args, which must succeed."""
+    modules, code, _, err = _import_run(*args)
+    assert code == 0, err
+    return modules
 
 
 @functools.lru_cache(maxsize=None)
@@ -605,3 +624,121 @@ def test_version_loads_only_the_command_line():
     flagkin_modules = {m for m in loaded if m.startswith("flagkin")}
     assert flagkin_modules <= {"flagkin", "flagkin.cli", "flagkin.errors"}, sorted(flagkin_modules)
     assert not loaded & ORACLE_MODULES, sorted(loaded & ORACLE_MODULES)
+
+
+# What argparse brings (gettext and locale behind its messages, textwrap
+# behind its help), and tempfile, which only a replaced --output file needs.
+PARSER_MODULES = {"argparse", "gettext", "locale", "textwrap", "tempfile"}
+
+WELL_FORMED_REQUESTS = {
+    **PRESENTED_REQUESTS,
+    **CHORD_REQUESTS,
+    "--version": ["-m", "flagkin.cli", "--version"],
+    "verify": ["-m", "flagkin.cli", "verify", "--n", "3", "--p", "1"],
+}
+
+
+@pytest.mark.parametrize("request_name", sorted(WELL_FORMED_REQUESTS))
+def test_well_formed_requests_load_no_parser(request_name):
+    # -S: a .pth file in site-packages may import tempfile and its kin first
+    loaded = _loaded_modules("-S", *WELL_FORMED_REQUESTS[request_name])
+    assert "flagkin.errors" in loaded  # the command line ran
+    assert not loaded & PARSER_MODULES, sorted(loaded & PARSER_MODULES)
+
+
+@pytest.mark.parametrize("name", ["table --help", "unrecognized argument"])
+def test_help_and_usage_errors_load_argparse(name):
+    from test_golden_output import USAGE_DIGESTS, USAGE_REQUESTS
+
+    loaded, code, out, err = _import_run(
+        "-S", "-m", "flagkin.cli", *USAGE_REQUESTS[name], COLUMNS="80"
+    )
+    assert "argparse" in loaded
+    text = f"{code}\n{out}\0{err}"
+    assert hashlib.sha256(text.encode()).hexdigest() == USAGE_DIGESTS[name], text
+
+
+# Every form of every command, each of which the direct parse must take.
+WELL_FORMED_ARGV = [
+    ["dim", "--n", "5"],
+    ["dim", "--n", "5", "--p", "2", "--format", "csv", "--max-n", "9"],
+    ["basis", "--n", "5", "--k", "2", "--format", "json"],
+    ["basis", "--n", "5", "--p", "2", "--k", "2", "--basis", "Phi"],
+    ["product", "--n", "5", "--p", "2", "--basis", "Phi", "--k", "1", "--a", "0", "--k2", "1",
+     "--a2", "1"],
+    ["product", "--n", "5", "--p", "2", "--k", "1", "--i", "0", "--ex2", "--format", "json"],
+    ["product", "--n", "5", "--p", "2", "--ex", "--k2", "1", "--i2", "1"],
+    ["coproduct", "--n", "5", "--p", "2", "--k", "2", "--i", "1", "--format", "latex"],
+    ["coproduct", "--n", "5", "--p", "2", "--ex", "--basis", "Phi"],
+    ["table", "--n", "8", "--p", "3", "--format", "json", "--output", "tables.json"],
+    ["table", "--n", "5", "--p", "2", "--hug-weil", "--format", "csv"],
+    ["table", "--p", "1", "--n", "4", "--n", "6", "--basis", "Phi"],
+    ["verify", "--n", "4", "--p", "1"],
+]
+
+
+def _argparse_vars(argv, command):
+    """vars() of what the parser of command (or of every command) gives argv, or its refusal."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            return vars(cli.build_parser(command).parse_args(argv))
+        except SystemExit as exc:
+            return f"exit {exc.code}: {err.getvalue()}"
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED_ARGV, ids=" ".join)
+def test_well_formed_requests_take_the_direct_parse(argv):
+    args = cli._direct_parse(argv)
+    assert args is not None
+    assert vars(args) == _argparse_vars(argv, argv[0]) == _argparse_vars(argv, None)
+
+
+# Tokens outside the direct grammar: help, the end of options, an option of
+# the top-level parser, unknown and abbreviated options, and --opt=value.
+ODD_TOKENS = [
+    "-h", "--help", "--", "--version", "--bogus", "-n",
+    "--max", "--hug", "--fo", "--ba", "--ex3", "--n=4", "--format=json", "--basis=Phi",
+]
+# Values argparse reads differently or refuses: negative, non-numeric, empty,
+# padded and wrongly cased ones, and choices of no option.
+ODD_VALUES = ["-1", "-0", "+3", " 3", "abc", "1.5", "", "Psi", "xml", "TEXT", "s", "--n"]
+
+
+def _values(kind):
+    """Values for an option of kind; a choice may be that of another option or none."""
+    if kind is int:
+        return st.integers(0, 12).map(str)
+    if kind is str:
+        return st.sampled_from(["out.txt", "a b", "x=1"])
+    return st.sampled_from(sorted({*kind, *cli.ALL_FORMATS, "Phi", "S", "xml", "TEXT"}))
+
+
+@st.composite
+def _requests(draw):
+    """An argv drawn from the grammar's vocabulary, mostly well formed."""
+    command = draw(st.sampled_from([*cli.GRAMMAR, *cli.GRAMMAR, "frobnicate", "--n"]))
+    options = cli._options(command if command in cli.GRAMMAR else "product")
+    argv = [command]
+    if draw(st.integers(0, 4)):
+        argv += ["--n", draw(_values(int))]
+    for _ in range(draw(st.integers(0, 6))):
+        flag, kind, _, _ = draw(st.sampled_from(options))
+        how = draw(st.integers(0, 9))
+        if how < 7:
+            argv.append(flag)
+            if kind is not bool:
+                argv.append(draw(_values(kind)))
+        elif how < 9:
+            argv += [flag, draw(st.sampled_from(ODD_VALUES))]
+        else:
+            argv.append(draw(st.sampled_from(ODD_TOKENS)))
+    return argv
+
+
+@given(_requests())
+@settings(max_examples=400, deadline=None)
+def test_direct_parse_is_argparse_on_what_it_accepts(argv):
+    args = cli._direct_parse(argv)
+    if args is not None:
+        assert vars(args) == _argparse_vars(argv, argv[0]) == _argparse_vars(argv, None), argv
