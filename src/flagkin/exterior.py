@@ -7,14 +7,16 @@ omega_{j,1} present, so indices run up to 31 and all wedge signs reduce to
 inversion counts between masks.  The blade sigma_1 ^ ... ^ sigma_n ^
 omega_{2,1} ^ ... ^ omega_{n,1} is the positive orientation.
 
-A multivector is a map from blade keys to nonzero Fractions: forms have
-rational coefficients, and a caller that attaches a volume unit to a
-coefficient does so itself.
+A multivector is a map from blade keys to nonzero int numerators over one
+positive denominator: forms have rational coefficients, and a caller that
+attaches a volume unit to a coefficient does so itself.  The arithmetic is
+in integers, so the exterior kernel loads no rational type; only the
+accessors that the tests read (terms) build Fractions.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import IndexOutOfRange
 
@@ -76,28 +78,52 @@ def _below_parity(mask: int) -> int:
     return p
 
 
-def _exact(c: int | Fraction) -> Fraction:
-    """c as a Fraction; a float is refused, since no verification path may round."""
-    if not isinstance(c, (int, Fraction)):
+def _exact(c) -> tuple[int, int]:
+    """c as (numerator, denominator) with a positive denominator.
+
+    c is an int or an exact rational with integer numerator and
+    denominator, such as a Fraction; a float is refused, since no
+    verification path may round.
+    """
+    if isinstance(c, int):
+        return int(c), 1
+    num, den = getattr(c, "numerator", None), getattr(c, "denominator", None)
+    if not (isinstance(num, int) and isinstance(den, int) and den):
         raise TypeError(f"a form coefficient must be exact, got {type(c).__name__}")
-    return Fraction(c)
+    return (num, den) if den > 0 else (-num, -den)
+
+
+def _lowest(row: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    """row / den in lowest terms, for nonzero ints in row and den > 0."""
+    if den > 1:
+        g = gcd(den, *row.values())
+        if g > 1:
+            row = {k: c // g for k, c in row.items()}
+            den //= g
+    return row, den
 
 
 class Multivector:
-    """Finite rational linear combination of blades: a map from blade key to nonzero Fraction."""
+    """Finite rational linear combination of blades: nonzero int numerators over one denominator.
 
-    __slots__ = ("_row",)
+    The denominator is positive and shares no factor with every numerator,
+    so equal forms have equal rows and denominators.
+    """
 
-    def __init__(self, terms: dict[int, int | Fraction] | None = None):
-        self._row = {
-            _key(k >> 32, k & _LOW): _exact(c) for k, c in (terms or {}).items() if c
-        }
+    __slots__ = ("_row", "_den")
+
+    def __init__(self, terms: dict | None = None):
+        """The form sum c e_k over terms {k: c}; each c is an int or an exact rational."""
+        ratios = {_key(k >> 32, k & _LOW): _exact(c) for k, c in (terms or {}).items() if c}
+        den = lcm(*(d for _, d in ratios.values()))
+        self._row, self._den = _lowest({k: num * (den // d) for k, (num, d) in ratios.items()}, den)
 
     @classmethod
-    def _of(cls, row: dict[int, Fraction]) -> "Multivector":
-        """Adopt row (nonzero values only) without copying it."""
+    def _of(cls, row: dict[int, int], den: int = 1) -> "Multivector":
+        """Adopt row / den (nonzero ints, den > 0, in lowest terms) without copying it."""
         mv = object.__new__(cls)
         mv._row = row
+        mv._den = den
         return mv
 
     # -- constructors ------------------------------------------------------
@@ -108,21 +134,29 @@ class Multivector:
 
     @staticmethod
     def unit() -> "Multivector":
-        return Multivector._of({0: Fraction(1)})
+        return Multivector._of({0: 1})
 
     # -- inspection --------------------------------------------------------
 
     @property
-    def row(self) -> dict[int, Fraction]:
-        """Rational coefficients keyed by sigma << 32 | omega.
+    def row(self) -> dict[int, int]:
+        """Integer numerators over den, keyed by sigma << 32 | omega.
 
         The multivector's own map, shared with the caller: read it, never
         mutate it.
         """
         return self._row
 
-    def terms(self) -> list[tuple[int, Fraction]]:
-        return sorted(self._row.items())
+    @property
+    def den(self) -> int:
+        """The positive denominator of every coefficient in row."""
+        return self._den
+
+    def terms(self):
+        """(key, Fraction coefficient) of every blade, by key; the tests read forms this way."""
+        from fractions import Fraction
+
+        return [(k, Fraction(c, self._den)) for k, c in sorted(self._row.items())]
 
     def is_zero(self) -> bool:
         return not self._row
@@ -146,16 +180,24 @@ class Multivector:
         return all(k & bit for k in self._row)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Multivector) and self._row == other._row
+        return (
+            isinstance(other, Multivector)
+            and self._den == other._den
+            and self._row == other._row
+        )
 
     def __hash__(self):
-        return hash(frozenset(self._row.items()))
+        return hash((self._den, frozenset(self._row.items())))
 
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other: "Multivector") -> "Multivector":
-        row = dict(self._row)
+        d1, d2 = self._den, other._den
+        den = d1 if d1 == d2 else lcm(d1, d2)
+        s1, s2 = den // d1, den // d2
+        row = {k: c * s1 for k, c in self._row.items()} if s1 > 1 else dict(self._row)
         for k, c in other._row.items():
+            c *= s2
             acc = row.get(k)
             if acc is not None:
                 c += acc
@@ -163,21 +205,23 @@ class Multivector:
                 row[k] = c
             else:
                 del row[k]
-        return Multivector._of(row)
+        return Multivector._of(*_lowest(row, den))
 
     def __neg__(self) -> "Multivector":
-        return Multivector._of({k: -c for k, c in self._row.items()})
+        return Multivector._of({k: -c for k, c in self._row.items()}, self._den)
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         return self + (-other)
 
-    def smul(self, s: int | Fraction) -> "Multivector":
-        s = _exact(s)
-        if not s or not self._row:
+    def smul(self, s, den: int = 1) -> "Multivector":
+        """self times s / den: s an int or an exact rational, den a positive int."""
+        num, d = _exact(s)
+        if not num or not self._row:
             return Multivector()
-        return Multivector._of({k: c * s for k, c in self._row.items()})
+        row = {k: c * num for k, c in self._row.items()}
+        return Multivector._of(*_lowest(row, self._den * d * den))
 
-    def __rmul__(self, s: int | Fraction) -> "Multivector":
+    def __rmul__(self, s) -> "Multivector":
         return self.smul(s)
 
     # -- wedge ---------------------------------------------------------------
@@ -189,7 +233,7 @@ class Multivector:
         # Per right blade: its key, the parity mask of its generators in
         # canonical order and its coefficient.
         rights = [(k2, _below_parity(_canonical(k2)), c2) for k2, c2 in right.items()]
-        out: dict[int, Fraction] = {}
+        out: dict[int, int] = {}
         for k1, c1 in left.items():
             canon1 = _canonical(k1)
             for k2, parity2, c2 in rights:
@@ -202,17 +246,19 @@ class Multivector:
                     out[key] = -c if acc is None else acc - c
                 else:
                     out[key] = c if acc is None else acc + c
-        return Multivector._of({k: c for k, c in out.items() if c})
+        out = {k: c for k, c in out.items() if c}
+        return Multivector._of(*_lowest(out, self._den * other._den))
 
     # -- text ------------------------------------------------------------------
 
     def to_text(self) -> str:
         if self.is_zero():
             return "0"
-        return " + ".join(
-            f"[{c.numerator}/{c.denominator}] {_blade_text(k >> 32, k & _LOW)}"
-            for k, c in self.terms()
-        )
+        den, parts = self._den, []
+        for k, c in sorted(self._row.items()):
+            g = gcd(c, den)
+            parts.append(f"[{c // g}/{den // g}] {_blade_text(k >> 32, k & _LOW)}")
+        return " + ".join(parts)
 
     def __str__(self) -> str:
         return self.to_text()
@@ -223,12 +269,12 @@ class Multivector:
 def sigma(i: int) -> Multivector:
     if i < 1:
         raise ValueError("sigma index must be >= 1")
-    return Multivector._of({_key(1 << i, 0): Fraction(1)})
+    return Multivector._of({_key(1 << i, 0): 1})
 
 def omega1(j: int) -> Multivector:
     if j < 2:
         raise ValueError("omega index must be >= 2")
-    return Multivector._of({_key(0, 1 << j): Fraction(1)})
+    return Multivector._of({_key(0, 1 << j): 1})
 
 
 def wedge(*factors: Multivector) -> Multivector:
@@ -252,7 +298,7 @@ def _complement_sigma(n: int, a: Multivector, degree_sign) -> Multivector:
     complement times degree_sign(k); the omega part is kept.
     """
     images: dict[int, tuple[int, bool]] = {}  # sigma mask -> (shifted complement, negate)
-    row: dict[int, Fraction] = {}
+    row: dict[int, int] = {}
     for key, c in a._row.items():
         s = key >> 32
         image = images.get(s)
@@ -264,7 +310,7 @@ def _complement_sigma(n: int, a: Multivector, degree_sign) -> Multivector:
             c = -c
         acc = row.get(new)
         row[new] = c if acc is None else acc + c
-    return Multivector._of({k: c for k, c in row.items() if c})
+    return Multivector._of(*_lowest({k: c for k, c in row.items() if c}, a._den))
 
 
 def star1(n: int, a: Multivector) -> Multivector:
@@ -281,5 +327,8 @@ def star1_inv(n: int, a: Multivector) -> Multivector:
     return _complement_sigma(n, a, lambda j: -1 if (j * (j - 1) // 2 + j * (n - j)) & 1 else 1)
 
 
-def top_coefficient(n: int, a: Multivector) -> Fraction:
-    return a.row.get(full_sigma_mask(n) << 32 | full_omega_mask(n), Fraction(0))
+def top_coefficient(n: int, a: Multivector) -> tuple[int, int]:
+    """The coefficient of sigma_1 ^ ... ^ omega_{n,1}, a reduced (num, den); (0, 1) if absent."""
+    num = a.row.get(full_sigma_mask(n) << 32 | full_omega_mask(n), 0)
+    g = gcd(num, a.den)
+    return num // g, a.den // g

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from fractions import Fraction
 from functools import lru_cache, reduce
 
 from .errors import (
@@ -76,7 +75,7 @@ def generator(n: int, i: int, j: int) -> AlgebraElement:
         raise IndexOutOfRange(f"x_({i},{j}) needs indices in 2..{n}")
     if i == j:
         return AlgebraElement(n, wedge(sigma(i), omega1(i)))
-    body = (wedge(sigma(i), omega1(j)) + wedge(sigma(j), omega1(i))).smul(Fraction(1, 2))
+    body = (wedge(sigma(i), omega1(j)) + wedge(sigma(j), omega1(i))).smul(1, 2)
     return AlgebraElement(n, body)
 
 
@@ -143,7 +142,7 @@ def rotation_measure_rep(n: int, I, J) -> Multivector:
     sign, smask, omask = _rep_term(n, I, J)
     if not sign:
         return Multivector.zero()
-    return Multivector._of({_key(smask, omask): Fraction(sign)})
+    return Multivector._of({_key(smask, omask): sign})
 
 
 # -- presented elements as forms -----------------------------------------------
@@ -152,18 +151,19 @@ def rotation_measure_rep(n: int, I, J) -> Multivector:
 def realize(ctx: FlagContext, element: PresentedElement) -> AlgebraElement:
     """The form of a presented element: x^a y^b -> embed_monomial(ctx, a, b), u -> u_element(ctx).
 
-    Each integer coordinate is divided by the element's denominator.  A
-    key outside 0 <= a <= p, 0 <= b <= q is no basis monomial and raises
-    IndexOutOfRange, so a product that keeps x^(p+1) cannot realize to zero.
+    The integer combination of those forms is divided by the element's
+    denominator once.  A key outside 0 <= a <= p, 0 <= b <= q is no basis
+    monomial and raises IndexOutOfRange, so a product that keeps x^(p+1)
+    cannot realize to zero.
     """
     out = zero(ctx.n)
     for (a, b), c in element.xy.items():
         if not (0 <= a <= ctx.p and 0 <= b <= ctx.q):
             raise IndexOutOfRange(f"x^{a} y^{b} is no basis monomial for p={ctx.p}, q={ctx.q}")
-        out = out + embed_monomial(ctx, a, b).smul(Fraction(c, element.den))
+        out = out + embed_monomial(ctx, a, b).smul(c)
     if element.u:
-        out = out + u_element(ctx).smul(Fraction(element.u, element.den))
-    return out
+        out = out + u_element(ctx).smul(element.u)
+    return out.smul(1, element.den)
 
 
 def _poly_mul(a: Poly2, b: Poly2) -> Poly2:
@@ -209,7 +209,7 @@ def eta_ex(ctx: FlagContext) -> Multivector:
 @lru_cache(maxsize=None)
 def tau_tilde(ctx: FlagContext, k: int, a: int) -> AlgebraElement:
     """The algebra element E_a(first block) E_{k-a}(second block), x^a y^(k-a) / (a! (k-a)!)."""
-    return embed_monomial(ctx, a, k - a).smul(Fraction(1, factorial(a) * factorial(k - a)))
+    return embed_monomial(ctx, a, k - a).smul(1, factorial(a) * factorial(k - a))
 
 
 def pairing(ctx: FlagContext, dual: AlgebraElement, primal: Multivector) -> Scalar:
@@ -222,7 +222,7 @@ def pairing(ctx: FlagContext, dual: AlgebraElement, primal: Multivector) -> Scal
     if len(dual.body.sigma_degrees()) > 1:
         raise DegreeMismatch("dual element is not homogeneous")
     completed = star1_inv(ctx.n, dual.body)
-    return Scalar.omega(ctx.n) * Scalar(top_coefficient(ctx.n, completed.wedge(primal)))
+    return Scalar.omega(ctx.n) * Scalar.of(*top_coefficient(ctx.n, completed.wedge(primal)))
 
 
 # -- the four-variable generating identity -----------------------------------
@@ -231,14 +231,15 @@ def pairing(ctx: FlagContext, dual: AlgebraElement, primal: Multivector) -> Scal
 @lru_cache(maxsize=None)
 def generating_identity_polynomial(
     ctx: FlagContext,
-) -> tuple[tuple[tuple[int, int, int, int], Fraction], ...]:
+) -> tuple[tuple[tuple[int, int, int, int], tuple[int, int]], ...]:
     """Coefficients of eta_{alpha,beta} ^ tau~_{alpha~,beta~} on the top blade.
 
-    Keys are exponents (alpha, beta, alpha~, beta~); every term is checked
-    to be a multiple of the top blade.
+    Keys are exponents (alpha, beta, alpha~, beta~) and each coefficient
+    is a reduced (num, den); every term is checked to be a multiple of the
+    top blade.
     """
     n, p, q = ctx.n, ctx.p, ctx.q
-    out: dict[tuple[int, int, int, int], Fraction] = {}
+    out: dict[tuple[int, int, int, int], Multivector] = {}
     tau_components = {
         (p - i, q - j): star1_inv(n, tau_tilde(ctx, i + j, i).body)
         for i in range(p + 1)
@@ -251,22 +252,22 @@ def generating_identity_polynomial(
                 continue
             if len(prod) != 1:
                 raise DegreeMismatch("generating product is not a top-blade multiple")
-            coeff = top_coefficient(n, prod)
-            if not coeff:
+            if not top_coefficient(n, prod)[0]:
                 raise DegreeMismatch("generating product missed the top blade")
             key = (ea, eb, ta, tb)
-            out[key] = out.get(key, 0) + coeff
-    return tuple(sorted((k, v) for k, v in out.items() if v))
+            out[key] = out[key] + prod if key in out else prod
+    coefficients = ((key, top_coefficient(n, form)) for key, form in out.items())
+    return tuple(sorted((key, c) for key, c in coefficients if c[0]))
 
 
 def _binomial_target(ctx: FlagContext, sign_inside: int, global_sign: int):
-    """Coefficients of global_sign (alpha + s alpha~)^p (beta + s beta~)^q."""
+    """Coefficients of global_sign (alpha + s alpha~)^p (beta + s beta~)^q, as (num, 1)."""
     p, q = ctx.p, ctx.q
     out = {}
     for i in range(p + 1):
         for j in range(q + 1):
             sign = global_sign * sign_inside ** ((p - i) + (q - j))
-            out[(i, j, p - i, q - j)] = sign * binom(p, i) * binom(q, j)
+            out[(i, j, p - i, q - j)] = (sign * binom(p, i) * binom(q, j), 1)
     return tuple(sorted(out.items()))
 
 
@@ -350,7 +351,7 @@ def rotation_pairing(n: int, i: int, j: int, I, J) -> Scalar:
         raise BadIndexSet("only the degree-1 rotation pairing is implemented")
     tau = star1_inv(n, generator(n, i, j).body)
     product = tau.wedge(rotation_measure_rep(n, I, J))
-    return Scalar.vol_so(n) * Scalar(top_coefficient(n, product))
+    return Scalar.vol_so(n) * Scalar.of(*top_coefficient(n, product))
 
 
 # -- the honest pairing table ----------------------------------------------------

@@ -8,9 +8,9 @@ dual basis, and read off the input's slot.  flagkin.verify checks the
 presentation against the exterior realization of the algebra and the
 tables term by term against the closed forms of the coefficient theorems.
 Table coefficients are rationals held as reduced (num, den) int pairs,
-the numerator and denominator of the rational, so building and printing a
-table loads no rational arithmetic; the closed forms, which only verify
-and the tests evaluate, are Fractions.  Every table states its unit
+the numerator and denominator of the rational, and so are the closed
+forms, so building, printing and certifying a table loads no rational
+arithmetic.  Every table states its unit
 omega_m^-1 once (family_unit gives m: n, or n - p for the rescaled Sp
 tables), and one formatter per output format attaches it to each
 coefficient it prints; no printed coefficient is zero.
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from .errors import IndexOutOfRange
 from .invariant_algebras import FlagContext
@@ -39,13 +38,11 @@ from .measures import (
     expand_presented,
     phi_label,
     presented_dual,
+    ratio,
     s_label,
     validate_label,
 )
 from .records import Record, _set
-
-if TYPE_CHECKING:  # the closed forms import fractions when they run
-    from fractions import Fraction
 
 Term = tuple[MeasureLabel, MeasureLabel, Ratio]
 
@@ -171,26 +168,36 @@ def coproduct(ctx: FlagContext, input: MeasureLabel, family: str | None = None) 
 # -- closed forms ---------------------------------------------------------------
 
 
-def closed_form_phi(ctx: FlagContext, k: int, a: int, j: int, b: int) -> Fraction:
-    """c^{k,a}_{j,b}: the O(n) coefficient of Phi_{j,b} (x) Phi_{k-j,a-b}."""
-    from fractions import Fraction  # only verify and the tests evaluate the closed forms
-
+def closed_form_phi(ctx: FlagContext, k: int, a: int, j: int, b: int) -> Ratio:
+    """c^{k,a}_{j,b}: the O(n) coefficient of Phi_{j,b} (x) Phi_{k-j,a-b}, a reduced (num, den)."""
     validate_label(ctx, phi_label(k, a))
     if not 0 <= j <= k:
         raise IndexOutOfRange(f"j={j} outside 0..{k}")
     if not max(0, j - k + a) <= b <= min(a, j):
         raise IndexOutOfRange(f"b={b} outside Theorem ranges for (k,a,j)=({k},{a},{j})")
     p, q = ctx.p, ctx.q
-    return Fraction(
+    return ratio(
         binom(q - k + j + a - b, j - b) * binom(p - a + b, b),
         binom(q, j - b) * binom(p, b),
     )
 
 
-def closed_form_S(ctx: FlagContext, k: int, i: int, j: int, b: int, c: int) -> Fraction:
-    """C^{k,i}_{j,b,c}: the coefficient of S_j^(p),b (x) S_{k-j}^(p),c."""
-    from fractions import Fraction  # only verify and the tests evaluate the closed forms
+@lru_cache(maxsize=None)
+def _s_scales(ctx: FlagContext, j: int) -> tuple[int, dict[int, int]]:
+    """The common denominator L of the terms of closed_form_S at j, and L / C(q, j-s) C(p, s) per s.
 
+    The inner sum of C^{k,i}_{j,b,c} divides by C(q, j-s) C(p, s), which
+    depends on s and j only; L is the lcm of its nonzero values, so every
+    term is an integer over L.  An s whose divisor is zero has no entry.
+    """
+    divisors = {s: binom(ctx.q, j - s) * binom(ctx.p, s) for s in range(ctx.m_prime(j) + 1)}
+    divisors = {s: d for s, d in divisors.items() if d}
+    common = math.lcm(*divisors.values())
+    return common, {s: common // d for s, d in divisors.items()}
+
+
+def closed_form_S(ctx: FlagContext, k: int, i: int, j: int, b: int, c: int) -> Ratio:
+    """C^{k,i}_{j,b,c}: the coefficient of S_j^(p),b (x) S_{k-j}^(p),c, as a reduced (num, den)."""
     validate_label(ctx, s_label(k, i))
     if not 0 <= j <= k:
         raise IndexOutOfRange(f"j={j} outside 0..{k}")
@@ -199,16 +206,17 @@ def closed_form_S(ctx: FlagContext, k: int, i: int, j: int, b: int, c: int) -> F
     p, q = ctx.p, ctx.q
     mk, mpk = ctx.m(k), ctx.m_prime(k)
     mpj, mpl = ctx.m_prime(j), ctx.m_prime(k - j)
-    total = Fraction(0)
+    common, scale = _s_scales(ctx, j)
+    total = 0  # the double sum times common
     for t in range(mpk - mk, mpk - i + 1):
-        inner = Fraction(0)
+        inner = 0
         for s in range(max(mpj - b, t - mpl), min(mpj, t - mpl + c) + 1):
-            inner += Fraction(
+            inner += (
                 binom(b, mpj - s)
                 * binom(c, mpl - t + s)
                 * binom(q - k + t - s + j, j - s)
-                * binom(p - t + s, s),
-                binom(q, j - s) * binom(p, s),
+                * binom(p - t + s, s)
+                * scale[s]
             )
         total += (-1) ** t * binom(mpk - t, i) * inner
     sign = (-1) ** (b + c + mpj + mpl)
@@ -217,7 +225,7 @@ def closed_form_S(ctx: FlagContext, k: int, i: int, j: int, b: int, c: int) -> F
         c_constant(ctx.n, j, p, b),
         c_constant(ctx.n, k - j, p, c),
     )
-    return sign * Fraction(num_i * den_b * den_c, den_i * num_b * num_c) * total
+    return ratio(sign * num_i * den_b * den_c * total, den_i * num_b * num_c * common)
 
 
 def hug_weil_coproduct(ctx: FlagContext, k: int) -> KinematicTable:

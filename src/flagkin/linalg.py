@@ -9,16 +9,16 @@ Ranks of integer rows are certified modulo the prime 2^61 - 1: an
 integer matrix has rank mod p at most its rank over Q, so full rank mod p
 proves full rank over Q.  The certificate reads the rows once, as a
 stream, and is the only rank that flagkin computes; the echelon is the
-exact reference that the tests rank against.  No floats are used.
+exact reference that the tests rank against, and the only code here that
+imports fractions, when it runs.  No floats are used.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections.abc import Iterable
-from fractions import Fraction
 
-Row = dict[int, Fraction]  # or dict[int, int]: the entries only need to be rational
+Row = dict  # column index -> nonzero rational: an int or a Fraction
 
 PRIME = (1 << 61) - 1
 
@@ -60,6 +60,8 @@ class SparseEchelon:
 
     def add(self, row: Row) -> bool:
         """Absorb a row; return True when it enlarged the span."""
+        from fractions import Fraction
+
         row = self.reduce(row)
         if not row:
             return False

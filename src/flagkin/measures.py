@@ -30,6 +30,12 @@ from .records import Record, _set
 Ratio = tuple[int, int]
 
 
+def ratio(num: int, den: int) -> Ratio:
+    """num / den as a reduced (num, den), for den > 0."""
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
 def binom(m: int, r: int) -> int:
     """Binomial coefficient with C(m, r) = 0 outside 0 <= r <= m."""
     if r < 0 or r > m or m < 0:

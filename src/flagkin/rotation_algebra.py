@@ -58,8 +58,8 @@ class AlgebraElement(Record):
             out = out * self
         return out
 
-    def smul(self, s) -> "AlgebraElement":
-        return AlgebraElement(self.n, self.body.smul(s))
+    def smul(self, s, den: int = 1) -> "AlgebraElement":
+        return AlgebraElement(self.n, self.body.smul(s, den))
 
     def __rmul__(self, s) -> "AlgebraElement":
         return self.smul(s)

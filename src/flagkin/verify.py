@@ -7,14 +7,16 @@ suite covers every case at its (n, p) along one path; none samples.
 
 Layer functions are looked up through their modules at call time, never
 bound here by name, so that a wrapper installed on a module attribute sees
-every call.  The engine's table coefficients are (num, den) int pairs; the
-checks convert them to Fractions once, at this boundary.
+every call.  The engine's table coefficients and the closed forms are
+reduced (num, den) int pairs, and the oracle's forms are int rows over one
+denominator, so every check runs in integers and no suite loads a rational
+type.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+import math
 
 from . import grassmann_oracle, kinematics, measures, rotation_algebra
 from .errors import IndexOutOfRange
@@ -168,71 +170,84 @@ def _suite_oracle(ctx: FlagContext):
 # -- structural laws -------------------------------------------------------------
 
 
-def _fraction_terms(table: kinematics.KinematicTable) -> list[tuple]:
-    """The table's terms (left, right, c) with each (num, den) as the Fraction num/den."""
-    return [(l, r, Fraction(num, den)) for l, r, (num, den) in table.terms]
+def _ratio_text(c) -> str:
+    """A (num, den) as Fraction.__str__ prints it: num, or num/den."""
+    num, den = c
+    return f"{num}" if den == 1 else f"{num}/{den}"
 
 
-def _fraction_tables(ctx: FlagContext, family: str) -> dict:
-    """Every table of the family, as {input: _fraction_terms(table)}."""
-    return {
-        label: _fraction_terms(table)
-        for label, table in kinematics.coproduct_tables(ctx, family).items()
-    }
+def _family_numerators(ctx: FlagContext, family: str):
+    """A family's tables over one common denominator, keyed by label index.
+
+    Returns (labels, den, rows): labels lists the inputs in table order,
+    den is the lcm of every coefficient's denominator, and rows[x] maps
+    (left index, right index) to the integer numerator over den of each
+    term of A(labels[x]), in print order.
+    """
+    tables = kinematics.coproduct_tables(ctx, family)
+    labels = list(tables)
+    index = {label: x for x, label in enumerate(labels)}
+    den = math.lcm(*(d for table in tables.values() for _, _, (_, d) in table.terms))
+    rows = [
+        {(index[l], index[r]): num * (den // d) for l, r, (num, d) in table.terms}
+        for table in tables.values()
+    ]
+    return labels, den, rows
 
 
-def _global_table(ctx: FlagContext, table: kinematics.KinematicTable) -> dict[tuple[int, int], Fraction]:
-    """Push both sides of a table forward to the global area measures, keyed by degrees."""
-    out: dict[tuple[int, int], Fraction] = {}
-    for left, right, c in _fraction_terms(table):
+def _global_table(ctx: FlagContext, table: kinematics.KinematicTable) -> dict:
+    """Push both sides of a table forward to the global area measures, keyed by degrees.
+
+    Each value is a reduced (num, den); a zero one is left out.
+    """
+    den = math.lcm(*(d for _, _, (_, d) in table.terms))
+    out: dict[tuple[int, int], int] = {}
+    for left, right, (num, d) in table.terms:
         factor = measures.global_factor(ctx, left) * measures.global_factor(ctx, right)
         key = (left.k, right.k)
-        out[key] = out.get(key, 0) + c * factor
-    return {k: v for k, v in out.items() if v}
+        out[key] = out.get(key, 0) + num * (den // d) * factor
+    return {key: measures.ratio(v, den) for key, v in out.items() if v}
 
 
 def verify_structure(ctx: FlagContext) -> str | None:
     """First failure of cocommutativity, coassociativity, counit or globalization.
 
-    Coefficients are the tables' rationals, in the unit omega_n^-1 they share.
+    Coefficients are the tables' rationals, in the unit omega_n^-1 they
+    share, compared as integer numerators over one denominator per family.
     """
     for family in ("Phi", "S"):
-        tables = _fraction_tables(ctx, family)
-        zero_label = measures.basis_labels(ctx, 0, family)[0]
-        coefficients = {
-            label: {(l, r): c for l, r, c in terms} for label, terms in tables.items()
-        }
+        labels, den, rows = _family_numerators(ctx, family)
 
-        for label, terms in tables.items():
-            coeff = coefficients[label]
-            for l, r, c in terms:
-                if coeff.get((r, l), 0) != c:
-                    return f"cocommutativity[{family}]: A({label}) at {l} (x) {r}"
+        for x, row in enumerate(rows):
+            for (l, r), c in row.items():
+                if row.get((r, l), 0) != c:
+                    at = f"{labels[l]} (x) {labels[r]}"
+                    return f"cocommutativity[{family}]: A({labels[x]}) at {at}"
 
-        for label, terms in tables.items():
-            left_assoc: dict[tuple, Fraction] = {}
-            right_assoc: dict[tuple, Fraction] = {}
-            for l, r, c in terms:
-                for l2, r2, c2 in tables[l]:
-                    key = (l2, r2, r)
-                    left_assoc[key] = left_assoc.get(key, 0) + c * c2
-                for l2, r2, c2 in tables[r]:
-                    key = (l, l2, r2)
-                    right_assoc[key] = right_assoc.get(key, 0) + c * c2
-            left_assoc = {k: v for k, v in left_assoc.items() if v}
-            right_assoc = {k: v for k, v in right_assoc.items() if v}
-            if left_assoc != right_assoc:
-                return f"coassociativity[{family}]: A({label})"
+        # With every table cocommutative, (1 (x) A) A(X) at (x, y, z) is
+        # sum_r c_X(x, r) c_r(y, z) = (A (x) 1) A(X) at (y, z, x), so
+        # coassociativity says that T = (A (x) 1) A(X) is invariant under
+        # the cyclic shift (a, b, r) -> (b, r, a).  Every term of T is an
+        # integer over den^2.
+        for x, row in enumerate(rows):
+            tensor: dict[tuple[int, int, int], int] = {}
+            for (l, r), c in row.items():
+                for (a, b), c2 in rows[l].items():
+                    key = (a, b, r)
+                    tensor[key] = tensor.get(key, 0) + c * c2
+            if any(tensor.get((b, r, a), 0) != v for (a, b, r), v in tensor.items()):
+                return f"coassociativity[{family}]: A({labels[x]})"
 
-        for label, coeff in coefficients.items():
-            if coeff.get((zero_label, label), 0) != 1 or coeff.get((label, zero_label), 0) != 1:
-                return f"counit[{family}]: A({label})"
+        zero = labels.index(measures.basis_labels(ctx, 0, family)[0])
+        for x, row in enumerate(rows):
+            if row.get((zero, x), 0) != den or row.get((x, zero), 0) != den:
+                return f"counit[{family}]: A({labels[x]})"
 
         for label, table in kinematics.coproduct_tables(ctx, family).items():
             got = _global_table(ctx, table)
             k = label.degree(ctx)
             front = measures.global_factor(ctx, label)
-            want = {(j, k - j): front * measures.binom(k, j) for j in range(k + 1) if front}
+            want = {(j, k - j): (front * measures.binom(k, j), 1) for j in range(k + 1) if front}
             if got != want:
                 return f"globalization[{family}]: A({label})"
     return None
@@ -242,7 +257,7 @@ def verify_structure(ctx: FlagContext) -> str | None:
 
 
 def _exceptional_terms(ctx: FlagContext, family: str) -> dict:
-    """The PhiEx terms of a family's tables, {input: {(left, right): coefficient}}.
+    """The PhiEx terms of a family's tables, {input: {(left, right): (num, den)}}.
 
     u x = u y = 0 leaves two kinds: A(PhiEx) is the degree-0 label (x) PhiEx
     plus its mirror, each with coefficient 1, and the top-degree table has
@@ -256,30 +271,32 @@ def _exceptional_terms(ctx: FlagContext, family: str) -> dict:
     zero = measures.basis_labels(ctx, 0, family)[0]
     top = measures.basis_labels(ctx, ctx.n - 1, family)[0]
     return {
-        top: {(ex, ex): Fraction((-1) ** p * (p + 1), 4**p)},
-        ex: {(zero, ex): Fraction(1), (ex, zero): Fraction(1)},
+        top: {(ex, ex): measures.ratio((-1) ** p * (p + 1), 4**p)},
+        ex: {(zero, ex): (1, 1), (ex, zero): (1, 1)},
     }
 
 
 def _check_tables(ctx: FlagContext, family: str, closed_form_terms) -> str | None:
     """First term of a family's tables that differs from its closed form or is unexpected.
 
-    closed_form_terms(label) yields ((left, right), coefficient) for each
-    term of the label's table that a closed form states.
+    closed_form_terms(label) yields ((left, right), (num, den)) for each
+    term of the label's table that a closed form states.  Both sides are
+    reduced with a positive denominator, so they agree as rationals
+    exactly when they agree as pairs.
     """
     exceptional = _exceptional_terms(ctx, family)
-    for input, terms in _fraction_tables(ctx, family).items():
+    for input, table in kinematics.coproduct_tables(ctx, family).items():
         want = dict(exceptional.get(input, {}))
         if input.kind == family:
             want.update(closed_form_terms(input))
-        got = {(l, r): c for l, r, c in terms}
+        got = {(l, r): c for l, r, c in table.terms}
         for (l, r), c in want.items():
-            have = got.get((l, r), 0)
+            have = got.get((l, r), (0, 1))
             if have != c:
-                return f"A({input}) at {l}(x){r}: {have} != {c}"
+                return f"A({input}) at {l}(x){r}: {_ratio_text(have)} != {_ratio_text(c)}"
         for (l, r), c in got.items():
             if (l, r) not in want:
-                return f"A({input}) unexpected term {l}(x){r}: {c}"
+                return f"A({input}) unexpected term {l}(x){r}: {_ratio_text(c)}"
     return None
 
 

@@ -275,7 +275,7 @@ def test_criterion_7_structural_laws():
                 for i in range(ctx.m(k) + 1):
                     table = tables[s_label(k, i)]
                     assert table.unit == n
-                    want = {(j, k - j): binom(k, j) for j in range(k + 1)}
+                    want = {(j, k - j): (binom(k, j), 1) for j in range(k + 1)}
                     assert _global_table(ctx, table) == want, (n, p, k, i)
             for k in range(n - p):
                 table = hug_weil_coproduct(ctx, k)

@@ -619,6 +619,32 @@ def test_presented_requests_load_no_rationals(request_name):
     assert not loaded & RATIONALS, sorted(loaded & RATIONALS)
 
 
+# Under -S no .pth file preloads typing, and re with it, so a run sees
+# every module that flagkin itself imports.  No request needs typing or re.
+UNNEEDED = {"typing", "re"}
+
+VERIFY_REQUESTS = {
+    "verify 5 2": ["-m", "flagkin.cli", "verify", "--n", "5", "--p", "2"],
+    "verify 3 1": ["-m", "flagkin.cli", "verify", "--n", "3", "--p", "1"],
+}
+
+
+@pytest.mark.parametrize("request_name", sorted(PRESENTED_REQUESTS))
+def test_presented_requests_load_no_typing(request_name):
+    loaded = _loaded_modules("-S", *PRESENTED_REQUESTS[request_name])
+    assert PRESENTED_ENGINE.get(request_name, "flagkin.measures") in loaded
+    assert not loaded & UNNEEDED, sorted(loaded & UNNEEDED)
+
+
+@pytest.mark.parametrize("request_name", sorted(VERIFY_REQUESTS))
+def test_verify_requests_load_no_rationals(request_name):
+    # the oracle's forms, the scalars and the table checks compute in integers
+    loaded = _loaded_modules("-S", *VERIFY_REQUESTS[request_name])
+    assert "flagkin.grassmann_oracle" in loaded  # the oracle ran
+    forbidden = RATIONALS | UNNEEDED
+    assert not loaded & forbidden, sorted(loaded & forbidden)
+
+
 def test_version_loads_only_the_command_line():
     loaded = _loaded_modules("-m", "flagkin.cli", "--version") - _bare_interpreter_modules()
     flagkin_modules = {m for m in loaded if m.startswith("flagkin")}

@@ -199,7 +199,7 @@ def test_forms_hold_rationals_only():
         sigma(2).smul(Scalar.omega(3))
     with pytest.raises(TypeError):
         Multivector({_blade(sigma=4): Scalar.of(2)})
-    assert Multivector.__slots__ == ("_row",)
+    assert Multivector.__slots__ == ("_row", "_den")
 
 
 def test_floats_are_refused():
@@ -234,6 +234,7 @@ def test_indices_above_31_are_refused():
 def test_top_coefficient():
     n = 3
     full = Multivector({_blade(full_sigma_mask(n), full_omega_mask(n)): 7})
-    assert top_coefficient(n, full) == Fraction(7)
-    assert top_coefficient(n, full.wedge(sigma(4))) == 0
-    assert top_coefficient(n + 1, full.wedge(sigma(4)).wedge(omega1(4))) == Fraction(7)
+    assert top_coefficient(n, full) == (7, 1)
+    assert top_coefficient(n, full.wedge(sigma(4))) == (0, 1)
+    assert top_coefficient(n + 1, full.wedge(sigma(4)).wedge(omega1(4))) == (7, 1)
+    assert top_coefficient(n, full.smul(Fraction(2, 4))) == (7, 2)

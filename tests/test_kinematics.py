@@ -71,22 +71,22 @@ def test_coproduct_refuses_a_label_outside_the_family(label, family, named):
 
 def test_closed_form_phi_examples():
     ctx = FlagContext(5, 2)
-    assert closed_form_phi(ctx, 1, 0, 0, 0) == 1
-    assert closed_form_phi(ctx, 1, 0, 1, 0) == 1
+    assert closed_form_phi(ctx, 1, 0, 0, 0) == (1, 1)
+    assert closed_form_phi(ctx, 1, 0, 1, 0) == (1, 1)
     for k in range(5):
         for a in range(max(0, k - ctx.q), min(k, ctx.p) + 1):
-            assert closed_form_phi(ctx, k, a, k, a) == 1
+            assert closed_form_phi(ctx, k, a, k, a) == (1, 1)
     with pytest.raises(IndexOutOfRange):
         closed_form_phi(ctx, 2, 1, 1, 2)
 
 
 def test_closed_form_S_counit():
     ctx = FlagContext(5, 2)
-    assert closed_form_S(ctx, 0, 0, 0, 0, 0) == 1
+    assert closed_form_S(ctx, 0, 0, 0, 0, 0) == (1, 1)
     for k in range(5):
         for i in range(ctx.m(k) + 1):
-            assert closed_form_S(ctx, k, i, k, i, 0) == 1
-            assert closed_form_S(ctx, k, i, 0, 0, i) == 1
+            assert closed_form_S(ctx, k, i, k, i, 0) == (1, 1)
+            assert closed_form_S(ctx, k, i, 0, 0, i) == (1, 1)
 
 
 @pytest.mark.parametrize("n,p", [(3, 1), (4, 1), (4, 2), (5, 2), (5, 0), (6, 3)])
@@ -173,7 +173,7 @@ def test_globalized_area_formula_middle_coefficient():
     ctx = FlagContext(4, 1)
     table = coproduct(ctx, s_label(2, 0), "S")
     glob = _global_table(ctx, table)
-    assert glob[(1, 1)] == 2
+    assert glob[(1, 1)] == (2, 1)
 
 
 def test_hug_weil_tables():

@@ -84,3 +84,22 @@ def test_malformed_units_are_refused(units):
     # times omega(3)^-1 came out as 1/1; omega(0) is no unit omega_sym writes
     with pytest.raises(ValueError):
         Scalar(1, units)
+
+
+SYMBOLS = [
+    "omega(3)", "volSO(12)", "omega(1٣)", "omega(0)", "omega(03)", "omega()", "omega(3",
+    "omega3)", "omega(-3)", "omega(+3)", "omega( 3)", "omega(3 )", "Omega(3)", "omega((3))",
+    "omega(٣)", "vol(3)", "omegavolSO(3)", "omega(3)x", "omega(3)\n", "omega", "",
+]
+
+
+@pytest.mark.parametrize("sym", SYMBOLS)
+def test_unit_symbols_are_those_of_the_pattern(sym):
+    # a name, then a decimal index without leading zeros in parentheses, and nothing more
+    import re
+
+    if re.fullmatch(r"(omega|volSO)\(([1-9]\d*)\)", sym):
+        assert Scalar(1, ((sym, 1),)).units == ((sym, 1),)
+    else:
+        with pytest.raises(ValueError):
+            Scalar(1, ((sym, 1),))

@@ -14,8 +14,9 @@ import sys
 
 import pytest
 
-from flagkin import measures, rotation_algebra, verify
+from flagkin import kinematics, measures, rotation_algebra, verify
 from flagkin.errors import FlagkinError
+from flagkin.exterior import Multivector
 from flagkin.invariant_algebras import FlagContext, PresentedElement
 
 
@@ -127,6 +128,28 @@ def _chord_lead_without_diagonals(monkeypatch):
     _patch(monkeypatch, "_chord_lead", lambda f: lambda diag, matching: f((), matching), rotation_algebra)
 
 
+def _wedge_keeps_the_left_denominator(monkeypatch):
+    # the product's numerators over self.den alone, as if other.den were dropped
+    original = Multivector.wedge
+    def wedge(self, other):
+        return original(self, other).smul(other.den)
+
+    monkeypatch.setattr(Multivector, "wedge", wedge)
+
+
+def _closed_form_s_term_undivided(monkeypatch):
+    # the last s of closed_form_S's inner sum keeps the whole common denominator,
+    # so that term is not divided by its C(q, j-s) C(p, s)
+    def wrap(f):
+        def _s_scales(ctx, j):
+            common, scale = f(ctx, j)
+            return common, {**scale, max(scale): common}
+
+        return _s_scales
+
+    _patch(monkeypatch, "_s_scales", wrap, kinematics)
+
+
 MUTATIONS = {
     "u^2 constant x2": _u_square_doubled,
     "_phi_scale x(a+1)": _phi_scale_times_a_plus_1,
@@ -136,6 +159,8 @@ MUTATIONS = {
     "PhiEx dual x2, its inverse x1/2": _phi_ex_dual_doubled,
     "_rep_term sign dropped": _rep_term_sign_dropped,
     "chord lead drops the diagonals": _chord_lead_without_diagonals,
+    "wedge keeps the left denominator": _wedge_keeps_the_left_denominator,
+    "closed_form_S: one term undivided": _closed_form_s_term_undivided,
 }
 
 
