@@ -170,10 +170,6 @@ class Multivector:
     def sigma_degrees(self) -> set[int]:
         return {(k & _SIGMA).bit_count() for k in self._row}
 
-    def bidegrees(self) -> set[tuple[int, int]]:
-        """(sigma degree, omega degree) of every blade."""
-        return {((k & _SIGMA).bit_count(), (k & _LOW).bit_count()) for k in self._row}
-
     def has_sigma_factor(self, i: int) -> bool:
         """Does every blade contain sigma_i?"""
         bit = 1 << (32 + i)

@@ -51,7 +51,7 @@ from .errors import (
 from .exterior import Multivector, _key, omega1, sigma, star1, star1_inv, top_coefficient, wedge
 from .invariant_algebras import FlagContext, PresentedElement, embed_monomial
 from .measures import binom, factorial, phi_label, validate_label
-from .rotation_algebra import AlgebraElement, _perm_sign, _rep_term
+from .rotation_algebra import AlgebraElement, _chord_row, _perm_sign, _rep_term
 from .scalars import Scalar
 
 Poly2 = dict[tuple[int, int], Multivector]
@@ -286,56 +286,23 @@ def honest_generating_identity(ctx: FlagContext) -> bool:
     return generating_identity_polynomial(ctx) == _binomial_target(ctx, -1, sign)
 
 
-# -- convolution cross-check ---------------------------------------------------
+# -- convolution ----------------------------------------------------------------
 
 
-def _sorted_monomial(m: tuple) -> tuple:
-    return tuple(sorted(tuple(sorted(pair)) for pair in m))
+def _chord_image(n: int, diagonals, matching) -> tuple[Multivector, Multivector | None]:
+    """A chord monomial's form and star1 of its star1-inverse image.
 
-
-@lru_cache(maxsize=4096)
-def _convolution_factor(n: int, m: tuple) -> tuple[AlgebraElement, Multivector | None]:
-    """A monomial's algebra element and star1 of its star1-inverse image.
-
-    The image is None when it fails a J-space condition (sigma_1
-    divisibility or annihilation by d alpha).  Otherwise it equals the
-    element's body whenever star1(star1_inv(x)) = x, which the convolution
-    suite checks on every chord monomial.
+    The form is _chord_row(diagonals, matching) over 2^m, m = len(matching),
+    so no generator is multiplied.  The image is None when it fails a
+    J-space condition (sigma_1 divisibility or annihilation by d alpha).
+    Otherwise it equals the form whenever star1(star1_inv(x)) = x, which
+    the convolution suite checks on every chord monomial.
     """
-    element = monomial(n, m)
-    tau = star1_inv(n, element.body)
+    form = Multivector._of(_chord_row(diagonals, matching), 1 << len(matching))
+    tau = star1_inv(n, form)
     if not tau.has_sigma_factor(1) or not dalpha(n).wedge(tau).is_zero():
-        return element, None
-    return element, star1(n, tau)
-
-
-def convolution_cross_check(ctx: FlagContext, m1, m2) -> bool:
-    """Compare the algebra product with the form-level convolution.
-
-    m1, m2 are monomials given as sequences of (i, j) generator indices.
-    Route one: wedge the bodies inside the algebra.  Route two: take the
-    star1-inverse images (which carry sigma_1), convolve them through
-    tau * tau' = star1_inv(star1 tau ^ star1 tau'), and compare against
-    the star1-inverse image of the algebra product.  Both J-space
-    conditions (sigma_1 divisibility and annihilation by d alpha) are
-    asserted along the way.  Generators commute, so each monomial's forms
-    are computed once, keyed by its sorted generator pairs.
-    """
-    m1, m2 = tuple(m1), tuple(m2)
-    n = ctx.n
-    if len(m1) + len(m2) > n - 1:
-        raise DimensionMismatch(f"degrees {len(m1)}+{len(m2)} exceed n-1={n - 1}")
-    e1, star_tau1 = _convolution_factor(n, _sorted_monomial(m1))
-    e2, star_tau2 = _convolution_factor(n, _sorted_monomial(m2))
-    if star_tau1 is None or star_tau2 is None:
-        return False
-    algebra_product = e1 * e2
-    convolution = star1_inv(n, star_tau1.wedge(star_tau2))
-    if convolution != star1_inv(n, algebra_product.body):
-        return False
-    if not dalpha(n).wedge(convolution).is_zero():
-        return False
-    return convolution.has_sigma_factor(1)
+        return form, None
+    return form, star1(n, tau)
 
 
 # -- rotation pairings ----------------------------------------------------------

@@ -3,12 +3,13 @@
 Chord monomials (diagonal factors plus a non-crossing perfect matching)
 give a basis in each degree.  Graded dimensions are certified by the
 chord monomials' lead keys, one int each, with no row built and no rank
-routine called (see graded_dimension); the +-1 rows themselves stay as
-the reference that the tests rank.  The primal rotation-measure space is
-ranked by one stream of rows into the mod-p certificate, and the rotation
-relations are checked on blade keys against their witness, so every rank
-here is a certificate and none is an elimination.  No form is built here:
-grassmann_oracle realizes the generators x_{ij} as invariant forms.
+routine called (see graded_dimension); the +-1 rows themselves give the
+forms that the convolution suite checks.  The primal rotation-measure
+space is ranked by one stream of rows into the mod-p certificate, and the
+rotation relations are checked on blade keys against their witness, so
+every rank here is a certificate and none is an elimination.  No form is
+built here: grassmann_oracle realizes the generators x_{ij} as invariant
+forms.
 AlgebraElement, a form with its n, stays here because perfbench/tracer.py
 reads AlgebraElement.__mul__.  This module loads neither fractions nor
 linalg; the functions that need them import them when they run.
@@ -20,7 +21,7 @@ import itertools
 from functools import lru_cache
 from math import comb
 
-from .errors import BadIndexSet, DimensionMismatch, FlagkinError, IndexOutOfRange, NotHomogeneous
+from .errors import BadIndexSet, DimensionMismatch, FlagkinError, IndexOutOfRange
 from .records import Record, _set
 
 
@@ -66,17 +67,6 @@ class AlgebraElement(Record):
 
     def is_zero(self) -> bool:
         return self.body.is_zero()
-
-    def degree(self) -> int:
-        """Common algebra degree of all blades; NotHomogeneous otherwise."""
-        degs = set()
-        for ks, ko in self.body.bidegrees():
-            if ks != ko:
-                raise NotHomogeneous("sigma and omega degrees differ")
-            degs.add(ks)
-        if len(degs) > 1:
-            raise NotHomogeneous(f"mixed degrees {sorted(degs)}")
-        return degs.pop() if degs else 0
 
 
 # -- chord monomials ---------------------------------------------------------
@@ -167,11 +157,6 @@ def _chord_row(diagonals: tuple[int, ...], matching: tuple[tuple[int, int], ...]
         ab, ba = 1 << a << 32 | 1 << b, 1 << b << 32 | 1 << a
         keys = [key | ab for key in keys] + [key | ba for key in keys]
     return dict.fromkeys(keys, -1 if inversions & 1 else 1)
-
-
-def _chord_rows(n: int, k: int):
-    """_chord_row of each chord monomial of degree k, in chord_basis order, built on demand."""
-    return (_chord_row(diag, matching) for diag, matching in _chord_index_sets(n, k))
 
 
 @lru_cache(maxsize=None)

@@ -123,7 +123,7 @@ def _suite_rotation_relations(ctx: FlagContext):
 
 
 def _suite_closed_forms(ctx: FlagContext):
-    return check_phi_closed_form(ctx) or check_s_closed_form(ctx)
+    return check_phi_closed_form(ctx) or check_s_closed_form(ctx) or check_sp_tables(ctx)
 
 
 def _suite_convolution(ctx: FlagContext):
@@ -132,13 +132,14 @@ def _suite_convolution(ctx: FlagContext):
     The J-space conditions (a sigma_1 factor, d alpha ^ tau = 0) and the
     round trip star1(star1_inv(x)) = x are linear, and the chord monomials
     span each degree, so all three hold on every element.  The convolution
-    of two images is then the image of their product by construction.
+    of two images is then the image of their product by construction.  A
+    case is one chord monomial's +-1 row, built and checked on its own.
     """
     for k in range(1, ctx.n):
-        for diagonals, matching in rotation_algebra.chord_basis(ctx.n, k):
-            m = tuple((d, d) for d in diagonals) + matching
-            element, star_tau = grassmann_oracle._convolution_factor(ctx.n, m)
-            if star_tau != element.body:
+        for diagonals, matching in rotation_algebra._chord_index_sets(ctx.n, k):
+            form, star_tau = grassmann_oracle._chord_image(ctx.n, diagonals, matching)
+            if star_tau != form:
+                m = tuple((d, d) for d in diagonals) + matching
                 return f"convolution mismatch at {m}"
     return None
 
@@ -329,6 +330,20 @@ def check_s_closed_form(ctx: FlagContext) -> str | None:
                     yield pair, kinematics.closed_form_S(ctx, k, i, j, b, c)
 
     return _check_tables(ctx, "S", terms)
+
+
+def check_sp_tables(ctx: FlagContext) -> str | None:
+    """First Sp table that is not the binomial law A(Sp[k]) = sum_j C(k, j) Sp[j] (x) Sp[k-j].
+
+    Each table that ``table --hug-weil`` prints, k < n - p, must hold
+    exactly those terms, in the unit omega_{n-p}^-1 and in order of j.
+    """
+    sp = measures.MeasureLabel
+    for k in range(ctx.n - ctx.p):
+        want = tuple((sp("Sp", j), sp("Sp", k - j), (measures.binom(k, j), 1)) for j in range(k + 1))
+        if kinematics.hug_weil_coproduct(ctx, k).terms != want:
+            return f"A(Sp[{k}]) != sum_j C({k},j) Sp[j](x)Sp[{k}-j]"
+    return None
 
 
 VERIFY_SUITES = (

@@ -15,7 +15,6 @@ from math import comb, factorial
 import pytest
 
 from flagkin.grassmann_oracle import (
-    convolution_cross_check,
     determinant,
     elementary_symmetric,
     eta_ex,
@@ -58,6 +57,8 @@ from flagkin.verify import (
     check_s_closed_form,
     verify_structure,
 )
+
+from convolution_reference import convolution_cross_check
 
 
 def _report(num: int, ok: bool, detail: str = "") -> None:

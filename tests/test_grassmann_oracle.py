@@ -14,6 +14,7 @@ the same top-blade coefficient.
 """
 
 import itertools
+import sys
 
 import pytest
 
@@ -21,7 +22,6 @@ from flagkin.errors import BadIndexSet, DegreeMismatch, DimensionMismatch, Excep
 from flagkin.exterior import Multivector, omega1, sigma, wedge
 import flagkin.grassmann_oracle as grassmann_oracle
 from flagkin.grassmann_oracle import (
-    convolution_cross_check,
     eta_ex,
     eta_hat,
     generating_identity_check,
@@ -38,6 +38,8 @@ from flagkin.invariant_algebras import FlagContext
 from flagkin.measures import binom, factorial
 from flagkin.rotation_algebra import chord_basis
 from flagkin.scalars import Scalar
+
+from convolution_reference import convolution_cross_check
 
 CONTEXTS = [(n, p) for n in range(2, 7) for p in range(n)]
 
@@ -249,7 +251,24 @@ def test_convolution_suite_catches_wrong_star1_inv_sign(monkeypatch):
     assert _suite_convolution(ctx) is None
     with monkeypatch.context() as m:
         m.setattr(grassmann_oracle, "star1_inv", wrong_star1_inv)
-        grassmann_oracle._convolution_factor.cache_clear()
         detail = _suite_convolution(ctx)
-    grassmann_oracle._convolution_factor.cache_clear()
     assert detail is not None and detail.startswith("convolution mismatch at")
+
+
+def _flagkin_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("flagkin"):
+            for attr, value in vars(module).items():
+                if callable(getattr(value, "cache_info", None)):
+                    yield f"{name}.{attr}", value
+
+
+def test_convolution_suite_keeps_no_form_cache():
+    """The suite holds one chord monomial at a time; only dalpha(n) stays cached."""
+    from flagkin.verify import _suite_convolution
+
+    for _, cache in _flagkin_caches():
+        cache.cache_clear()
+    assert _suite_convolution(FlagContext(9, 4)) is None
+    holding = {name for name, cache in _flagkin_caches() if cache.cache_info().currsize}
+    assert holding == {"flagkin.grassmann_oracle.dalpha"}

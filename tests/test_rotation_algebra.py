@@ -5,7 +5,7 @@ from math import comb, factorial
 import pytest
 
 from flagkin import linalg
-from flagkin.errors import BadIndexSet, DimensionMismatch, FlagkinError, IndexOutOfRange, NotHomogeneous
+from flagkin.errors import BadIndexSet, DimensionMismatch, FlagkinError, IndexOutOfRange
 from flagkin.exterior import Multivector, omega1, sigma, wedge
 from flagkin.grassmann_oracle import (
     dalpha,
@@ -13,7 +13,6 @@ from flagkin.grassmann_oracle import (
     elementary_symmetric,
     generator,
     monomial,
-    one,
     rotation_measure_rep,
 )
 from flagkin.invariant_algebras import FlagContext
@@ -24,7 +23,6 @@ from flagkin.rotation_algebra import (
     _chord_index_sets,
     _chord_lead,
     _chord_row,
-    _chord_rows,
     _dalpha_image_columns,
     _dalpha_rows,
     _relation_sum,
@@ -38,6 +36,11 @@ from flagkin.rotation_algebra import (
     rotation_space_dimension,
 )
 from flagkin.verify import _suite_ideal
+
+
+def _chord_rows(n, k):
+    """_chord_row of each chord monomial of degree k, in chord_basis order, built on demand."""
+    return (_chord_row(diag, matching) for diag, matching in _chord_index_sets(n, k))
 
 
 def test_generator_diagonal():
@@ -152,12 +155,6 @@ def test_coordinates_straightening():
     assert e == -(monomial(5, a) + monomial(5, b))
 
 
-def test_coordinates_requires_homogeneous():
-    mixed = generator(4, 2, 3) + one(4)
-    with pytest.raises(NotHomogeneous):
-        mixed.degree()
-
-
 @pytest.mark.parametrize("n", range(2, 11))
 def test_graded_dimension(n):
     # The leads certificate against the rank certificate of the streamed rows.
@@ -238,6 +235,16 @@ def test_chord_columns_match_evaluate(n):
         for (diag, matching), col in zip(chord_basis(n, k), _chord_columns(n, k), strict=True):
             pairs = [(d, d) for d in diag] + list(matching)
             assert col == dict(monomial(n, pairs).body.terms()), (n, chord_text(diag, matching))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_chord_row_is_the_monomial_form(n):
+    # The convolution suite reads each chord monomial's form off its row.
+    for k in range(n):
+        for diag, matching in _chord_index_sets(n, k):
+            body = monomial(n, [(d, d) for d in diag] + list(matching)).body
+            want = (_chord_row(diag, matching), 1 << len(matching))
+            assert (body.row, body.den) == want, (n, chord_text(diag, matching))
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -150,6 +150,37 @@ def _closed_form_s_term_undivided(monkeypatch):
     _patch(monkeypatch, "_s_scales", wrap, kinematics)
 
 
+def _chord_row_one_orientation_flipped(monkeypatch):
+    # the first key of every one-diagonal, one-chord monomial's row, negated
+    def wrap(f):
+        def chord_row(diagonals, matching):
+            row = f(diagonals, matching)
+            if len(diagonals) == len(matching) == 1:
+                first = next(iter(row))
+                row = {**row, first: -row[first]}
+            return row
+
+        return chord_row
+
+    _patch(monkeypatch, "_chord_row", wrap, rotation_algebra)
+
+
+def _hug_weil_right_scale_dropped(monkeypatch):
+    # each Sp term without the factor C(q, l) of its right label's degree l
+    def wrap(f):
+        def hug_weil_coproduct(ctx, k):
+            table = f(ctx, k)
+            terms = tuple(
+                (l, r, measures.ratio(num, den * measures.binom(ctx.q, r.k)))
+                for l, r, (num, den) in table.terms
+            )
+            return kinematics.KinematicTable(ctx, table.input, table.family, terms)
+
+        return hug_weil_coproduct
+
+    _patch(monkeypatch, "hug_weil_coproduct", wrap, kinematics)
+
+
 MUTATIONS = {
     "u^2 constant x2": _u_square_doubled,
     "_phi_scale x(a+1)": _phi_scale_times_a_plus_1,
@@ -161,6 +192,8 @@ MUTATIONS = {
     "chord lead drops the diagonals": _chord_lead_without_diagonals,
     "wedge keeps the left denominator": _wedge_keeps_the_left_denominator,
     "closed_form_S: one term undivided": _closed_form_s_term_undivided,
+    "chord row: one orientation's sign flipped": _chord_row_one_orientation_flipped,
+    "hug_weil_coproduct: right C(q, l) dropped": _hug_weil_right_scale_dropped,
 }
 
 
@@ -199,3 +232,21 @@ def test_chord_lead_mutation_fails_dimensions_first_at_3_0(monkeypatch):
     finally:
         _clear_caches()
     assert detail == "n=3 p=0 dimensions: chord leads collide at n=3, k=1", detail
+
+
+@pytest.mark.parametrize(
+    "mutation,first",
+    [
+        ("chord row: one orientation's sign flipped", "n=4 p=0 convolution cross-check: "),
+        ("hug_weil_coproduct: right C(q, l) dropped", "n=3 p=0 closed-form agreement: A(Sp[1])"),
+    ],
+)
+def test_row_and_sp_mutations_fail_their_own_checks_first(monkeypatch, mutation, first):
+    _clear_caches()
+    try:
+        with monkeypatch.context() as m:
+            MUTATIONS[mutation](m)
+            detail = _first_counterexample()
+    finally:
+        _clear_caches()
+    assert detail is not None and detail.startswith(first), detail
