@@ -40,6 +40,7 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import lru_cache, reduce
+from math import factorial
 
 from .errors import (
     BadIndexSet,
@@ -50,7 +51,7 @@ from .errors import (
 )
 from .exterior import Multivector, _key, omega1, sigma, star1, star1_inv, top_coefficient, wedge
 from .invariant_algebras import FlagContext, PresentedElement, embed_monomial
-from .measures import binom, factorial, phi_label, validate_label
+from .measures import binom, phi_label, validate_label
 from .rotation_algebra import AlgebraElement, _chord_row, _perm_sign, _rep_term
 from .scalars import Scalar
 
@@ -178,7 +179,6 @@ def _poly_mul(a: Poly2, b: Poly2) -> Poly2:
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-@lru_cache(maxsize=None)
 def eta_poly(ctx: FlagContext) -> tuple[tuple[tuple[int, int], Multivector], ...]:
     """Expansion of the product of (alpha sigma_i + omega_i1) factors."""
     poly: Poly2 = {(0, 0): Multivector.unit()}
@@ -206,7 +206,6 @@ def eta_ex(ctx: FlagContext) -> Multivector:
     return reduce(lambda x, y: x.wedge(y), factors, Multivector.unit())
 
 
-@lru_cache(maxsize=None)
 def tau_tilde(ctx: FlagContext, k: int, a: int) -> AlgebraElement:
     """The algebra element E_a(first block) E_{k-a}(second block), x^a y^(k-a) / (a! (k-a)!)."""
     return embed_monomial(ctx, a, k - a).smul(1, factorial(a) * factorial(k - a))
@@ -228,7 +227,6 @@ def pairing(ctx: FlagContext, dual: AlgebraElement, primal: Multivector) -> Scal
 # -- the four-variable generating identity -----------------------------------
 
 
-@lru_cache(maxsize=None)
 def generating_identity_polynomial(
     ctx: FlagContext,
 ) -> tuple[tuple[tuple[int, int, int, int], tuple[int, int]], ...]:

@@ -43,10 +43,6 @@ def binom(m: int, r: int) -> int:
     return math.comb(m, r)
 
 
-def factorial(k: int) -> int:
-    return math.factorial(k)
-
-
 class MeasureLabel(Record, order=True):
     __slots__ = ("kind", "k", "idx")
 
@@ -152,7 +148,7 @@ def base_change(ctx: FlagContext, k: int):
 
 def _phi_scale(ctx: FlagContext, a: int, b: int) -> int:
     """C(q,b) C(p,a) a! b!, the multiple of omega_n Phi_{a+b,a}^* that is x^a y^b."""
-    return binom(ctx.q, b) * binom(ctx.p, a) * factorial(a) * factorial(b)
+    return binom(ctx.q, b) * binom(ctx.p, a) * math.factorial(a) * math.factorial(b)
 
 
 @lru_cache(maxsize=None)
@@ -181,7 +177,7 @@ def presented_dual(ctx: FlagContext, label: MeasureLabel) -> PresentedElement:
         xy = {key: e * den * (common // scale) for key, e, scale in terms}
         return PresentedElement(ctx, xy, den=num * common)
     if label.kind == "PhiEx":
-        return PresentedElement(ctx, {}, (-1) ** ctx.p, factorial(ctx.p))
+        return PresentedElement(ctx, {}, (-1) ** ctx.p, math.factorial(ctx.p))
     raise ValueError(f"no dual element for {label}")
 
 
@@ -233,7 +229,7 @@ def expand_presented(
             g = math.gcd(num, den)
             out[label] = (num // g, den // g)
     if element.u:
-        num, den = element.u * (-1) ** ctx.p * factorial(ctx.p), element.den
+        num, den = element.u * (-1) ** ctx.p * math.factorial(ctx.p), element.den
         g = math.gcd(num, den)
         out[PHI_EX] = (num // g, den // g)
     return out

@@ -98,7 +98,6 @@ def _chord_index_sets(n: int, k: int):
                     yield diag, matching
 
 
-@lru_cache(maxsize=None)
 def chord_basis(n: int, k: int) -> tuple[tuple, ...]:
     """The (diagonals, matching) index sets of each chord monomial of degree k.
 
@@ -185,7 +184,6 @@ def _chord_lead(diagonals: tuple[int, ...], matching: tuple[tuple[int, int], ...
     return (diag | starts) << 32 | diag | ends
 
 
-@lru_cache(maxsize=None)
 def graded_dimension(n: int, k: int) -> int:
     """Exact rank of the chord-monomial image span in degree k, certified by lead keys.
 
@@ -256,7 +254,6 @@ def _dalpha_image_columns(n: int, k: int) -> tuple[dict[int, Fraction], ...]:
     return tuple({key: Fraction(e) for key, e in row.items()} for row in _dalpha_rows(n, k))
 
 
-@lru_cache(maxsize=None)
 def rotation_space_dimension(n: int, k: int) -> int:
     """dim of (sigma^k x omega^(n-1-k)) modulo the image of wedge-by-dalpha, certified mod p.
 

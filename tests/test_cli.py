@@ -363,16 +363,12 @@ def test_colliding_chord_leads_are_a_one_line_error(capsys, monkeypatch):
 
     lead = rotation_algebra._chord_lead
     monkeypatch.setattr(rotation_algebra, "_chord_lead", lambda diag, matching: lead((), matching))
-    rotation_algebra.graded_dimension.cache_clear()
-    try:
-        code, out, err = run(capsys, "dim", "--n", "3")
-        assert (code, out) == (1, "")
-        assert err == "flagkin: error: chord leads collide at n=3, k=1\n"
-        code, out, _ = run(capsys, "verify", "--n", "3", "--p", "0")
-        assert code == 2 and "  [FAIL] dimensions" in out.splitlines()
-        assert out.endswith("first counterexample: dimensions: chord leads collide at n=3, k=1\n")
-    finally:
-        rotation_algebra.graded_dimension.cache_clear()
+    code, out, err = run(capsys, "dim", "--n", "3")
+    assert (code, out) == (1, "")
+    assert err == "flagkin: error: chord leads collide at n=3, k=1\n"
+    code, out, _ = run(capsys, "verify", "--n", "3", "--p", "0")
+    assert code == 2 and "  [FAIL] dimensions" in out.splitlines()
+    assert out.endswith("first counterexample: dimensions: chord leads collide at n=3, k=1\n")
 
 
 def test_exceptional_coproduct_cli(capsys):

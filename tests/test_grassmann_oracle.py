@@ -14,7 +14,7 @@ the same top-blade coefficient.
 """
 
 import itertools
-import sys
+from math import factorial
 
 import pytest
 
@@ -35,11 +35,12 @@ from flagkin.grassmann_oracle import (
     tau_tilde,
 )
 from flagkin.invariant_algebras import FlagContext
-from flagkin.measures import binom, factorial
+from flagkin.measures import binom
 from flagkin.rotation_algebra import chord_basis
 from flagkin.scalars import Scalar
 
 from convolution_reference import convolution_cross_check
+from flagkin_caches import clear_caches, flagkin_caches
 
 CONTEXTS = [(n, p) for n in range(2, 7) for p in range(n)]
 
@@ -123,13 +124,9 @@ def test_oracle_suite_catches_a_star1_inv_sign_flip(monkeypatch, n, p):
 
     ctx = FlagContext(n, p)
     assert _suite_oracle(ctx) is None
-    grassmann_oracle.generating_identity_polynomial.cache_clear()
-    try:
-        with monkeypatch.context() as m:
-            m.setattr(grassmann_oracle, "star1_inv", flipped_star1_inv)
-            assert _suite_oracle(ctx) == "generating identity polynomial has unexpected shape"
-    finally:
-        grassmann_oracle.generating_identity_polynomial.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(grassmann_oracle, "star1_inv", flipped_star1_inv)
+        assert _suite_oracle(ctx) == "generating identity polynomial has unexpected shape"
 
 
 def test_generating_product_off_the_top_blade_is_a_degree_mismatch(monkeypatch):
@@ -139,14 +136,10 @@ def test_generating_product_off_the_top_blade_is_a_degree_mismatch(monkeypatch):
     def dropping_sigma_1(n, a):
         return Multivector({key & ~(1 << 33): c for key, c in original(n, a).row.items()})
 
-    grassmann_oracle.generating_identity_polynomial.cache_clear()
-    try:
-        with monkeypatch.context() as m:
-            m.setattr(grassmann_oracle, "star1_inv", dropping_sigma_1)
-            with pytest.raises(DegreeMismatch):
-                grassmann_oracle.generating_identity_polynomial(FlagContext(4, 1))
-    finally:
-        grassmann_oracle.generating_identity_polynomial.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(grassmann_oracle, "star1_inv", dropping_sigma_1)
+        with pytest.raises(DegreeMismatch):
+            grassmann_oracle.generating_identity_polynomial(FlagContext(4, 1))
 
 
 def test_generating_polynomial_n3():
@@ -255,20 +248,11 @@ def test_convolution_suite_catches_wrong_star1_inv_sign(monkeypatch):
     assert detail is not None and detail.startswith("convolution mismatch at")
 
 
-def _flagkin_caches():
-    for name, module in list(sys.modules.items()):
-        if name.startswith("flagkin"):
-            for attr, value in vars(module).items():
-                if callable(getattr(value, "cache_info", None)):
-                    yield f"{name}.{attr}", value
-
-
 def test_convolution_suite_keeps_no_form_cache():
     """The suite holds one chord monomial at a time; only dalpha(n) stays cached."""
     from flagkin.verify import _suite_convolution
 
-    for _, cache in _flagkin_caches():
-        cache.cache_clear()
+    clear_caches()
     assert _suite_convolution(FlagContext(9, 4)) is None
-    holding = {name for name, cache in _flagkin_caches() if cache.cache_info().currsize}
+    holding = {name for name, cache in flagkin_caches() if cache.cache_info().currsize}
     assert holding == {"flagkin.grassmann_oracle.dalpha"}

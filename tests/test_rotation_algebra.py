@@ -183,17 +183,14 @@ def test_graded_dimension_calls_no_rank_routine(monkeypatch):
 
     monkeypatch.setattr(linalg, "certified_rank", refuse)
     monkeypatch.setattr(rotation_algebra, "_chord_row", refuse)
-    graded_dimension.cache_clear()
     assert [graded_dimension(9, k) for k in range(9)] == [narayana(9, k) for k in range(9)]
 
 
 def test_colliding_leads_raise_naming_n_and_k(monkeypatch):
     monkeypatch.setattr(rotation_algebra, "_chord_lead", lambda diag, matching: 0)
-    graded_dimension.cache_clear()
     assert graded_dimension(3, 0) == 1
     with pytest.raises(FlagkinError, match=r"n=3, k=1"):
         graded_dimension(3, 1)
-    graded_dimension.cache_clear()
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -293,31 +290,31 @@ def test_streamed_rows_match_the_cached_columns(n):
             assert certified == certified_rank(list(stream(n, k))) == len(list(stream(n, k)))
 
 
-def test_dimensions_build_no_basis_records_or_columns():
-    cached = (chord_basis, _chord_columns, _dalpha_image_columns)
-    for fn in cached + (graded_dimension, rotation_space_dimension):
+def test_dimensions_build_no_basis_records_or_columns(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("chord basis built")
+
+    monkeypatch.setattr(rotation_algebra, "chord_basis", refuse)
+    cached = (_chord_columns, _dalpha_image_columns)
+    for fn in cached:
         fn.cache_clear()
     for k in range(8):
         assert graded_dimension(8, k) == narayana(8, k) == rotation_space_dimension(8, k)
-    assert [fn.cache_info().currsize for fn in cached] == [0, 0, 0]
+    assert [fn.cache_info().currsize for fn in cached] == [0, 0]
 
 
 def test_undecided_dalpha_certificate_is_a_one_line_failure(monkeypatch, capsys):
     from flagkin.cli import main
 
     monkeypatch.setattr(linalg, "certified_rank", lambda rows: None)
-    rotation_space_dimension.cache_clear()
-    try:
-        with pytest.raises(FlagkinError, match=r"^dalpha rank certificate undecided at n=5, k=2$"):
-            rotation_space_dimension(5, 2)
-        assert main(["verify", "--n", "4", "--p", "1"]) == 2
-        out, err = capsys.readouterr()
-        assert err == "" and "  [FAIL] dimensions" in out.splitlines()
-        assert out.endswith(
-            "first counterexample: dimensions: dalpha rank certificate undecided at n=4, k=0\n"
-        )
-    finally:
-        rotation_space_dimension.cache_clear()
+    with pytest.raises(FlagkinError, match=r"^dalpha rank certificate undecided at n=5, k=2$"):
+        rotation_space_dimension(5, 2)
+    assert main(["verify", "--n", "4", "--p", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "" and "  [FAIL] dimensions" in out.splitlines()
+    assert out.endswith(
+        "first counterexample: dimensions: dalpha rank certificate undecided at n=4, k=0\n"
+    )
 
 
 def _rep_sum(n, ip, jp):

@@ -19,13 +19,7 @@ from flagkin.errors import FlagkinError
 from flagkin.exterior import Multivector
 from flagkin.invariant_algebras import FlagContext, PresentedElement
 
-
-def _clear_caches():
-    for name, module in list(sys.modules.items()):
-        if name.startswith("flagkin"):
-            for value in vars(module).values():
-                if callable(getattr(value, "cache_clear", None)):
-                    value.cache_clear()
+from flagkin_caches import clear_caches
 
 
 def _patch(monkeypatch, name, wrap, home=measures):
@@ -213,24 +207,24 @@ def _first_counterexample():
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
 def test_verify_catches_mutation(monkeypatch, mutation):
-    _clear_caches()
+    clear_caches()
     try:
         with monkeypatch.context() as m:
             MUTATIONS[mutation](m)
             detail = _first_counterexample()
     finally:
-        _clear_caches()
+        clear_caches()
     assert detail is not None, f"no suite catches {mutation} at n <= 7"
 
 
 def test_chord_lead_mutation_fails_dimensions_first_at_3_0(monkeypatch):
-    _clear_caches()
+    clear_caches()
     try:
         with monkeypatch.context() as m:
             _chord_lead_without_diagonals(m)
             detail = _first_counterexample()
     finally:
-        _clear_caches()
+        clear_caches()
     assert detail == "n=3 p=0 dimensions: chord leads collide at n=3, k=1", detail
 
 
@@ -242,11 +236,11 @@ def test_chord_lead_mutation_fails_dimensions_first_at_3_0(monkeypatch):
     ],
 )
 def test_row_and_sp_mutations_fail_their_own_checks_first(monkeypatch, mutation, first):
-    _clear_caches()
+    clear_caches()
     try:
         with monkeypatch.context() as m:
             MUTATIONS[mutation](m)
             detail = _first_counterexample()
     finally:
-        _clear_caches()
+        clear_caches()
     assert detail is not None and detail.startswith(first), detail
