@@ -121,10 +121,11 @@ class KinematicTable(Record):
         return "\n".join([head] + rows)
 
 
-def _degree_tables(ctx: FlagContext, family: str, k: int) -> dict[MeasureLabel, KinematicTable]:
-    """Coproducts of the family labels of degree k, with their terms in print order.
+def _tables(ctx: FlagContext, family: str, degrees) -> dict[MeasureLabel, KinematicTable]:
+    """Coproducts of the family labels of the given degrees, with their terms in print order.
 
-    Only pairs of degrees j + l = k contribute, and each product of duals
+    Each label's dual is built once, up to the largest degree.  Only pairs
+    of degrees j + l = k contribute to degree k, and each product of duals
     feeds one coefficient into every input of degree k.  The loop runs
     over j, then left, then right, each in basis_labels order, so every
     table receives its terms in print order: left by degree, PhiEx after
@@ -133,25 +134,23 @@ def _degree_tables(ctx: FlagContext, family: str, k: int) -> dict[MeasureLabel, 
     """
     duals = [
         [(label, presented_dual(ctx, label)) for label in basis_labels(ctx, j, family)]
-        for j in range(k + 1)
+        for j in range(max(degrees) + 1)
     ]
-    acc: dict[MeasureLabel, list[Term]] = {label: [] for label, _ in duals[k]}
-    for j in range(k + 1):
-        for left, left_dual in duals[j]:
-            for right, right_dual in duals[k - j]:
-                product = expand_presented(ctx, left_dual * right_dual, k, family)
-                for slot, coeff in product.items():
-                    acc[slot].append((left, right, coeff))
+    acc: dict[MeasureLabel, list[Term]] = {label: [] for k in degrees for label, _ in duals[k]}
+    for k in degrees:
+        for j in range(k + 1):
+            for left, left_dual in duals[j]:
+                for right, right_dual in duals[k - j]:
+                    product = expand_presented(ctx, left_dual * right_dual, k, family)
+                    for slot, coeff in product.items():
+                        acc[slot].append((left, right, coeff))
     return {label: KinematicTable(ctx, label, family, tuple(terms)) for label, terms in acc.items()}
 
 
 @lru_cache(maxsize=None)
 def coproduct_tables(ctx: FlagContext, family: str) -> dict[MeasureLabel, KinematicTable]:
     """Coproducts of every basis label in the family, in the x, y, u presentation."""
-    tables: dict[MeasureLabel, KinematicTable] = {}
-    for k in range(ctx.n):
-        tables.update(_degree_tables(ctx, family, k))
-    return tables
+    return _tables(ctx, family, range(ctx.n))
 
 
 def coproduct(ctx: FlagContext, input: MeasureLabel, family: str | None = None) -> KinematicTable:
@@ -162,7 +161,7 @@ def coproduct(ctx: FlagContext, input: MeasureLabel, family: str | None = None) 
     k = input.degree(ctx)
     if input not in basis_labels(ctx, k, family):
         raise ValueError(f"{input} is not a label of family {family!r}")
-    return _degree_tables(ctx, family, k)[input]
+    return _tables(ctx, family, (k,))[input]
 
 
 # -- closed forms ---------------------------------------------------------------

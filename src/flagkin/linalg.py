@@ -10,12 +10,11 @@ integer matrix has rank mod p at most its rank over Q, so full rank mod p
 proves full rank over Q.  The certificate reads the rows once, as a
 stream, and is the only rank that flagkin computes; the echelon is the
 exact reference that the tests rank against, and the only code here that
-imports fractions, when it runs.  No floats are used.
+imports fractions and heapq, when it runs.  No floats are used.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Iterable
 
 Row = dict  # column index -> nonzero rational: an int or a Fraction
@@ -40,6 +39,8 @@ class SparseEchelon:
         subtracting it can fill in a later pivot column; the columns are
         cleared in increasing order, fill-in included.
         """
+        import heapq
+
         row = {c: v for c, v in row.items() if v != 0}
         todo = [c for c in row if c in self.pivots]
         heapq.heapify(todo)

@@ -151,7 +151,6 @@ def _phi_scale(ctx: FlagContext, a: int, b: int) -> int:
     return binom(ctx.q, b) * binom(ctx.p, a) * math.factorial(a) * math.factorial(b)
 
 
-@lru_cache(maxsize=None)
 def presented_dual(ctx: FlagContext, label: MeasureLabel) -> PresentedElement:
     """omega_n times the dual element of label, in the x, y, u presentation.
 

@@ -196,20 +196,6 @@ def _family_numerators(ctx: FlagContext, family: str):
     return labels, den, rows
 
 
-def _global_table(ctx: FlagContext, table: kinematics.KinematicTable) -> dict:
-    """Push both sides of a table forward to the global area measures, keyed by degrees.
-
-    Each value is a reduced (num, den); a zero one is left out.
-    """
-    den = math.lcm(*(d for _, _, (_, d) in table.terms))
-    out: dict[tuple[int, int], int] = {}
-    for left, right, (num, d) in table.terms:
-        factor = measures.global_factor(ctx, left) * measures.global_factor(ctx, right)
-        key = (left.k, right.k)
-        out[key] = out.get(key, 0) + num * (den // d) * factor
-    return {key: measures.ratio(v, den) for key, v in out.items() if v}
-
-
 def verify_structure(ctx: FlagContext) -> str | None:
     """First failure of cocommutativity, coassociativity, counit or globalization.
 
@@ -244,13 +230,19 @@ def verify_structure(ctx: FlagContext) -> str | None:
             if row.get((zero, x), 0) != den or row.get((x, zero), 0) != den:
                 return f"counit[{family}]: A({labels[x]})"
 
-        for label, table in kinematics.coproduct_tables(ctx, family).items():
-            got = _global_table(ctx, table)
-            k = label.degree(ctx)
-            front = measures.global_factor(ctx, label)
-            want = {(j, k - j): (front * measures.binom(k, j), 1) for j in range(k + 1) if front}
-            if got != want:
-                return f"globalization[{family}]: A({label})"
+        # Globalization: pushed forward on both sides, A(X) of degree k is
+        # g(X) sum_j C(k, j) S_j (x) S_{k-j}, g the global factor; a term
+        # c L (x) R adds c g(L) g(R) to the sum of its left degree j.
+        weight = [measures.global_factor(ctx, label) for label in labels]
+        for x, row in enumerate(rows):
+            got: dict[int, int] = {}
+            for (l, r), c in row.items():
+                j = labels[l].k
+                got[j] = got.get(j, 0) + c * weight[l] * weight[r]
+            k = labels[x].degree(ctx)
+            want = {j: weight[x] * measures.binom(k, j) * den for j in range(k + 1) if weight[x]}
+            if {j: v for j, v in got.items() if v} != want:
+                return f"globalization[{family}]: A({labels[x]})"
     return None
 
 
@@ -281,23 +273,28 @@ def _check_tables(ctx: FlagContext, family: str, closed_form_terms) -> str | Non
     """First term of a family's tables that differs from its closed form or is unexpected.
 
     closed_form_terms(label) yields ((left, right), (num, den)) for each
-    term of the label's table that a closed form states.  Both sides are
-    reduced with a positive denominator, so they agree as rationals
-    exactly when they agree as pairs.
+    term of the label's table that a closed form states.  The tables are
+    read as integer numerators over the family's common denominator D, so
+    a term num/den agrees with a numerator c exactly when c den = num D.
     """
+    labels, common, rows = _family_numerators(ctx, family)
+    index = {label: x for x, label in enumerate(labels)}
     exceptional = _exceptional_terms(ctx, family)
-    for input, table in kinematics.coproduct_tables(ctx, family).items():
+    for x, input in enumerate(labels):
         want = dict(exceptional.get(input, {}))
         if input.kind == family:
             want.update(closed_form_terms(input))
-        got = {(l, r): c for l, r, c in table.terms}
-        for (l, r), c in want.items():
-            have = got.get((l, r), (0, 1))
-            if have != c:
-                return f"A({input}) at {l}(x){r}: {_ratio_text(have)} != {_ratio_text(c)}"
+        want = {(index[l], index[r]): c for (l, r), c in want.items()}
+        got = rows[x]
+        for (l, r), (num, den) in want.items():
+            have = got.get((l, r), 0)
+            if have * den != num * common:
+                have, c = _ratio_text(measures.ratio(have, common)), _ratio_text((num, den))
+                return f"A({input}) at {labels[l]}(x){labels[r]}: {have} != {c}"
         for (l, r), c in got.items():
             if (l, r) not in want:
-                return f"A({input}) unexpected term {l}(x){r}: {_ratio_text(c)}"
+                c = _ratio_text(measures.ratio(c, common))
+                return f"A({input}) unexpected term {labels[l]}(x){labels[r]}: {c}"
     return None
 
 

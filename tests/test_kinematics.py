@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from flagkin import kinematics
 from flagkin.cli import _render_tables, main
 from flagkin.errors import ExceptionalUnavailable, IndexOutOfRange
 from flagkin.invariant_algebras import FlagContext
@@ -26,8 +27,16 @@ from flagkin.kinematics import (
     table_to_latex,
     text_coefficient,
 )
-from flagkin.measures import PHI_EX, MeasureLabel, base_change, binom, phi_label, s_label
-from flagkin.verify import _global_table, check_phi_closed_form, check_s_closed_form, verify_structure
+from flagkin.measures import (
+    PHI_EX,
+    MeasureLabel,
+    base_change,
+    binom,
+    phi_label,
+    presented_dual,
+    s_label,
+)
+from flagkin.verify import check_phi_closed_form, check_s_closed_form, verify_structure
 
 
 def test_coproduct_degree_one():
@@ -169,11 +178,33 @@ def test_cocommutativity_reports_the_first_asymmetric_term(monkeypatch):
     assert verify_structure(ctx) == "cocommutativity[S]: A(S[2,0]) at S[1,0] (x) S[1,1]"
 
 
+@pytest.mark.parametrize("n,p", [(8, 3), (7, 3)])
+def test_a_sweep_builds_each_dual_once(monkeypatch, n, p):
+    # (7, 3) is exceptional: PhiEx joins both families in the middle degree
+    built = []
+
+    def recorder(ctx, label):
+        built.append(label)
+        return presented_dual(ctx, label)
+
+    monkeypatch.setattr(kinematics, "presented_dual", recorder)
+    ctx = FlagContext(n, p)
+    for family in ("Phi", "S"):
+        built.clear()
+        coproduct_tables.cache_clear()
+        try:
+            tables = coproduct_tables(ctx, family)
+        finally:
+            coproduct_tables.cache_clear()
+        assert built == list(tables), (family, len(built), len(tables))
+
+
 def test_globalized_area_formula_middle_coefficient():
     ctx = FlagContext(4, 1)
     table = coproduct(ctx, s_label(2, 0), "S")
-    glob = _global_table(ctx, table)
-    assert glob[(1, 1)] == (2, 1)
+    # S labels push forward with factor 1: the S[1,*] (x) S[1,*] terms sum to C(2, 1)
+    middle = sum(Fraction(*c) for l, r, c in table.terms if l.k == r.k == 1)
+    assert middle == 2
 
 
 def test_hug_weil_tables():

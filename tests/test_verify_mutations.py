@@ -244,3 +244,61 @@ def test_row_and_sp_mutations_fail_their_own_checks_first(monkeypatch, mutation,
     finally:
         clear_caches()
     assert detail is not None and detail.startswith(first), detail
+
+
+# The first counterexample of the table suites at n = 9, p = 0..8: the
+# messages by which the closed forms and the coalgebra laws report each
+# mutation.  The oracle mutations change no table, so no table suite
+# sees them.
+TABLE_SUITES = ("closed-form agreement", "structural laws")
+
+FIRST_AT_NINE = {
+    "PhiEx dual x2, its inverse x1/2": (
+        "p=4 closed-form agreement: A(Phi[8,4]) at PhiEx(x)PhiEx: 5/64 != 5/256"
+    ),
+    "_phi_scale x(a+1)": (
+        "p=2 closed-form agreement: A(Phi[2,2]) at Phi[1,1](x)Phi[1,1]: 3/8 != 1/2"
+    ),
+    "c_constant x(i+1)": "p=1 structural laws: globalization[S]: A(S[2,0])",
+    "closed_form_S: one term undivided": (
+        "p=0 closed-form agreement: A(S[1,0]) at S[1,0](x)S[0,0]: 1 != 8"
+    ),
+    "global_factor x2": "p=0 structural laws: globalization[Phi]: A(Phi[0,0])",
+    "hug_weil_coproduct: right C(q, l) dropped": (
+        "p=0 closed-form agreement: A(Sp[1]) != sum_j C(1,j) Sp[j](x)Sp[1-j]"
+    ),
+    "inverse base change: last sign flipped": (
+        "p=1 closed-form agreement: A(S[1,0]) at S[0,0](x)S[1,0]: -1 != 1"
+    ),
+    "u^2 constant x2": "p=4 closed-form agreement: A(Phi[8,4]) at PhiEx(x)PhiEx: 5/128 != 5/256",
+    "_rep_term sign dropped": None,
+    "chord lead drops the diagonals": None,
+    "chord row: one orientation's sign flipped": None,
+    "wedge keeps the left denominator": None,
+}
+
+
+def _first_table_counterexample(n):
+    suites = dict(verify.VERIFY_SUITES)
+    for p in range(n):
+        ctx = FlagContext(n, p)
+        for name in TABLE_SUITES:
+            try:
+                detail = suites[name](ctx)
+            except FlagkinError as exc:
+                detail = str(exc)
+            if detail is not None:
+                return f"p={p} {name}: {detail}"
+    return None
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_table_suites_first_counterexample_at_nine(monkeypatch, mutation):
+    clear_caches()
+    try:
+        with monkeypatch.context() as m:
+            MUTATIONS[mutation](m)
+            detail = _first_table_counterexample(9)
+    finally:
+        clear_caches()
+    assert detail == FIRST_AT_NINE[mutation], detail
