@@ -7,6 +7,7 @@ byte-identical across runs for identical requests.
 
 from __future__ import annotations
 
+import atexit
 import os
 import stat
 import sys
@@ -51,6 +52,22 @@ def _guard(args, default: int = DEFAULT_MAX_N) -> None:
         raise ValidationError("n must be at least 2")
 
 
+def _write_stdout(chunks: Iterable[str]) -> None:
+    """Write the chunks to stdout, looked up now, and flush it; a failure is one ValidationError."""
+    out = sys.stdout
+    try:
+        out.writelines(chunks)
+        out.flush()
+    except OSError as exc:
+        # run() flushes stdout again before the process exits, and the
+        # interpreter does at exit when main is called in-process; point the
+        # stream at /dev/null, so that flush adds no second message.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        raise ValidationError(f"cannot write stdout: {exc.strerror or exc}") from None
+
+
 def _emit(args, chunks: Iterable[str]) -> None:
     """Write the chunks, in order, to stdout or --output.
 
@@ -62,17 +79,7 @@ def _emit(args, chunks: Iterable[str]) -> None:
     /dev/fd paths are written directly.
     """
     if not args.output:
-        out = sys.stdout
-        try:
-            out.writelines(chunks)
-            out.flush()
-        except OSError as exc:
-            # The interpreter flushes stdout again at exit; point the
-            # stream at /dev/null, so that flush adds no second message.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, out.fileno())
-            os.close(devnull)
-            raise ValidationError(f"cannot write stdout: {exc.strerror or exc}") from None
+        _write_stdout(chunks)
         return
     path = os.path.realpath(args.output)
     try:
@@ -419,6 +426,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     import argparse
 
     class Parser(argparse.ArgumentParser):
+        def _print_message(self, message, file=None):
+            # argparse ignores a failed write; help and --version, which go
+            # to stdout, take the one error path of every other output
+            if file is sys.stdout:
+                _write_stdout([message])
+            else:
+                super()._print_message(message, file)
+
         def error(self, message):
             self.print_usage(sys.stderr)
             print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -490,10 +505,10 @@ def _direct_parse(argv: list[str]) -> SimpleNamespace | None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv == ["--version"]:
-        print(f"flagkin {__version__}")
-        return 0
     try:
+        if argv == ["--version"]:
+            _write_stdout([f"flagkin {__version__}\n"])
+            return 0
         args = _direct_parse(argv)
         if args is None:
             # A request that names its command builds that command's subparser only.
@@ -504,5 +519,31 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """The process entry point: main, then stdout, the atexit callbacks and stderr, then exit.
+
+    stdout is flushed through the one-line error path of every output, so a
+    failed last write still exits 1.  The process then ends with os._exit,
+    which skips the interpreter's finalization, the teardown of every module
+    and the freeing of every object, most of a short request's exit time.
+    Under a tracer or profiler (cProfile, coverage, pdb) it ends with
+    sys.exit instead, so that the tool writes its report.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse exits with an int on help and usage errors
+        code = exc.code
+    try:
+        _write_stdout(())
+    except ValidationError as exc:
+        print(f"flagkin: error: {exc}", file=sys.stderr)
+        code = 1
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        sys.exit(code)
+    atexit._run_exitfuncs()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

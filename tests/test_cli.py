@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -253,11 +254,19 @@ def test_failed_render_keeps_the_output_file(tmp_path, capsys, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["tables.tex"]  # no temporary file left
 
 
-def _flagkin(*argv, **kwargs):
+def _env(**extra) -> dict[str, str]:
+    """The environment with this flagkin first on PYTHONPATH, and extra added."""
     src = str(Path(flagkin.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.Popen([sys.executable, "-m", "flagkin.cli", *argv], env=env, **kwargs)
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def _python(*args, env=None, **kwargs):
+    return subprocess.Popen([sys.executable, *args], env=_env(**(env or {})), **kwargs)
+
+
+def _flagkin(*argv, **kwargs):
+    return _python("-m", "flagkin.cli", *argv, **kwargs)
 
 
 def test_closed_stdout_pipe_is_one_line():
@@ -280,6 +289,116 @@ def test_full_stdout_device_is_one_line():
         _, err = proc.communicate(timeout=120)
     assert proc.returncode == 1
     assert err.decode() == "flagkin: error: cannot write stdout: No space left on device\n"
+
+
+# PYTHONUNBUFFERED="1" makes every write reach the device at once; "" leaves
+# stdout block-buffered, so that a write fails only when it is flushed.
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["--version"], ["--help"], ["dim", "--help"], ["--version", "dim"], ["dim", "--n", "4"]],
+    ids=" ".join,
+)
+def test_every_output_to_a_full_device_is_one_line(argv, unbuffered):
+    # argparse ignores a failed write of help or of the version line
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    with open("/dev/full", "w") as full:
+        env = {"PYTHONUNBUFFERED": unbuffered}
+        proc = _flagkin(*argv, stdout=full, stderr=subprocess.PIPE, env=env)
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err.decode() == "flagkin: error: cannot write stdout: No space left on device\n"
+
+
+def _run_script(script, *argv, stdout=subprocess.PIPE):
+    """Run script, which calls cli.run(), with argv and a buffered stdout.
+
+    Returns its exit code, stdout and stderr.
+    """
+    proc = _python(
+        "-c", script, *argv,
+        stdout=stdout, stderr=subprocess.PIPE, env={"PYTHONUNBUFFERED": ""},
+    )
+    out, err = proc.communicate(timeout=120)
+    return proc.returncode, (out or b"").decode(), err.decode()
+
+
+def test_run_exits_with_the_code_and_report_of_a_failed_verify():
+    script = (
+        "from flagkin import cli\n"
+        "cli.VERIFY_SUITES = (('kept', lambda ctx: None), ('planted', lambda ctx: 'no'))\n"
+        "cli.run()\n"
+    )
+    assert _run_script(script, "verify", "--n", "3", "--p", "1") == (
+        2,
+        "verify n=3 p=1\n  [ok] kept\n  [FAIL] planted\nfirst counterexample: planted: no\n",
+        "",
+    )
+
+
+def test_run_runs_the_atexit_callbacks_and_flushes_stderr():
+    # the callback's line has no newline, so only a flush writes it
+    script = (
+        "import atexit, sys\n"
+        "atexit.register(lambda: sys.stderr.write('callback ran'))\n"
+        "from flagkin import cli\n"
+        "cli.run()\n"
+    )
+    assert _run_script(script, "--version") == (0, "flagkin 0.1.0\n", "callback ran")
+    assert _run_script(script, "dim", "--n", "1") == (
+        1, "", "flagkin: error: n must be at least 2\ncallback ran"
+    )
+
+
+LEAVES_STDOUT = "import sys\nsys.stdout.write('left')\nfrom flagkin import cli\ncli.run()\n"
+
+
+def test_run_flushes_what_is_left_in_stdout():
+    assert _run_script(LEAVES_STDOUT, "dim", "--n", "1") == (
+        1, "left", "flagkin: error: n must be at least 2\n"
+    )
+
+
+def test_run_reports_a_failed_last_flush_in_one_line():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    with open("/dev/full", "w") as full:
+        result = _run_script(LEAVES_STDOUT, "dim", "--n", "4", "--output", os.devnull, stdout=full)
+    assert result == (1, "", "flagkin: error: cannot write stdout: No space left on device\n")
+
+
+def test_a_profiled_request_still_writes_the_profile():
+    proc = _python(
+        "-m", "cProfile", "-m", "flagkin.cli", "--version",
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+    assert out.startswith(b"flagkin 0.1.0\n")
+    assert b" function calls " in out
+
+
+def test_a_large_table_through_a_pipe_matches_its_digest():
+    # several MB each, all of which must reach the pipe before the process exits
+    from test_golden_output import LARGEST_TABLE_DIGESTS, largest_table_requests
+
+    h = hashlib.sha256()
+    for argv in largest_table_requests("json"):
+        proc = _flagkin(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = proc.communicate(timeout=300)
+        assert err == b""
+        h.update(f"{' '.join(argv)}\n{proc.returncode}\n".encode())
+        h.update(out)
+    assert h.hexdigest() == LARGEST_TABLE_DIGESTS["json"]
+
+
+def test_the_console_script_is_run():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["flagkin"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
 
 
 def test_output_file(tmp_path, capsys):
@@ -510,11 +629,8 @@ def _import_run(*args, **env) -> tuple[set[str], int, str, str]:
     Returns every module it imports, its exit code, its stdout, and its
     stderr without the import time lines.
     """
-    src = str(Path(flagkin.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", *args],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path, **env),
+        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True, env=_env(**env)
     )
     lines = proc.stderr.splitlines(keepends=True)
     timed = [l for l in lines if l.startswith("import time:")]
