@@ -5,8 +5,9 @@ coefficient of left (x) right in the kinematic expansion.  It is computed
 purely inside the flag algebra, in its presentation by x, y and u:
 multiply the dual elements of left and right, expand the product over the
 dual basis, and read off the input's slot.  flagkin.verify checks the
-presentation against the exterior realization of the algebra and the
-tables term by term against the closed forms of the coefficient theorems.
+presentation against the exterior realization of the algebra, and each
+table against the closed-form table of the coefficient theorems, which
+closed_form_phi and closed_form_S build whole from the table's input.
 Table coefficients are rationals held as reduced (num, den) int pairs,
 the numerator and denominator of the rational, and so are the closed
 forms, so building, printing and certifying a table loads no rational
@@ -45,6 +46,7 @@ from .measures import (
 from .records import Record, _set
 
 Term = tuple[MeasureLabel, MeasureLabel, Ratio]
+Pair = tuple[MeasureLabel, MeasureLabel]
 
 
 def family_unit(ctx: FlagContext, family: str) -> int:
@@ -167,21 +169,26 @@ def coproduct(ctx: FlagContext, input: MeasureLabel, family: str | None = None) 
 # -- closed forms ---------------------------------------------------------------
 
 
-def closed_form_phi(ctx: FlagContext, k: int, a: int, j: int, b: int) -> Ratio:
-    """c^{k,a}_{j,b}: the O(n) coefficient of Phi_{j,b} (x) Phi_{k-j,a-b}, a reduced (num, den)."""
+def closed_form_phi(ctx: FlagContext, k: int, a: int) -> dict[Pair, Ratio]:
+    """The terms c^{k,a}_{j,b} Phi_{j,b} (x) Phi_{k-j,a-b} of A(Phi[k,a]), in print order.
+
+    Each is keyed by its (left, right) labels and is a reduced (num, den);
+    b runs over the labels of degree j whose partner a - b is a label of
+    degree k - j, which is the theorem's range.
+    """
     validate_label(ctx, phi_label(k, a))
-    if not 0 <= j <= k:
-        raise IndexOutOfRange(f"j={j} outside 0..{k}")
-    if not max(0, j - k + a) <= b <= min(a, j):
-        raise IndexOutOfRange(f"b={b} outside Theorem ranges for (k,a,j)=({k},{a},{j})")
     p, q = ctx.p, ctx.q
-    return ratio(
-        binom(q - k + j + a - b, j - b) * binom(p - a + b, b),
-        binom(q, j - b) * binom(p, b),
-    )
+    return {
+        (phi_label(j, b), phi_label(k - j, a - b)): ratio(
+            binom(q - k + j + a - b, j - b) * binom(p - a + b, b),
+            binom(q, j - b) * binom(p, b),
+        )
+        for j in range(k + 1)
+        for b in ctx.phi_indices(j)
+        if a - b in ctx.phi_indices(k - j)
+    }
 
 
-@lru_cache(maxsize=None)
 def _s_scales(ctx: FlagContext, j: int) -> tuple[int, dict[int, int]]:
     """The common denominator L of the terms of closed_form_S at j, and L / C(q, j-s) C(p, s) per s.
 
@@ -195,36 +202,43 @@ def _s_scales(ctx: FlagContext, j: int) -> tuple[int, dict[int, int]]:
     return common, {s: common // d for s, d in divisors.items()}
 
 
-def closed_form_S(ctx: FlagContext, k: int, i: int, j: int, b: int, c: int) -> Ratio:
-    """C^{k,i}_{j,b,c}: the coefficient of S_j^(p),b (x) S_{k-j}^(p),c, as a reduced (num, den)."""
+def closed_form_S(ctx: FlagContext, k: int, i: int) -> dict[Pair, Ratio]:
+    """The terms C^{k,i}_{j,b,c} S_j^(p),b (x) S_{k-j}^(p),c of A(S[k,i]), in print order.
+
+    Each is keyed by its (left, right) labels and is a reduced (num, den),
+    zero ones included: every b <= m_j and c <= m_{k-j} has a term.
+    """
     validate_label(ctx, s_label(k, i))
-    if not 0 <= j <= k:
-        raise IndexOutOfRange(f"j={j} outside 0..{k}")
-    validate_label(ctx, s_label(j, b))
-    validate_label(ctx, s_label(k - j, c))
-    p, q = ctx.p, ctx.q
+    n, p, q = ctx.n, ctx.p, ctx.q
     mk, mpk = ctx.m(k), ctx.m_prime(k)
-    mpj, mpl = ctx.m_prime(j), ctx.m_prime(k - j)
-    common, scale = _s_scales(ctx, j)
-    total = 0  # the double sum times common
-    for t in range(mpk - mk, mpk - i + 1):
-        inner = 0
-        for s in range(max(mpj - b, t - mpl), min(mpj, t - mpl + c) + 1):
-            inner += (
-                binom(b, mpj - s)
-                * binom(c, mpl - t + s)
-                * binom(q - k + t - s + j, j - s)
-                * binom(p - t + s, s)
-                * scale[s]
-            )
-        total += (-1) ** t * binom(mpk - t, i) * inner
-    sign = (-1) ** (b + c + mpj + mpl)
-    (num_i, den_i), (num_b, den_b), (num_c, den_c) = (
-        c_constant(ctx.n, k, p, i),
-        c_constant(ctx.n, j, p, b),
-        c_constant(ctx.n, k - j, p, c),
-    )
-    return ratio(sign * num_i * den_b * den_c * total, den_i * num_b * num_c * common)
+    num_i, den_i = c_constant(n, k, p, i)
+    labels = [
+        [(s_label(d, b), c_constant(n, d, p, b)) for b in range(ctx.m(d) + 1)]
+        for d in range(k + 1)
+    ]
+    terms = {}
+    for j in range(k + 1):
+        mpj, mpl = ctx.m_prime(j), ctx.m_prime(k - j)
+        common, scale = _s_scales(ctx, j)
+        for b, (left, (num_b, den_b)) in enumerate(labels[j]):
+            for c, (right, (num_c, den_c)) in enumerate(labels[k - j]):
+                total = 0  # the double sum times common
+                for t in range(mpk - mk, mpk - i + 1):
+                    inner = 0
+                    for s in range(max(mpj - b, t - mpl), min(mpj, t - mpl + c) + 1):
+                        inner += (
+                            binom(b, mpj - s)
+                            * binom(c, mpl - t + s)
+                            * binom(q - k + t - s + j, j - s)
+                            * binom(p - t + s, s)
+                            * scale[s]
+                        )
+                    total += (-1) ** t * binom(mpk - t, i) * inner
+                sign = (-1) ** (b + c + mpj + mpl)
+                terms[left, right] = ratio(
+                    sign * num_i * den_b * den_c * total, den_i * num_b * num_c * common
+                )
+    return terms
 
 
 def hug_weil_coproduct(ctx: FlagContext, k: int) -> KinematicTable:
@@ -242,9 +256,8 @@ def hug_weil_coproduct(ctx: FlagContext, k: int) -> KinematicTable:
     scale = [binom(ctx.q, j) for j in range(k + 1)]
     terms = []
     for l, r, (num, den) in base.terms:
-        num, den = num * scale[l.k] * scale[r.k], den * scale[k]
-        g = math.gcd(num, den)
-        terms.append((MeasureLabel("Sp", l.k), MeasureLabel("Sp", r.k), (num // g, den // g)))
+        coeff = ratio(num * scale[l.k] * scale[r.k], den * scale[k])
+        terms.append((MeasureLabel("Sp", l.k), MeasureLabel("Sp", r.k), coeff))
     return KinematicTable(ctx, MeasureLabel("Sp", k), "Sp", tuple(terms))
 
 

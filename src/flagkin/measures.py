@@ -116,10 +116,8 @@ def c_constant(n: int, k: int, p: int, i: int) -> Ratio:
     ctx = FlagContext(n, p)
     validate_label(ctx, s_label(k, i))
     m_k = ctx.m(k)
-    num = binom(n - 1, i)
     den = binom(n - 1, k) * binom(m_k, i) * binom(abs(k - ctx.q) + m_k, i)
-    g = math.gcd(num, den)
-    return num // g, den // g
+    return ratio(binom(n - 1, i), den)
 
 
 @lru_cache(maxsize=None)
@@ -224,13 +222,9 @@ def expand_presented(
     for label, weights, den in rows:
         num = sum(map(mul, weights, coords))
         if num:
-            den *= element.den
-            g = math.gcd(num, den)
-            out[label] = (num // g, den // g)
+            out[label] = ratio(num, den * element.den)
     if element.u:
-        num, den = element.u * (-1) ** ctx.p * math.factorial(ctx.p), element.den
-        g = math.gcd(num, den)
-        out[PHI_EX] = (num // g, den // g)
+        out[PHI_EX] = ratio(element.u * (-1) ** ctx.p * math.factorial(ctx.p), element.den)
     return out
 
 

@@ -8,9 +8,10 @@ suite covers every case at its (n, p) along one path; none samples.
 Layer functions are looked up through their modules at call time, never
 bound here by name, so that a wrapper installed on a module attribute sees
 every call.  The engine's table coefficients and the closed forms are
-reduced (num, den) int pairs, and the oracle's forms are int rows over one
-denominator, so every check runs in integers and no suite loads a rational
-type.
+reduced (num, den) int pairs, so a table agrees with its closed-form table
+when the two hold equal pairs under equal label pairs; the oracle's forms
+are int rows over one denominator.  Every check runs in integers and no
+suite loads a rational type.
 """
 
 from __future__ import annotations
@@ -177,25 +178,6 @@ def _ratio_text(c) -> str:
     return f"{num}" if den == 1 else f"{num}/{den}"
 
 
-def _family_numerators(ctx: FlagContext, family: str):
-    """A family's tables over one common denominator, keyed by label index.
-
-    Returns (labels, den, rows): labels lists the inputs in table order,
-    den is the lcm of every coefficient's denominator, and rows[x] maps
-    (left index, right index) to the integer numerator over den of each
-    term of A(labels[x]), in print order.
-    """
-    tables = kinematics.coproduct_tables(ctx, family)
-    labels = list(tables)
-    index = {label: x for x, label in enumerate(labels)}
-    den = math.lcm(*(d for table in tables.values() for _, _, (_, d) in table.terms))
-    rows = [
-        {(index[l], index[r]): num * (den // d) for l, r, (num, d) in table.terms}
-        for table in tables.values()
-    ]
-    return labels, den, rows
-
-
 def verify_structure(ctx: FlagContext) -> str | None:
     """First failure of cocommutativity, coassociativity, counit or globalization.
 
@@ -203,7 +185,17 @@ def verify_structure(ctx: FlagContext) -> str | None:
     share, compared as integer numerators over one denominator per family.
     """
     for family in ("Phi", "S"):
-        labels, den, rows = _family_numerators(ctx, family)
+        # den is the lcm of the family's denominators, and rows[x] maps (left
+        # index, right index) to the numerator over den of each term of
+        # A(labels[x]), in print order
+        tables = kinematics.coproduct_tables(ctx, family)
+        labels = list(tables)
+        index = {label: x for x, label in enumerate(labels)}
+        den = math.lcm(*(d for table in tables.values() for _, _, (_, d) in table.terms))
+        rows = [
+            {(index[l], index[r]): num * (den // d) for l, r, (num, d) in table.terms}
+            for table in tables.values()
+        ]
 
         for x, row in enumerate(rows):
             for (l, r), c in row.items():
@@ -269,64 +261,38 @@ def _exceptional_terms(ctx: FlagContext, family: str) -> dict:
     }
 
 
-def _check_tables(ctx: FlagContext, family: str, closed_form_terms) -> str | None:
+def _check_tables(ctx: FlagContext, family: str, closed_form) -> str | None:
     """First term of a family's tables that differs from its closed form or is unexpected.
 
-    closed_form_terms(label) yields ((left, right), (num, den)) for each
-    term of the label's table that a closed form states.  The tables are
-    read as integer numerators over the family's common denominator D, so
-    a term num/den agrees with a numerator c exactly when c den = num D.
+    closed_form(ctx, k, idx) returns the closed-form terms of the table of
+    the family label (k, idx), {(left, right): (num, den)}.  Both sides are
+    reduced pairs and a term a table lacks is (0, 1), so a term agrees with
+    its closed form exactly when the two pairs are equal.
     """
-    labels, common, rows = _family_numerators(ctx, family)
-    index = {label: x for x, label in enumerate(labels)}
     exceptional = _exceptional_terms(ctx, family)
-    for x, input in enumerate(labels):
+    for input, table in kinematics.coproduct_tables(ctx, family).items():
         want = dict(exceptional.get(input, {}))
         if input.kind == family:
-            want.update(closed_form_terms(input))
-        want = {(index[l], index[r]): c for (l, r), c in want.items()}
-        got = rows[x]
-        for (l, r), (num, den) in want.items():
-            have = got.get((l, r), 0)
-            if have * den != num * common:
-                have, c = _ratio_text(measures.ratio(have, common)), _ratio_text((num, den))
-                return f"A({input}) at {labels[l]}(x){labels[r]}: {have} != {c}"
+            want.update(closed_form(ctx, input.k, input.idx))
+        got = {(l, r): c for l, r, c in table.terms}
+        for (l, r), c in want.items():
+            have = got.get((l, r), (0, 1))
+            if have != c:
+                return f"A({input}) at {l}(x){r}: {_ratio_text(have)} != {_ratio_text(c)}"
         for (l, r), c in got.items():
             if (l, r) not in want:
-                c = _ratio_text(measures.ratio(c, common))
-                return f"A({input}) unexpected term {labels[l]}(x){labels[r]}: {c}"
+                return f"A({input}) unexpected term {l}(x){r}: {_ratio_text(c)}"
     return None
 
 
 def check_phi_closed_form(ctx: FlagContext) -> str | None:
     """First mismatch between the Phi tables and c^{k,a}_{j,b}, both in the unit omega_n^-1."""
-    phi_label = measures.phi_label
-
-    def terms(input):
-        k, a = input.k, input.idx
-        for j in range(k + 1):
-            for b in ctx.phi_indices(j):
-                # both labels valid implies the theorem's range for b
-                if a - b in ctx.phi_indices(k - j):
-                    pair = phi_label(j, b), phi_label(k - j, a - b)
-                    yield pair, kinematics.closed_form_phi(ctx, k, a, j, b)
-
-    return _check_tables(ctx, "Phi", terms)
+    return _check_tables(ctx, "Phi", kinematics.closed_form_phi)
 
 
 def check_s_closed_form(ctx: FlagContext) -> str | None:
     """First mismatch between the S tables and C^{k,i}_{j,b,c}, both in the unit omega_n^-1."""
-    s_label = measures.s_label
-
-    def terms(input):
-        k, i = input.k, input.idx
-        for j in range(k + 1):
-            for b in range(ctx.m(j) + 1):
-                for c in range(ctx.m(k - j) + 1):
-                    pair = s_label(j, b), s_label(k - j, c)
-                    yield pair, kinematics.closed_form_S(ctx, k, i, j, b, c)
-
-    return _check_tables(ctx, "S", terms)
+    return _check_tables(ctx, "S", kinematics.closed_form_S)
 
 
 def check_sp_tables(ctx: FlagContext) -> str | None:

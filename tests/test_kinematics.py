@@ -35,8 +35,14 @@ from flagkin.measures import (
     phi_label,
     presented_dual,
     s_label,
+    validate_label,
 )
-from flagkin.verify import check_phi_closed_form, check_s_closed_form, verify_structure
+from flagkin.verify import (
+    _suite_closed_forms,
+    check_phi_closed_form,
+    check_s_closed_form,
+    verify_structure,
+)
 
 
 def test_coproduct_degree_one():
@@ -80,22 +86,25 @@ def test_coproduct_refuses_a_label_outside_the_family(label, family, named):
 
 def test_closed_form_phi_examples():
     ctx = FlagContext(5, 2)
-    assert closed_form_phi(ctx, 1, 0, 0, 0) == (1, 1)
-    assert closed_form_phi(ctx, 1, 0, 1, 0) == (1, 1)
+    assert closed_form_phi(ctx, 1, 0)[phi_label(0, 0), phi_label(1, 0)] == (1, 1)
+    assert closed_form_phi(ctx, 1, 0)[phi_label(1, 0), phi_label(0, 0)] == (1, 1)
     for k in range(5):
         for a in range(max(0, k - ctx.q), min(k, ctx.p) + 1):
-            assert closed_form_phi(ctx, k, a, k, a) == (1, 1)
+            assert closed_form_phi(ctx, k, a)[phi_label(k, a), phi_label(0, 0)] == (1, 1)
     with pytest.raises(IndexOutOfRange):
-        closed_form_phi(ctx, 2, 1, 1, 2)
+        closed_form_phi(ctx, 2, 3)
 
 
 def test_closed_form_S_counit():
     ctx = FlagContext(5, 2)
-    assert closed_form_S(ctx, 0, 0, 0, 0, 0) == (1, 1)
+    assert closed_form_S(ctx, 0, 0) == {(s_label(0, 0), s_label(0, 0)): (1, 1)}
     for k in range(5):
         for i in range(ctx.m(k) + 1):
-            assert closed_form_S(ctx, k, i, k, i, 0) == (1, 1)
-            assert closed_form_S(ctx, k, i, 0, 0, i) == (1, 1)
+            terms = closed_form_S(ctx, k, i)
+            assert terms[s_label(k, i), s_label(0, 0)] == (1, 1)
+            assert terms[s_label(0, 0), s_label(k, i)] == (1, 1)
+    with pytest.raises(IndexOutOfRange):
+        closed_form_S(ctx, 2, 3)
 
 
 @pytest.mark.parametrize("n,p", [(3, 1), (4, 1), (4, 2), (5, 2), (5, 0), (6, 3)])
@@ -197,6 +206,39 @@ def test_a_sweep_builds_each_dual_once(monkeypatch, n, p):
         finally:
             coproduct_tables.cache_clear()
         assert built == list(tables), (family, len(built), len(tables))
+
+
+@pytest.mark.parametrize("n,p", [(8, 3), (7, 3)])
+def test_closed_form_agreement_builds_each_closed_form_table_once(monkeypatch, n, p):
+    # (7, 3) is exceptional: PhiEx is an input of both families, with no closed form
+    validated, built = [], []
+
+    def validator(ctx, label):
+        validated.append(label)
+        return validate_label(ctx, label)
+
+    def recorder(name):
+        closed_form = getattr(kinematics, name)
+
+        def record(ctx, k, idx):
+            built.append((name, k, idx))
+            return closed_form(ctx, k, idx)
+
+        return record
+
+    monkeypatch.setattr(kinematics, "validate_label", validator)
+    for name in ("closed_form_phi", "closed_form_S"):
+        monkeypatch.setattr(kinematics, name, recorder(name))
+    ctx = FlagContext(n, p)
+    assert _suite_closed_forms(ctx) is None
+    inputs = {
+        name: [label for label in coproduct_tables(ctx, family) if label.kind == family]
+        for name, family in (("closed_form_phi", "Phi"), ("closed_form_S", "S"))
+    }
+    assert built == [(name, l.k, l.idx) for name, labels in inputs.items() for l in labels]
+    # and the Sp check validates the input Phi[k,0] of each Sp[k] table it derives
+    sp_bases = [phi_label(k, 0) for k in range(n - p)]
+    assert validated == inputs["closed_form_phi"] + inputs["closed_form_S"] + sp_bases
 
 
 def test_globalized_area_formula_middle_coefficient():

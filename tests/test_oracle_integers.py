@@ -201,28 +201,33 @@ def _pair(f):
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_closed_forms_match_the_fraction_reference(n):
+    # each closed-form table holds, in this order, exactly the terms that
+    # its theorem enumerates, each equal to its Fraction reference
     for p in range(n):
         ctx = FlagContext(n, p)
         for k in range(n):
             for a in ctx.phi_indices(k):
-                for j in range(k + 1):
-                    for b in ctx.phi_indices(j):
-                        if a - b in ctx.phi_indices(k - j):
-                            want = _pair(_phi_reference(ctx, k, a, j, b))
-                            assert closed_form_phi(ctx, k, a, j, b) == want, (n, p, k, a, j, b)
+                want = [
+                    ((phi_label(j, b), phi_label(k - j, a - b)), _pair(_phi_reference(ctx, k, a, j, b)))
+                    for j in range(k + 1)
+                    for b in ctx.phi_indices(j)
+                    if a - b in ctx.phi_indices(k - j)
+                ]
+                assert list(closed_form_phi(ctx, k, a).items()) == want, (n, p, k, a)
             for i in range(ctx.m(k) + 1):
-                for j in range(k + 1):
-                    for b in range(ctx.m(j) + 1):
-                        for c in range(ctx.m(k - j) + 1):
-                            want = _pair(_s_reference(ctx, k, i, j, b, c))
-                            got = closed_form_S(ctx, k, i, j, b, c)
-                            assert got == want, (n, p, k, i, j, b, c)
+                want = [
+                    ((s_label(j, b), s_label(k - j, c)), _pair(_s_reference(ctx, k, i, j, b, c)))
+                    for j in range(k + 1)
+                    for b in range(ctx.m(j) + 1)
+                    for c in range(ctx.m(k - j) + 1)
+                ]
+                assert list(closed_form_S(ctx, k, i).items()) == want, (n, p, k, i)
 
 
 # -- the production tables above the oracle's range -----------------------------------
 
 
-@pytest.mark.parametrize("n", range(9, 14))
+@pytest.mark.parametrize("n", range(9, 17))
 def test_tables_are_certified_above_the_oracle_range(n):
     # closed-form agreement and the structural laws need no form, so they
     # reach the tables that verify refuses without --max-n

@@ -144,6 +144,23 @@ def _closed_form_s_term_undivided(monkeypatch):
     _patch(monkeypatch, "_s_scales", wrap, kinematics)
 
 
+def _closed_form_phi_term_keyed_mirrored(monkeypatch):
+    # the first term of each Phi closed-form table whose labels differ, keyed
+    # (right, left); the mirror term holds the same coefficient, so the table
+    # loses the (left, right) key
+    def wrap(f):
+        def closed_form_phi(ctx, k, a):
+            terms = f(ctx, k, a)
+            for l, r in terms:
+                if l != r:
+                    return {(r, l) if key == (l, r) else key: c for key, c in terms.items()}
+            return terms
+
+        return closed_form_phi
+
+    _patch(monkeypatch, "closed_form_phi", wrap, kinematics)
+
+
 def _chord_row_one_orientation_flipped(monkeypatch):
     # the first key of every one-diagonal, one-chord monomial's row, negated
     def wrap(f):
@@ -186,6 +203,7 @@ MUTATIONS = {
     "chord lead drops the diagonals": _chord_lead_without_diagonals,
     "wedge keeps the left denominator": _wedge_keeps_the_left_denominator,
     "closed_form_S: one term undivided": _closed_form_s_term_undivided,
+    "closed_form_phi: one term keyed (right, left)": _closed_form_phi_term_keyed_mirrored,
     "chord row: one orientation's sign flipped": _chord_row_one_orientation_flipped,
     "hug_weil_coproduct: right C(q, l) dropped": _hug_weil_right_scale_dropped,
 }
@@ -262,6 +280,9 @@ FIRST_AT_NINE = {
     "c_constant x(i+1)": "p=1 structural laws: globalization[S]: A(S[2,0])",
     "closed_form_S: one term undivided": (
         "p=0 closed-form agreement: A(S[1,0]) at S[1,0](x)S[0,0]: 1 != 8"
+    ),
+    "closed_form_phi: one term keyed (right, left)": (
+        "p=0 closed-form agreement: A(Phi[1,0]) unexpected term Phi[0,0](x)Phi[1,0]: 1"
     ),
     "global_factor x2": "p=0 structural laws: globalization[Phi]: A(Phi[0,0])",
     "hug_weil_coproduct: right C(q, l) dropped": (
