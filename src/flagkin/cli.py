@@ -76,21 +76,21 @@ def _emit(args, chunks: Iterable[str]) -> None:
     missing file is replaced whole through a temporary file in its
     directory, so a failed request leaves no partial file; symlinks are
     followed and an existing file keeps its mode.  Devices, FIFOs and
-    /dev/fd paths are written directly.
+    /dev/fd paths are written directly, through the path as given.
     """
     if not args.output:
         _write_stdout(chunks)
         return
-    path = os.path.realpath(args.output)
     try:
         try:
-            mode = os.stat(path).st_mode
+            mode = os.stat(args.output).st_mode
         except FileNotFoundError:
             mode = None
         if mode is not None and not stat.S_ISREG(mode):
-            with open(path, "w") as fh:
+            with open(args.output, "w") as fh:
                 fh.writelines(chunks)
             return
+        path = os.path.realpath(args.output)
         if mode is None:
             umask = os.umask(0)
             os.umask(umask)

@@ -164,9 +164,6 @@ class Multivector:
     def __bool__(self) -> bool:
         return bool(self._row)
 
-    def __len__(self) -> int:
-        return len(self._row)
-
     def sigma_degrees(self) -> set[int]:
         return {(k & _SIGMA).bit_count() for k in self._row}
 
@@ -323,8 +320,18 @@ def star1_inv(n: int, a: Multivector) -> Multivector:
     return _complement_sigma(n, a, lambda j: -1 if (j * (j - 1) // 2 + j * (n - j)) & 1 else 1)
 
 
-def top_coefficient(n: int, a: Multivector) -> tuple[int, int]:
-    """The coefficient of sigma_1 ^ ... ^ omega_{n,1}, a reduced (num, den); (0, 1) if absent."""
-    num = a.row.get(full_sigma_mask(n) << 32 | full_omega_mask(n), 0)
-    g = gcd(num, a.den)
-    return num // g, a.den // g
+def top_pairing(n: int, a: Multivector, b: Multivector) -> tuple[int, int]:
+    """The coefficient of sigma_1 ^ ... ^ omega_{n,1} in a ^ b, a reduced (num, den).
+
+    A blade k of a meets only the blade top ^ k of b, signed as
+    Multivector.wedge signs that pair, so a ^ b is never formed; (0, 1)
+    when no pair reaches the top blade.
+    """
+    top, num, den = full_sigma_mask(n) << 32 | full_omega_mask(n), 0, a._den * b._den
+    for k, c in a._row.items():
+        rest = top ^ k
+        if rest in b._row and not k & rest:
+            sign = -1 if (_canonical(k) & _below_parity(_canonical(rest))).bit_count() & 1 else 1
+            num += sign * c * b._row[rest]
+    g = gcd(num, den)
+    return num // g, den // g

@@ -16,12 +16,14 @@ as the product under test.  The normalizations of the duals, which the
 ring map cannot see, are pinned separately by the closed forms, by the
 acceptance criteria 4 and 6 and by the eta pairing of the Phi duals.
 
-The primal basis forms eta_hat_{k,a} and eta_ex are expanded from their
-generating products; dual forms are the star1-inverse images of algebra
-elements (carrying the explicit sigma_1 factor).  The pairing integral
-collapses to omega_n times the top-blade coefficient: the fiber volume
-stays a formal factor in the last position of every pairing, so it
-changes no coefficient, and it cancels with the flag volume symbolically.
+The primal basis forms eta_hat_{k,a} are the components of the eta
+generating product, built as signed subset rows, and eta_ex is one
+blade; dual forms are the star1-inverse images of algebra elements
+(carrying the explicit sigma_1 factor).  The pairing integral collapses
+to omega_n times the top-blade coefficient of the product, which
+exterior.top_pairing reads without forming it: the fiber volume stays a
+formal factor in the last position of every pairing, so it changes no
+coefficient, and it cancels with the flag volume symbolically.
 
 All values are computed in the single orientation fixed by the exterior
 module (sigma_1 ^ ... ^ omega_{n,1} positive) with star1 as defined
@@ -49,13 +51,12 @@ from .errors import (
     ExceptionalUnavailable,
     IndexOutOfRange,
 )
-from .exterior import Multivector, _key, omega1, sigma, star1, star1_inv, top_coefficient, wedge
+from .exterior import Multivector, _below_parity, _key, full_omega_mask, omega1, sigma
+from .exterior import star1, star1_inv, top_pairing, wedge
 from .invariant_algebras import FlagContext, PresentedElement, embed_monomial
 from .measures import binom, phi_label, validate_label
 from .rotation_algebra import AlgebraElement, _chord_row, _perm_sign, _rep_term
 from .scalars import Scalar
-
-Poly2 = dict[tuple[int, int], Multivector]
 
 
 # -- R[X]/I as forms -----------------------------------------------------------
@@ -167,43 +168,34 @@ def realize(ctx: FlagContext, element: PresentedElement) -> AlgebraElement:
     return out.smul(1, element.den)
 
 
-def _poly_mul(a: Poly2, b: Poly2) -> Poly2:
-    out: Poly2 = {}
-    for (e1, f1), m1 in a.items():
-        for (e2, f2), m2 in b.items():
-            prod = m1.wedge(m2)
-            if prod.is_zero():
-                continue
-            key = (e1 + e2, f1 + f2)
-            out[key] = out.get(key, Multivector.zero()) + prod
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
 def eta_poly(ctx: FlagContext) -> tuple[tuple[tuple[int, int], Multivector], ...]:
-    """Expansion of the product of (alpha sigma_i + omega_i1) factors."""
-    poly: Poly2 = {(0, 0): Multivector.unit()}
-    for i in ctx.block1():
-        poly = _poly_mul(poly, {(1, 0): sigma(i), (0, 0): omega1(i)})
-    for j in ctx.block2():
-        poly = _poly_mul(poly, {(0, 1): sigma(j), (0, 0): omega1(j)})
-    return tuple(sorted(poly.items()))
+    """Expansion of the product of (alpha sigma_i + omega_i1) factors, beta on the second block.
+
+    Taking sigma_i for i in D and omega_{i,1} otherwise gives the blade
+    sigma_D ^ omega_{D^c,1}, once, under alpha^|D & block1| beta^|D & block2|
+    and signed by the pairs i < j with i not in D and j in D.
+    """
+    full, first = full_omega_mask(ctx.n), sum(1 << i for i in ctx.block1())
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    for chosen in range(0, full + 4, 4):  # every D within 2..n, as a mask
+        rest, a = full ^ chosen, (chosen & first).bit_count()
+        row = rows.setdefault((a, chosen.bit_count() - a), {})
+        row[_key(chosen, rest)] = -1 if (chosen & _below_parity(rest)).bit_count() & 1 else 1
+    return tuple(sorted((key, Multivector._of(row)) for key, row in rows.items()))
 
 
 def eta_hat(ctx: FlagContext, k: int, a: int) -> Multivector:
     """Coefficient of alpha^a beta^(k-a) in the eta generating product."""
-    validate_label(ctx, phi_label(k, a))
-    for key, mv in eta_poly(ctx):
-        if key == (a, k - a):
-            return mv
-    return Multivector.zero()
+    validate_label(ctx, phi_label(k, a))  # a valid label has a nonempty component
+    return dict(eta_poly(ctx))[(a, k - a)]
 
 
 def eta_ex(ctx: FlagContext) -> Multivector:
     """sigma_{p+2} ^ ... ^ sigma_n ^ omega_{p+2,1} ^ ... ^ omega_{n,1}."""
     if not ctx.exceptional:
         raise ExceptionalUnavailable(f"n={ctx.n}, p={ctx.p} is not exceptional")
-    factors = [sigma(j) for j in ctx.block2()] + [omega1(j) for j in ctx.block2()]
-    return reduce(lambda x, y: x.wedge(y), factors, Multivector.unit())
+    mask = sum(1 << j for j in ctx.block2())
+    return Multivector._of({_key(mask, mask): 1})
 
 
 def tau_tilde(ctx: FlagContext, k: int, a: int) -> AlgebraElement:
@@ -221,7 +213,7 @@ def pairing(ctx: FlagContext, dual: AlgebraElement, primal: Multivector) -> Scal
     if len(dual.body.sigma_degrees()) > 1:
         raise DegreeMismatch("dual element is not homogeneous")
     completed = star1_inv(ctx.n, dual.body)
-    return Scalar.omega(ctx.n) * Scalar.of(*top_coefficient(ctx.n, completed.wedge(primal)))
+    return Scalar.omega(ctx.n) * Scalar.of(*top_pairing(ctx.n, completed, primal))
 
 
 # -- the four-variable generating identity -----------------------------------
@@ -233,29 +225,30 @@ def generating_identity_polynomial(
     """Coefficients of eta_{alpha,beta} ^ tau~_{alpha~,beta~} on the top blade.
 
     Keys are exponents (alpha, beta, alpha~, beta~) and each coefficient
-    is a reduced (num, den); every term is checked to be a multiple of the
-    top blade.
+    is a reduced (num, den).  Each eta and tau~ component of degree k is
+    checked to have bidegree (k, n-1-k) and (n-k, k) in (sigma, omega), so
+    every product is a multiple of the top blade and only components of
+    one degree can pair to a nonzero coefficient.
     """
     n, p, q = ctx.n, ctx.p, ctx.q
-    out: dict[tuple[int, int, int, int], Multivector] = {}
-    tau_components = {
-        (p - i, q - j): star1_inv(n, tau_tilde(ctx, i + j, i).body)
-        for i in range(p + 1)
-        for j in range(q + 1)
-    }
+    tau_components: dict[int, list] = {}  # degree k -> [((alpha~, beta~), form)]
+    for i, j in itertools.product(range(p + 1), range(q + 1)):
+        form = star1_inv(n, tau_tilde(ctx, i + j, i).body)
+        _check_bidegree(form, n - i - j, i + j)
+        tau_components.setdefault(i + j, []).append(((p - i, q - j), form))
+    out = []
     for (ea, eb), eta_mv in eta_poly(ctx):
-        for (ta, tb), tau_mv in tau_components.items():
-            prod = eta_mv.wedge(tau_mv)
-            if prod.is_zero():
-                continue
-            if len(prod) != 1:
-                raise DegreeMismatch("generating product is not a top-blade multiple")
-            if not top_coefficient(n, prod)[0]:
-                raise DegreeMismatch("generating product missed the top blade")
-            key = (ea, eb, ta, tb)
-            out[key] = out[key] + prod if key in out else prod
-    coefficients = ((key, top_coefficient(n, form)) for key, form in out.items())
-    return tuple(sorted((key, c) for key, c in coefficients if c[0]))
+        _check_bidegree(eta_mv, ea + eb, n - 1 - ea - eb)
+        for tau_key, tau_mv in tau_components.get(ea + eb, ()):
+            out.append(((ea, eb, *tau_key), top_pairing(n, eta_mv, tau_mv)))
+    return tuple(sorted((key, c) for key, c in out if c[0]))
+
+
+def _check_bidegree(form: Multivector, sigma_degree: int, omega_degree: int) -> None:
+    """DegreeMismatch unless every blade of form has this (sigma, omega) bidegree."""
+    total = sigma_degree + omega_degree
+    if any((k >> 32).bit_count() != sigma_degree or k.bit_count() != total for k in form.row):
+        raise DegreeMismatch(f"generating factor off bidegree ({sigma_degree}, {omega_degree})")
 
 
 def _binomial_target(ctx: FlagContext, sign_inside: int, global_sign: int):
@@ -315,8 +308,7 @@ def rotation_pairing(n: int, i: int, j: int, I, J) -> Scalar:
     if len(I) != 1 or len(J) != 1:
         raise BadIndexSet("only the degree-1 rotation pairing is implemented")
     tau = star1_inv(n, generator(n, i, j).body)
-    product = tau.wedge(rotation_measure_rep(n, I, J))
-    return Scalar.vol_so(n) * Scalar.of(*top_coefficient(n, product))
+    return Scalar.vol_so(n) * Scalar.of(*top_pairing(n, tau, rotation_measure_rep(n, I, J)))
 
 
 # -- the honest pairing table ----------------------------------------------------

@@ -1,0 +1,70 @@
+"""The product path of the exterior oracle: a reference for its top-blade reads.
+
+grassmann_oracle builds eta's components as signed subset rows and reads
+every pairing off the top blade with exterior.top_pairing, so it never
+forms a product.  This reference forms them: eta by multiplying out its
+(alpha sigma_i + omega_i1) factors one by one, and the generating identity
+by wedging each eta component with each tau~ component and reading the
+top coefficient of the product, which must be a multiple of the top
+blade.  The oracle tests compare both routes.
+"""
+
+from math import gcd
+
+from flagkin.errors import DegreeMismatch
+from flagkin.exterior import Multivector, full_omega_mask, full_sigma_mask, omega1, sigma, star1_inv
+from flagkin.grassmann_oracle import tau_tilde
+
+
+def top_coefficient(n, form):
+    """The coefficient of sigma_1 ^ ... ^ omega_{n,1} in form, a reduced (num, den), read by key."""
+    num = form.row.get(full_sigma_mask(n) << 32 | full_omega_mask(n), 0)
+    g = gcd(num, form.den)
+    return num // g, form.den // g
+
+
+def _poly_mul(a, b):
+    """The product of two polynomials in (alpha, beta) with form coefficients."""
+    out = {}
+    for (e1, f1), m1 in a.items():
+        for (e2, f2), m2 in b.items():
+            prod = m1.wedge(m2)
+            if prod.is_zero():
+                continue
+            key = (e1 + e2, f1 + f2)
+            out[key] = out.get(key, Multivector.zero()) + prod
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def eta_poly(ctx):
+    """Expansion of the product of (alpha sigma_i + omega_i1) factors, by wedges."""
+    poly = {(0, 0): Multivector.unit()}
+    for i in ctx.block1():
+        poly = _poly_mul(poly, {(1, 0): sigma(i), (0, 0): omega1(i)})
+    for j in ctx.block2():
+        poly = _poly_mul(poly, {(0, 1): sigma(j), (0, 0): omega1(j)})
+    return tuple(sorted(poly.items()))
+
+
+def generating_identity_polynomial(ctx):
+    """Top coefficients of eta ^ tau~, each product formed and proved a top-blade multiple."""
+    n, p, q = ctx.n, ctx.p, ctx.q
+    out = {}
+    tau_components = {
+        (p - i, q - j): star1_inv(n, tau_tilde(ctx, i + j, i).body)
+        for i in range(p + 1)
+        for j in range(q + 1)
+    }
+    for (ea, eb), eta_mv in eta_poly(ctx):
+        for (ta, tb), tau_mv in tau_components.items():
+            prod = eta_mv.wedge(tau_mv)
+            if prod.is_zero():
+                continue
+            if len(prod.row) != 1:
+                raise DegreeMismatch("generating product is not a top-blade multiple")
+            if not top_coefficient(n, prod)[0]:
+                raise DegreeMismatch("generating product missed the top blade")
+            key = (ea, eb, ta, tb)
+            out[key] = out[key] + prod if key in out else prod
+    coefficients = ((key, top_coefficient(n, form)) for key, form in out.items())
+    return tuple(sorted((key, c) for key, c in coefficients if c[0]))

@@ -529,6 +529,17 @@ def test_output_to_fifo(tmp_path, capsys):
         os.close(reader)
 
 
+def test_output_to_dev_stdout_on_a_pipe():
+    # /dev/stdout on a pipe resolves to pipe:[...], which names no file
+    plain, _ = _flagkin("dim", "--n", "4", stdout=subprocess.PIPE).communicate(timeout=120)
+    proc = _flagkin(
+        "dim", "--n", "4", "--output", "/dev/stdout", stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+    assert out == plain and out.startswith(b"rotation algebra")
+
+
 def test_output_through_symlink(tmp_path, capsys):
     target = tmp_path / "target.txt"
     target.write_text("old\n")

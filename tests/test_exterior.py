@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +14,13 @@ from flagkin.exterior import (
     sigma,
     star1,
     star1_inv,
-    top_coefficient,
+    top_pairing,
     wedge,
 )
 from flagkin.grassmann_oracle import rotation_measure_rep
 from flagkin.scalars import Scalar
+
+from oracle_reference import top_coefficient
 
 
 def _blade(sigma=0, omega=0):
@@ -232,9 +235,43 @@ def test_indices_above_31_are_refused():
 
 
 def test_top_coefficient():
-    n = 3
+    # the top coefficient of a form is its top pairing with 1
+    n, one = 3, Multivector.unit()
     full = Multivector({_blade(full_sigma_mask(n), full_omega_mask(n)): 7})
-    assert top_coefficient(n, full) == (7, 1)
-    assert top_coefficient(n, full.wedge(sigma(4))) == (0, 1)
-    assert top_coefficient(n + 1, full.wedge(sigma(4)).wedge(omega1(4))) == (7, 1)
-    assert top_coefficient(n, full.smul(Fraction(2, 4))) == (7, 2)
+    assert top_pairing(n, full, one) == (7, 1)
+    assert top_pairing(n, full.wedge(sigma(4)), one) == (0, 1)
+    assert top_pairing(n + 1, full.wedge(sigma(4)).wedge(omega1(4)), one) == (7, 1)
+    assert top_pairing(n, full.smul(Fraction(2, 4)), one) == (7, 2)
+    # s1^s2^s3^w21^w31 is already canonical, and w31 passes four generators
+    # to its place in w31^s1^s2^s3^w21: both signs are +
+    left = wedge(sigma(1), sigma(2), sigma(3), omega1(2))
+    assert top_pairing(n, left, omega1(3)) == (1, 1)
+    assert top_pairing(n, omega1(3), left) == (1, 1)
+    # w21 against s1^s2^s3^w31: w21 passes three sigmas, so -
+    assert top_pairing(n, omega1(2), wedge(sigma(1), sigma(2), sigma(3), omega1(3))) == (-1, 1)
+    assert top_pairing(n, left.smul(Fraction(3, 4)), omega1(3).smul(Fraction(2, 9))) == (1, 6)
+
+
+def _random_blades(rnd, n, count):
+    """count random blade keys over sigma_1..sigma_(n+1), omega_2..omega_(n+1)."""
+    sigmas, omegas = full_sigma_mask(n + 1), full_omega_mask(n + 1)
+    return [_blade(rnd.getrandbits(n + 2) & sigmas, rnd.getrandbits(n + 2) & omegas) for _ in range(count)]
+
+
+@given(st.integers(2, 8), st.booleans(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_top_pairing_matches_the_top_coefficient_of_the_wedge(n, meet, rnd):
+    # blades of mixed bidegree, some with an index above n; with meet, b also
+    # holds the complement of some blades of a, so the product reaches the top
+    top = _blade(full_sigma_mask(n), full_omega_mask(n))
+    a_keys = _random_blades(rnd, n, rnd.randint(0, 6))
+    b_keys = _random_blades(rnd, n, rnd.randint(0, 6))
+    if meet:
+        b_keys += [top & ~k for k in a_keys if rnd.random() < 0.7]
+    coefficient = lambda: Fraction(rnd.choice([-5, -3, -1, 1, 2, 7]), rnd.choice([1, 2, 3, 6, 10]))
+    a = Multivector({k: coefficient() for k in a_keys})
+    b = Multivector({k: coefficient() for k in b_keys})
+    num, den = top_pairing(n, a, b)
+    assert den > 0 and gcd(num, den) == 1
+    assert (num, den) == top_coefficient(n, a.wedge(b))
+    assert top_pairing(n, b, a) == top_coefficient(n, b.wedge(a))

@@ -24,6 +24,7 @@ import flagkin.grassmann_oracle as grassmann_oracle
 from flagkin.grassmann_oracle import (
     eta_ex,
     eta_hat,
+    eta_poly,
     generating_identity_check,
     generating_identity_polynomial,
     honest_diagonal_twist,
@@ -39,6 +40,7 @@ from flagkin.measures import binom
 from flagkin.rotation_algebra import chord_basis
 from flagkin.scalars import Scalar
 
+import oracle_reference
 from convolution_reference import convolution_cross_check
 from flagkin_caches import clear_caches, flagkin_caches
 
@@ -50,6 +52,21 @@ def test_eta_hat_examples():
     assert eta_hat(ctx, 0, 0) == wedge(omega1(2), omega1(3))
     assert eta_hat(ctx, 2, 1) == wedge(sigma(2), sigma(3))
     assert eta_hat(ctx, 1, 1) == wedge(sigma(2), omega1(3))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_eta_poly_matches_the_product_reference(n):
+    for p in range(n):
+        ctx = FlagContext(n, p)
+        assert eta_poly(ctx) == oracle_reference.eta_poly(ctx), p
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_generating_identity_matches_the_product_reference(n):
+    for p in range(n):
+        ctx = FlagContext(n, p)
+        want = oracle_reference.generating_identity_polynomial(ctx)
+        assert generating_identity_polynomial(ctx) == want, p
 
 
 def test_eta_ex_examples():
@@ -138,6 +155,19 @@ def test_generating_product_off_the_top_blade_is_a_degree_mismatch(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(grassmann_oracle, "star1_inv", dropping_sigma_1)
+        with pytest.raises(DegreeMismatch):
+            grassmann_oracle.generating_identity_polynomial(FlagContext(4, 1))
+
+
+def test_generating_product_off_the_top_blade_in_omega_is_a_degree_mismatch(monkeypatch):
+    """A star1_inv that drops omega_{n,1} keeps every sigma degree and must raise as well."""
+    original = grassmann_oracle.star1_inv
+
+    def dropping_omega_n(n, a):
+        return Multivector({key & ~(1 << n): c for key, c in original(n, a).row.items()})
+
+    with monkeypatch.context() as m:
+        m.setattr(grassmann_oracle, "star1_inv", dropping_omega_n)
         with pytest.raises(DegreeMismatch):
             grassmann_oracle.generating_identity_polynomial(FlagContext(4, 1))
 

@@ -24,7 +24,7 @@ from flagkin.exterior import (
     full_sigma_mask,
     star1,
     star1_inv,
-    top_coefficient,
+    top_pairing,
 )
 from flagkin.invariant_algebras import FlagContext
 from flagkin.kinematics import KinematicTable, closed_form_phi, closed_form_S, coproduct_tables
@@ -137,9 +137,13 @@ def test_integer_forms_match_the_fraction_reference(data):
     _assert_matches(A.smul(s.numerator, s.denominator * 3), _smul(a, s / 3))
     _assert_matches(star1(n, A), _star1(n, a))
     _assert_matches(star1_inv(n, A), _star1_inv(n, a))
-    top = full_sigma_mask(n) << 32 | full_omega_mask(n)
-    for form, ref in ((A, a), (A.wedge(B), _wedge(a, b)), (A + C, _add(a, c))):
-        num, den = top_coefficient(n, form)
+    top, one = full_sigma_mask(n) << 32 | full_omega_mask(n), Multivector.unit()
+    for (num, den), ref in (
+        (top_pairing(n, A, one), a),
+        (top_pairing(n, A.wedge(B), one), _wedge(a, b)),
+        (top_pairing(n, A, B), _wedge(a, b)),
+        (top_pairing(n, A + C, one), _add(a, c)),
+    ):
         assert den > 0 and gcd(num, den) == 1
         assert Fraction(num, den) == ref.get(top, 0)
 

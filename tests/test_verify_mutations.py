@@ -11,10 +11,11 @@ no cached value of either side leaks into the other.
 
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 
-from flagkin import kinematics, measures, rotation_algebra, verify
+from flagkin import exterior, kinematics, measures, rotation_algebra, verify
 from flagkin.errors import FlagkinError
 from flagkin.exterior import Multivector
 from flagkin.invariant_algebras import FlagContext, PresentedElement
@@ -192,6 +193,20 @@ def _hug_weil_right_scale_dropped(monkeypatch):
     _patch(monkeypatch, "hug_weil_coproduct", wrap, kinematics)
 
 
+def _top_pairing_sign_flipped_on_sigma_2(monkeypatch):
+    # every pair whose left blade holds sigma_2 counted with the opposite sign:
+    # the true value less twice the pairing of those blades alone
+    def wrap(f):
+        def top_pairing(n, a, b):
+            held = Multivector({k: Fraction(c, a.den) for k, c in a.row.items() if k >> 34 & 1})
+            value = Fraction(*f(n, a, b)) - 2 * Fraction(*f(n, held, b))
+            return value.numerator, value.denominator
+
+        return top_pairing
+
+    _patch(monkeypatch, "top_pairing", wrap, exterior)
+
+
 MUTATIONS = {
     "u^2 constant x2": _u_square_doubled,
     "_phi_scale x(a+1)": _phi_scale_times_a_plus_1,
@@ -206,6 +221,7 @@ MUTATIONS = {
     "closed_form_phi: one term keyed (right, left)": _closed_form_phi_term_keyed_mirrored,
     "chord row: one orientation's sign flipped": _chord_row_one_orientation_flipped,
     "hug_weil_coproduct: right C(q, l) dropped": _hug_weil_right_scale_dropped,
+    "top_pairing: one pair's sign flipped": _top_pairing_sign_flipped_on_sigma_2,
 }
 
 
@@ -264,6 +280,17 @@ def test_row_and_sp_mutations_fail_their_own_checks_first(monkeypatch, mutation,
     assert detail is not None and detail.startswith(first), detail
 
 
+def test_top_pairing_mutation_fails_oracle_pairings_first(monkeypatch):
+    clear_caches()
+    try:
+        with monkeypatch.context() as m:
+            _top_pairing_sign_flipped_on_sigma_2(m)
+            detail = _first_counterexample()
+    finally:
+        clear_caches()
+    assert detail == "n=2 p=0 oracle pairings: generating identity polynomial has unexpected shape"
+
+
 # The first counterexample of the table suites at n = 9, p = 0..8: the
 # messages by which the closed forms and the coalgebra laws report each
 # mutation.  The oracle mutations change no table, so no table suite
@@ -296,6 +323,7 @@ FIRST_AT_NINE = {
     "chord lead drops the diagonals": None,
     "chord row: one orientation's sign flipped": None,
     "wedge keeps the left denominator": None,
+    "top_pairing: one pair's sign flipped": None,
 }
 
 
