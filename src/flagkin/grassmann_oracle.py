@@ -6,14 +6,14 @@ It realizes R[X]/I: the generator x_{ij} is the invariant form
 wedge products, so the ideal relations hold identically instead of by
 rewriting.  rotation_measure_rep is the representative blade of S_{I,J}.
 
-realize sends an element of the presented flag algebra to its form:
-x^a y^b to embed_monomial(ctx, a, b), the product of elementary symmetric
-forms, and u to u_element(ctx), a determinant of generator forms.  The
-flag algebra suite checks that this is an injective ring map on the basis
-monomials.  The check is independent of the presentation it tests:
-forms are multiplied by wedges, and PresentedElement.__mul__ enters only
-as the product under test.  The normalizations of the duals, which the
-ring map cannot see, are pinned separately by the closed forms, by the
+realize sends x^a y^b to embed_monomial(ctx, a, b), a! b! E_a E_b of the
+diagonal generators, and u to u_element(ctx), the off-diagonal block's
+determinant, both read off index sets as signed rows, as eta is.  The flag
+algebra suite checks that this is an injective ring map on the basis
+monomials, anchored at x and y, and independent of the presentation it
+tests: forms are multiplied by wedges, and PresentedElement.__mul__ enters
+only as the product under test.  The normalizations of the duals, which
+the ring map cannot see, are pinned separately by the closed forms, by the
 acceptance criteria 4 and 6 and by the eta pairing of the Phi duals.
 
 The primal basis forms eta_hat_{k,a} are the components of the eta
@@ -40,8 +40,7 @@ carry opposite signs in any exterior algebra.
 from __future__ import annotations
 
 import itertools
-import operator
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import factorial
 
 from .errors import (
@@ -55,15 +54,11 @@ from .exterior import Multivector, _below_parity, _key, full_omega_mask, omega1,
 from .exterior import star1, star1_inv, top_pairing, wedge
 from .invariant_algebras import FlagContext, PresentedElement, embed_monomial
 from .measures import binom, phi_label, validate_label
-from .rotation_algebra import AlgebraElement, _chord_row, _perm_sign, _rep_term
+from .rotation_algebra import AlgebraElement, _chord_row, _rep_term
 from .scalars import Scalar
 
 
 # -- R[X]/I as forms -----------------------------------------------------------
-
-
-def one(n: int) -> AlgebraElement:
-    return AlgebraElement(n, Multivector.unit())
 
 
 def zero(n: int) -> AlgebraElement:
@@ -75,55 +70,59 @@ def generator(n: int, i: int, j: int) -> AlgebraElement:
     """The generator x_{ij} = (sigma_i ^ omega_{j,1} + sigma_j ^ omega_{i,1})/2."""
     if not (2 <= i <= n and 2 <= j <= n):
         raise IndexOutOfRange(f"x_({i},{j}) needs indices in 2..{n}")
-    if i == j:
-        return AlgebraElement(n, wedge(sigma(i), omega1(i)))
     body = (wedge(sigma(i), omega1(j)) + wedge(sigma(j), omega1(i))).smul(1, 2)
     return AlgebraElement(n, body)
 
 
-def monomial(n: int, pairs) -> AlgebraElement:
-    """Product of generators x_{ij} over a sequence of index pairs."""
-    return reduce(operator.mul, (generator(n, i, j) for i, j in pairs), one(n))
+def elementary_form(ctx: FlagContext, a: int, b: int) -> AlgebraElement:
+    """E_a(first block) E_b(second block) of the x_dd: the union of its terms' rows.
+
+    The term of an a-subset d1 and a b-subset d2 is the diagonal chord
+    monomial of d1 + d2, the one blade sigma_D ^ omega_D signed (-1)^C(a+b, 2).
+    """
+    row: dict[int, int] = {}
+    for d1 in itertools.combinations(ctx.block1(), a):
+        for d2 in itertools.combinations(ctx.block2(), b):
+            row.update(_chord_row(d1 + d2, ()))
+    return AlgebraElement(ctx.n, Multivector._of(row))
 
 
-def determinant(entries: list[list[AlgebraElement]]) -> AlgebraElement:
-    """Determinant of a square matrix of commuting algebra elements."""
-    m = len(entries)
-    n = entries[0][0].n
-    out = zero(n)
-    for perm in itertools.permutations(range(m)):
-        term = reduce(operator.mul, (entries[r][perm[r]] for r in range(m)), one(n))
-        out = out + term.smul(_perm_sign(perm))
-    return out
-
-
-def elementary_symmetric(n: int, indices, i: int) -> AlgebraElement:
-    """E_i of the diagonal generators x_dd, d running over indices."""
-    indices = tuple(indices)
-    out = zero(n)
-    for subset in itertools.combinations(indices, i):
-        out = out + monomial(n, [(d, d) for d in subset])
-    return out
+def _subsets(block: range, s: int):
+    """(mask, e) of each s-subset S of block; e counts the x in block - S, y in S with x < y."""
+    whole = sum(1 << i for i in block)
+    for subset in itertools.combinations(block, s):
+        mask = sum(1 << i for i in subset)
+        yield mask, (mask & _below_parity(whole ^ mask)).bit_count()
 
 
 @lru_cache(maxsize=None)
 def u_element(ctx: FlagContext) -> AlgebraElement:
-    """The exceptional generator: det of the off-diagonal block of X."""
+    """The exceptional generator det(x_rc), r in the first block and c in the second.
+
+    A term of the determinant picks sigma_r ^ omega_{pi(r),1} or sigma_pi(r) ^ omega_{r,1}
+    in each row r.  With S the rows that pick sigma_r and U = pi(S), its blade is
+    sigma_{S + block2 - U} ^ omega_{block1 - S + U}: each blade fixes S and U, and is reached
+    by the s! (p-s)! terms whose pi maps S onto U, s = |S|.  sgn pi and the signs of sorting
+    the sigmas and the omegas cancel up to the shuffle signs e(S) and e(U) of _subsets, so
+    those terms share the sign (-1)^(C(p,2) + s(p-s) + e(S) + e(U)).
+    """
     if not ctx.exceptional:
         raise ExceptionalUnavailable(f"n={ctx.n}, p={ctx.p} is not exceptional")
-    rows = list(ctx.block1())
-    cols = list(ctx.block2())
-    entries = [[generator(ctx.n, i, j) for j in cols] for i in rows]
-    return determinant(entries)
+    p, row = ctx.p, {}
+    first, second = sum(1 << i for i in ctx.block1()), sum(1 << j for j in ctx.block2())
+    for s in range(p + 1):
+        weight, parity = factorial(s) * factorial(p - s), p * (p - 1) // 2 + s * (p - s)
+        pairs = itertools.product(_subsets(ctx.block1(), s), _subsets(ctx.block2(), s))
+        for (smask, e_s), (umask, e_u) in pairs:
+            key = _key(smask | second ^ umask, first ^ smask | umask)
+            row[key] = -weight if (parity + e_s + e_u) & 1 else weight
+    return AlgebraElement(ctx.n, Multivector._of(row).smul(1, 2**p))
 
 
 @lru_cache(maxsize=None)
 def dalpha(n: int) -> Multivector:
     """The symplectic form sum_i sigma_i ^ omega_{i,1}, i = 2..n (up to sign)."""
-    out = Multivector.zero()
-    for i in range(2, n + 1):
-        out = out + wedge(sigma(i), omega1(i))
-    return out
+    return Multivector._of({_key(1 << i, 1 << i): 1 for i in range(2, n + 1)})
 
 
 def rotation_measure_rep(n: int, I, J) -> Multivector:
@@ -200,7 +199,7 @@ def eta_ex(ctx: FlagContext) -> Multivector:
 
 def tau_tilde(ctx: FlagContext, k: int, a: int) -> AlgebraElement:
     """The algebra element E_a(first block) E_{k-a}(second block), x^a y^(k-a) / (a! (k-a)!)."""
-    return embed_monomial(ctx, a, k - a).smul(1, factorial(a) * factorial(k - a))
+    return elementary_form(ctx, a, k - a)
 
 
 def pairing(ctx: FlagContext, dual: AlgebraElement, primal: Multivector) -> Scalar:

@@ -5,8 +5,9 @@ Production tables are computed in its presentation by x, y and u
 over one positive denominator, so the presented engine loads no rational
 arithmetic.  The oracle checks that presentation against the
 realization by forms in grassmann_oracle: x^i y^j is
-embed_monomial(ctx, i, j), built on the diagonal index blocks {2..p+1}
-and {p+2..n}, and u is grassmann_oracle.u_element(ctx).  embed_monomial
+embed_monomial(ctx, i, j), i! j! times grassmann_oracle.elementary_form
+on the diagonal index blocks {2..p+1} and {p+2..n}, read off their
+subsets, and u is grassmann_oracle.u_element(ctx).  embed_monomial
 imports the oracle when it runs, so the presented path never loads the
 exterior kernel.
 """
@@ -64,12 +65,10 @@ class FlagContext(Record):
 
 @lru_cache(maxsize=None)
 def embed_monomial(ctx: FlagContext, i: int, j: int):
-    """The AlgebraElement of x^i y^j: i! E_i(first block) * j! E_j(second block)."""
-    from .grassmann_oracle import elementary_symmetric
+    """The AlgebraElement of x^i y^j: i! j! E_i(first block) E_j(second block), as one row."""
+    from .grassmann_oracle import elementary_form
 
-    ei = elementary_symmetric(ctx.n, ctx.block1(), i)
-    ej = elementary_symmetric(ctx.n, ctx.block2(), j)
-    return (ei * ej).smul(math.factorial(i) * math.factorial(j))
+    return elementary_form(ctx, i, j).smul(math.factorial(i) * math.factorial(j))
 
 
 def monomial_exponents(ctx: FlagContext, k: int) -> list[tuple[int, int]]:

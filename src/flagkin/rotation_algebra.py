@@ -102,7 +102,7 @@ def chord_basis(n: int, k: int) -> tuple[tuple, ...]:
     """The (diagonals, matching) index sets of each chord monomial of degree k.
 
     Diagonals ascend, and the chords (a, b), each with a < b, ascend too;
-    the monomial is monomial(n, [(d, d) for d in diagonals] + list(matching)).
+    the monomial is the product of x_ij over [(d, d) for d in diagonals] + list(matching).
     """
     return tuple(_chord_index_sets(n, k))
 
@@ -163,7 +163,7 @@ def _chord_columns(n: int, k: int) -> tuple[dict[int, Fraction], ...]:
     """The row of each chord_basis(n, k) monomial's evaluation, over Fraction.
 
     Nothing in flagkin calls it; it stays only for perfbench/tracer.py,
-    which reads its cache statistics.  The tests compare it with monomial().
+    which reads its cache statistics.  The tests compare it with generator products.
     """
     from fractions import Fraction
 

@@ -73,17 +73,18 @@ def _suite_base_change(ctx: FlagContext):
 def _suite_flag_algebra(ctx: FlagContext):
     """realize is an injective ring map on the basis monomials x^a y^b (and u).
 
-    Every basis monomial realizes to a nonzero form, the forms have
-    pairwise disjoint blade supports, and every pair of total degree at
-    most n - 1 wedges to the realization of its presented product, in both
-    orders.
+    x and y realize to their blocks' sums of x_dd, which x -> -x would not
+    keep.  Every basis monomial realizes to a nonzero form, the forms have
+    pairwise disjoint blade supports, and every pair of total degree at most
+    n - 1 wedges to the realization of its presented product, in both orders.
     """
-    realize = grassmann_oracle.realize
-
-    def monomial(a, b):
-        return f"x^{a} y^{b}", a + b, PresentedElement(ctx, {(a, b): 1})
-
-    basis = [monomial(a, b) for a in range(ctx.p + 1) for b in range(ctx.q + 1)]
+    realize, x, zero = grassmann_oracle.realize, grassmann_oracle.generator, grassmann_oracle.zero
+    for name, key, block in (("x", (1, 0), ctx.block1()), ("y", (0, 1), ctx.block2())):
+        diagonal = sum((x(ctx.n, d, d) for d in block), zero(ctx.n))
+        if block and realize(ctx, PresentedElement(ctx, {key: 1})) != diagonal:
+            return f"{name} does not realize to the sum of x_dd over its block"
+    exponents = itertools.product(range(ctx.p + 1), range(ctx.q + 1))
+    basis = [(f"x^{a} y^{b}", a + b, PresentedElement(ctx, {(a, b): 1})) for a, b in exponents]
     if ctx.exceptional:
         basis.append(("u", ctx.middle, PresentedElement(ctx, {}, 1)))
     forms = []

@@ -8,8 +8,10 @@ It keeps no cache: every call builds its two monomials anew.
 
 from flagkin.errors import DimensionMismatch
 from flagkin.exterior import star1, star1_inv
-from flagkin.grassmann_oracle import dalpha, monomial
+from flagkin.grassmann_oracle import dalpha
 from flagkin.invariant_algebras import FlagContext
+
+from oracle_reference import monomial
 
 
 def _monomial_image(n: int, m: tuple):

@@ -1,19 +1,54 @@
-"""The product path of the exterior oracle: a reference for its top-blade reads.
+"""The product path of the exterior oracle: a reference for its index-set reads.
 
-grassmann_oracle builds eta's components as signed subset rows and reads
-every pairing off the top blade with exterior.top_pairing, so it never
-forms a product.  This reference forms them: eta by multiplying out its
+grassmann_oracle builds eta's components, the forms of x^a y^b and the
+form of u as signed subset rows, and reads every pairing off the top
+blade with exterior.top_pairing, so it never forms a product.  This
+reference forms them: products of generators, elementary symmetric forms
+and determinants by wedges, eta by multiplying out its
 (alpha sigma_i + omega_i1) factors one by one, and the generating identity
 by wedging each eta component with each tau~ component and reading the
 top coefficient of the product, which must be a multiple of the top
-blade.  The oracle tests compare both routes.
+blade.  The tests compare both routes.
 """
 
+import itertools
+import operator
+from functools import reduce
 from math import gcd
 
 from flagkin.errors import DegreeMismatch
 from flagkin.exterior import Multivector, full_omega_mask, full_sigma_mask, omega1, sigma, star1_inv
-from flagkin.grassmann_oracle import tau_tilde
+from flagkin.grassmann_oracle import generator, tau_tilde, zero
+from flagkin.rotation_algebra import AlgebraElement, _perm_sign
+
+
+def one(n: int) -> AlgebraElement:
+    return AlgebraElement(n, Multivector.unit())
+
+
+def monomial(n: int, pairs) -> AlgebraElement:
+    """Product of generators x_{ij} over a sequence of index pairs."""
+    return reduce(operator.mul, (generator(n, i, j) for i, j in pairs), one(n))
+
+
+def determinant(entries: list[list[AlgebraElement]]) -> AlgebraElement:
+    """Determinant of a square matrix of commuting algebra elements."""
+    m = len(entries)
+    n = entries[0][0].n
+    out = zero(n)
+    for perm in itertools.permutations(range(m)):
+        term = reduce(operator.mul, (entries[r][perm[r]] for r in range(m)), one(n))
+        out = out + term.smul(_perm_sign(perm))
+    return out
+
+
+def elementary_symmetric(n: int, indices, i: int) -> AlgebraElement:
+    """E_i of the diagonal generators x_dd, d running over indices."""
+    indices = tuple(indices)
+    out = zero(n)
+    for subset in itertools.combinations(indices, i):
+        out = out + monomial(n, [(d, d) for d in subset])
+    return out
 
 
 def top_coefficient(n, form):

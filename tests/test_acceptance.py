@@ -15,8 +15,6 @@ from math import comb, factorial
 import pytest
 
 from flagkin.grassmann_oracle import (
-    determinant,
-    elementary_symmetric,
     eta_ex,
     eta_hat,
     generating_identity_check,
@@ -24,7 +22,6 @@ from flagkin.grassmann_oracle import (
     honest_diagonal_twist,
     honest_exceptional_pairing,
     honest_generating_identity,
-    monomial,
     pairing,
     rotation_pairing,
     tau_ex,
@@ -58,6 +55,7 @@ from flagkin.verify import (
 )
 
 from convolution_reference import convolution_cross_check
+from oracle_reference import determinant, elementary_symmetric, monomial
 
 
 def _report(num: int, ok: bool, detail: str = "") -> None:

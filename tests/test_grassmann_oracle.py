@@ -26,6 +26,7 @@ from flagkin.grassmann_oracle import (
     eta_hat,
     eta_poly,
     generating_identity_check,
+    generator,
     generating_identity_polynomial,
     honest_diagonal_twist,
     honest_exceptional_pairing,
@@ -34,8 +35,9 @@ from flagkin.grassmann_oracle import (
     rotation_pairing,
     tau_ex,
     tau_tilde,
+    u_element,
 )
-from flagkin.invariant_algebras import FlagContext
+from flagkin.invariant_algebras import FlagContext, embed_monomial
 from flagkin.measures import binom
 from flagkin.rotation_algebra import chord_basis
 from flagkin.scalars import Scalar
@@ -67,6 +69,39 @@ def test_generating_identity_matches_the_product_reference(n):
         ctx = FlagContext(n, p)
         want = oracle_reference.generating_identity_polynomial(ctx)
         assert generating_identity_polynomial(ctx) == want, p
+
+
+@pytest.mark.parametrize("n", range(3, 12, 2))
+def test_u_element_matches_the_determinant_reference(n):
+    ctx = FlagContext(n, (n - 1) // 2)
+    entries = [[generator(n, i, j) for j in ctx.block2()] for i in ctx.block1()]
+    assert u_element(ctx) == oracle_reference.determinant(entries)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_embed_monomial_matches_the_product_reference(n):
+    e = oracle_reference.elementary_symmetric
+    for p in range(n):
+        ctx = FlagContext(n, p)
+        for a in range(p + 1):
+            for b in range(ctx.q + 1):
+                want = (e(n, ctx.block1(), a) * e(n, ctx.block2(), b)).smul(factorial(a) * factorial(b))
+                assert embed_monomial(ctx, a, b) == want, (p, a, b)
+
+
+def test_realized_generators_multiply_no_forms(monkeypatch):
+    from flagkin.rotation_algebra import AlgebraElement
+
+    def refuse(self, other):
+        raise AssertionError("a realized generator multiplied forms")
+
+    clear_caches()
+    monkeypatch.setattr(AlgebraElement, "__mul__", refuse)
+    ctx = FlagContext(7, 3)
+    u_element(ctx)
+    for a in range(ctx.p + 1):
+        for b in range(ctx.q + 1):
+            embed_monomial(ctx, a, b)
 
 
 def test_eta_ex_examples():
@@ -238,10 +273,8 @@ def test_convolution_degree_guard():
 
 
 def test_pairing_rejects_inhomogeneous_dual():
-    from flagkin.grassmann_oracle import generator, one
-
     ctx = FlagContext(4, 1)
-    mixed = generator(4, 2, 2) + one(4)
+    mixed = generator(4, 2, 2) + oracle_reference.one(4)
     with pytest.raises(DegreeMismatch):
         pairing(ctx, mixed, eta_hat(ctx, 1, 1))
 

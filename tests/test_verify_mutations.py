@@ -15,10 +15,11 @@ from fractions import Fraction
 
 import pytest
 
-from flagkin import exterior, kinematics, measures, rotation_algebra, verify
+from flagkin import exterior, grassmann_oracle, kinematics, measures, rotation_algebra, verify
 from flagkin.errors import FlagkinError
 from flagkin.exterior import Multivector
 from flagkin.invariant_algebras import FlagContext, PresentedElement
+from flagkin.rotation_algebra import AlgebraElement
 
 from flagkin_caches import clear_caches
 
@@ -207,6 +208,32 @@ def _top_pairing_sign_flipped_on_sigma_2(monkeypatch):
     _patch(monkeypatch, "top_pairing", wrap, exterior)
 
 
+def _u_blades_with_one_first_sigma_negated(monkeypatch):
+    # u's blades whose sigma mask meets the first block in exactly one index, negated
+    def wrap(f):
+        def u_element(ctx):
+            u = f(ctx)
+            first = sum(1 << i for i in ctx.block1())
+            row = {k: -c if (k >> 32 & first).bit_count() == 1 else c for k, c in u.body.row.items()}
+            return AlgebraElement(ctx.n, Multivector._of(row, u.body.den))
+
+        return u_element
+
+    _patch(monkeypatch, "u_element", wrap, grassmann_oracle)
+
+
+def _elementary_forms_negated_at_odd_a(monkeypatch):
+    # every form E_a E_b with odd a negated: x -> -x, a ring automorphism of the realization
+    def wrap(f):
+        def elementary_form(ctx, a, b):
+            form = f(ctx, a, b)
+            return form.smul(-1) if a % 2 else form
+
+        return elementary_form
+
+    _patch(monkeypatch, "elementary_form", wrap, grassmann_oracle)
+
+
 MUTATIONS = {
     "u^2 constant x2": _u_square_doubled,
     "_phi_scale x(a+1)": _phi_scale_times_a_plus_1,
@@ -222,6 +249,7 @@ MUTATIONS = {
     "chord row: one orientation's sign flipped": _chord_row_one_orientation_flipped,
     "hug_weil_coproduct: right C(q, l) dropped": _hug_weil_right_scale_dropped,
     "top_pairing: one pair's sign flipped": _top_pairing_sign_flipped_on_sigma_2,
+    "u: blades with one first-block sigma negated": _u_blades_with_one_first_sigma_negated,
 }
 
 
@@ -291,6 +319,30 @@ def test_top_pairing_mutation_fails_oracle_pairings_first(monkeypatch):
     assert detail == "n=2 p=0 oracle pairings: generating identity polynomial has unexpected shape"
 
 
+@pytest.mark.parametrize(
+    "mutate,first",
+    [
+        (
+            _u_blades_with_one_first_sigma_negated,
+            "n=3 p=1 flag algebra relations: (u) * (u) differs from the wedge of their forms",
+        ),
+        (
+            _elementary_forms_negated_at_odd_a,
+            "n=2 p=1 flag algebra relations: x does not realize to the sum of x_dd over its block",
+        ),
+    ],
+)
+def test_realization_mutations_fail_flag_algebra_relations_first(monkeypatch, mutate, first):
+    clear_caches()
+    try:
+        with monkeypatch.context() as m:
+            mutate(m)
+            detail = _first_counterexample()
+    finally:
+        clear_caches()
+    assert detail == first, detail
+
+
 # The first counterexample of the table suites at n = 9, p = 0..8: the
 # messages by which the closed forms and the coalgebra laws report each
 # mutation.  The oracle mutations change no table, so no table suite
@@ -324,6 +376,7 @@ FIRST_AT_NINE = {
     "chord row: one orientation's sign flipped": None,
     "wedge keeps the left denominator": None,
     "top_pairing: one pair's sign flipped": None,
+    "u: blades with one first-block sigma negated": None,
 }
 
 
