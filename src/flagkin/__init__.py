@@ -27,21 +27,7 @@ _EXPORTS = {
     "verify_structure": "verify",
 }
 
-__all__ = [
-    "AlgebraElement",
-    "FlagContext",
-    "KinematicTable",
-    "MeasureLabel",
-    "Scalar",
-    "__version__",
-    "coproduct",
-    "generator",
-    "graded_dimension",
-    "hug_weil_coproduct",
-    "phi_label",
-    "s_label",
-    "verify_structure",
-]
+__all__ = sorted([*_EXPORTS, "__version__"])
 
 
 def __getattr__(name: str):

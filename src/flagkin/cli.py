@@ -110,13 +110,110 @@ def _emit(args, chunks: Iterable[str]) -> None:
         raise ValidationError(f"cannot write {args.output}: {exc.strerror or exc}") from None
 
 
-def _json_strings(items: list[str], pad: str) -> str:
-    """The JSON text of a non-empty array of strings, closed at indentation pad.
+# -- renderings -------------------------------------------------------------------
+#
+# Every output is formatted here.  JSON is formatted by template, in the
+# bytes json.dumps(..., indent=2) prints: labels, chord monomials and unit
+# symbols hold no character that JSON escapes.  A coefficient is a reduced
+# (num, den) in the unit omega_m^-1, which each formatter formats once.
 
-    The strings are labels and chord monomials, which hold no character
-    that JSON escapes.
+
+def text_coefficient(m: int):
+    """The formatter of a (num, den) coefficient in the unit omega_m^-1: num/den * omega(m)^-1."""
+    unit = f" * omega({m})^-1"
+    return lambda c: f"{c[0]}/{c[1]}{unit}"
+
+
+def json_coefficient(m: int, pad: str):
+    """The formatter of a (num, den) coefficient in the unit omega_m^-1, as JSON {num, den, units}.
+
+    pad is the indentation of the line the object opens on.
     """
-    return "[\n" + ",\n".join(f'{pad}  "{item}"' for item in items) + f"\n{pad}]"
+    key = pad + "  "
+    units = (
+        f'"units": [\n{key}  {{\n{key}    "sym": "omega({m})",\n{key}    "exp": -1\n'
+        f"{key}  }}\n{key}]\n{pad}}}"
+    )
+    return lambda c: f'{{\n{key}"num": {c[0]},\n{key}"den": {c[1]},\n{key}{units}'
+
+
+def json_array(items: list[str], pad: str) -> str:
+    """The JSON text of an array of formatted items, closed at indentation pad."""
+    return ("[\n" + ",\n".join(items) + f"\n{pad}]") if items else "[]"
+
+
+def latex_coefficient(m: int):
+    """The formatter of a (num, den) coefficient in omega_m^-1, as -\\frac{1}{2}\\omega_{m}^{-1}."""
+    unit = f"\\omega_{{{m}}}^{{-1}}"
+
+    def fmt(c: Ratio) -> str:
+        num, den = c
+        body = f"{abs(num)}" if den == 1 else f"\\frac{{{abs(num)}}}{{{den}}}"
+        return f"{'-' if num < 0 else ''}{body}{unit}"
+
+    return fmt
+
+
+def table_to_text(table: KinematicTable) -> str:
+    head = f"A({table.input.to_text()})  [n={table.ctx.n}, p={table.ctx.p}]"
+    coeff = text_coefficient(table.unit)
+    rows = [f"  {l.to_text()} (x) {r.to_text()}  :  {coeff(c)}" for l, r, c in table.terms]
+    return "\n".join([head] + rows)
+
+
+def table_to_json(table: KinematicTable, pad: str = "") -> str:
+    """The table as json.dumps(..., indent=2) prints it at indentation pad, with no final newline."""
+    item, key = pad + "    ", pad + "      "
+    coeff = json_coefficient(table.unit, key)
+    terms = [
+        f'{item}{{\n{key}"left": "{l.to_text()}",\n{key}"right": "{r.to_text()}",\n'
+        f'{key}"coeff": {coeff(c)}\n{item}}}'
+        for l, r, c in table.terms
+    ]
+    return (
+        f'{pad}{{\n{pad}  "schema": "flagkin/table/v1",\n{pad}  "n": {table.ctx.n},\n'
+        f'{pad}  "p": {table.ctx.p},\n{pad}  "input": "{table.input.to_text()}",\n'
+        f'{pad}  "terms": {json_array(terms, pad + "  ")}\n{pad}}}'
+    )
+
+
+def csv_rows(table: KinematicTable) -> list[str]:
+    """One "left,right,num,den,units" line per term of the table."""
+    units = f"omega({table.unit})^-1"
+    return [
+        f"{l.to_text()},{r.to_text()},{num},{den},{units}"
+        for l, r, (num, den) in table.terms
+    ]
+
+
+def table_to_csv(table: KinematicTable) -> str:
+    return "\n".join(["left,right,num,den,units", *csv_rows(table)]) + "\n"
+
+
+def _label_to_latex(label: MeasureLabel) -> str:
+    if label.kind == "Phi":
+        return f"\\Phi_{{{label.k},{label.idx}}}"
+    if label.kind == "S":
+        return f"S_{{{label.k}}}^{{({label.idx})}}"
+    if label.kind == "PhiEx":
+        return "\\Phi_{ex}"
+    return f"S_{{{label.k}}}^{{(p)}}"
+
+
+def table_to_latex(table: KinematicTable) -> str:
+    coeff = latex_coefficient(table.unit)
+    rows = [
+        f"{_label_to_latex(l)} \\otimes {_label_to_latex(r)} & {coeff(c)} \\\\"
+        for l, r, c in table.terms
+    ]
+    return "\n".join(
+        [
+            f"% A({table.input.to_text()}), n={table.ctx.n}, p={table.ctx.p}",
+            "\\begin{tabular}{ll}",
+            *rows,
+            "\\end{tabular}",
+        ]
+    )
 
 
 def _ctx(args) -> FlagContext:
@@ -203,9 +300,10 @@ def cmd_basis(args) -> int:
 
         mons = [chord_text(*m) for m in chord_basis(args.n, args.k)]
         if args.format == "json":
+            items = json_array([f'    "{m}"' for m in mons], "  ")
             text = (
                 f'{{\n  "n": {args.n},\n  "k": {args.k},\n  "count": {len(mons)},\n'
-                f'  "monomials": {_json_strings(mons, "  ")}\n}}\n'
+                f'  "monomials": {items}\n}}\n'
             )
             _emit(args, [text])
         else:
@@ -218,9 +316,10 @@ def cmd_basis(args) -> int:
     ctx = _ctx(args)
     labels = basis_labels(ctx, args.k, args.basis)
     if args.format == "json":
+        items = json_array([f'    "{l.to_text()}"' for l in labels], "  ")
         text = (
             f'{{\n  "n": {ctx.n},\n  "p": {ctx.p},\n  "k": {args.k},\n  "basis": "{args.basis}",\n'
-            f'  "labels": {_json_strings([l.to_text() for l in labels], "  ")}\n}}\n'
+            f'  "labels": {items}\n}}\n'
         )
         _emit(args, [text])
     else:
@@ -229,8 +328,7 @@ def cmd_basis(args) -> int:
 
 
 def cmd_product(args) -> int:
-    from .kinematics import family_unit, json_array, json_coefficient, text_coefficient
-    from .measures import dual_product
+    from .measures import dual_product, family_unit
 
     _guard(args, PRESENTED_MAX_N)
     ctx = _ctx(args)
@@ -276,8 +374,6 @@ def _render_tables(args, tables: list[KinematicTable], sweep: bool) -> Iterable[
     One string per table, each formatted only when it is taken, so the
     whole output is never held at once.
     """
-    from .kinematics import csv_rows, table_to_csv, table_to_json, table_to_latex
-
     if args.format == "json":
         if not sweep:
             return [table_to_json(tables[0]) + "\n"]
@@ -295,7 +391,7 @@ def _render_tables(args, tables: list[KinematicTable], sweep: bool) -> Iterable[
         return _joined(parts, "\n", "input,left,right,num,den,units\n")
     if args.format == "latex":
         return _joined(map(table_to_latex, tables), "\n")
-    return _joined((t.to_text() for t in tables), "\n\n")
+    return _joined(map(table_to_text, tables), "\n\n")
 
 
 def cmd_coproduct(args) -> int:
@@ -341,7 +437,11 @@ def cmd_verify(args) -> int:
     ctx = _ctx(args)
     lines = [f"verify n={ctx.n} p={ctx.p}"]
     failure = None
-    for name, suite in sys.modules[__name__].VERIFY_SUITES:
+    # A VERIFY_SUITES set on this module is in its globals, also where it
+    # runs as __main__ under python -m cProfile, whose own module is then
+    # sys.modules["__main__"].
+    suites = globals().get("VERIFY_SUITES")
+    for name, suite in __getattr__("VERIFY_SUITES") if suites is None else suites:
         try:
             detail = suite(ctx)
         except FlagkinError as exc:  # a suite that raises fails, and the report goes on

@@ -12,9 +12,9 @@ Table coefficients are rationals held as reduced (num, den) int pairs,
 the numerator and denominator of the rational, and so are the closed
 forms, so building, printing and certifying a table loads no rational
 arithmetic.  Every table states its unit
-omega_m^-1 once (family_unit gives m: n, or n - p for the rescaled Sp
-tables), and one formatter per output format attaches it to each
-coefficient it prints; no printed coefficient is zero.
+omega_m^-1 once (measures.family_unit gives m: n, or n - p for the
+rescaled Sp tables), which flagkin.cli attaches to each coefficient it
+prints; no table term is zero.
 
 The double-sum closed form for the S basis is implemented with summation
 limits m'_j, m'_{k-j} (the support of its binomial factors, as dictated by
@@ -37,6 +37,7 @@ from .measures import (
     binom,
     c_constant,
     expand_presented,
+    family_unit,
     phi_label,
     presented_dual,
     ratio,
@@ -47,49 +48,6 @@ from .records import Record, _set
 
 Term = tuple[MeasureLabel, MeasureLabel, Ratio]
 Pair = tuple[MeasureLabel, MeasureLabel]
-
-
-def family_unit(ctx: FlagContext, family: str) -> int:
-    """The m of a family's unit omega_m^-1: n for Phi and S, n - p for Sp."""
-    return ctx.n - ctx.p if family == "Sp" else ctx.n
-
-
-def text_coefficient(m: int):
-    """The formatter of a (num, den) coefficient in the unit omega_m^-1: num/den * omega(m)^-1."""
-    unit = f" * omega({m})^-1"
-    return lambda c: f"{c[0]}/{c[1]}{unit}"
-
-
-def json_coefficient(m: int, pad: str):
-    """The formatter of a (num, den) coefficient in the unit omega_m^-1, as JSON {num, den, units}.
-
-    pad is the indentation of the line the object opens on; the text is
-    what json.dumps(..., indent=2) prints there, with the units block
-    formatted once.
-    """
-    key = pad + "  "
-    units = (
-        f'"units": [\n{key}  {{\n{key}    "sym": "omega({m})",\n{key}    "exp": -1\n'
-        f"{key}  }}\n{key}]\n{pad}}}"
-    )
-    return lambda c: f'{{\n{key}"num": {c[0]},\n{key}"den": {c[1]},\n{key}{units}'
-
-
-def json_array(items: list[str], pad: str) -> str:
-    """The JSON text of an array of formatted items, closed at indentation pad."""
-    return ("[\n" + ",\n".join(items) + f"\n{pad}]") if items else "[]"
-
-
-def latex_coefficient(m: int):
-    """The formatter of a (num, den) coefficient in omega_m^-1, as -\\frac{1}{2}\\omega_{m}^{-1}."""
-    unit = f"\\omega_{{{m}}}^{{-1}}"
-
-    def fmt(c: Ratio) -> str:
-        num, den = c
-        body = f"{abs(num)}" if den == 1 else f"\\frac{{{abs(num)}}}{{{den}}}"
-        return f"{'-' if num < 0 else ''}{body}{unit}"
-
-    return fmt
 
 
 class KinematicTable(Record):
@@ -115,12 +73,6 @@ class KinematicTable(Record):
             if (l, r) == (left, right):
                 return c
         return (0, 1)
-
-    def to_text(self) -> str:
-        head = f"A({self.input.to_text()})  [n={self.ctx.n}, p={self.ctx.p}]"
-        coeff = text_coefficient(self.unit)
-        rows = [f"  {l.to_text()} (x) {r.to_text()}  :  {coeff(c)}" for l, r, c in self.terms]
-        return "\n".join([head] + rows)
 
 
 def _tables(ctx: FlagContext, family: str, degrees) -> dict[MeasureLabel, KinematicTable]:
@@ -259,65 +211,3 @@ def hug_weil_coproduct(ctx: FlagContext, k: int) -> KinematicTable:
         coeff = ratio(num * scale[l.k] * scale[r.k], den * scale[k])
         terms.append((MeasureLabel("Sp", l.k), MeasureLabel("Sp", r.k), coeff))
     return KinematicTable(ctx, MeasureLabel("Sp", k), "Sp", tuple(terms))
-
-
-# -- renderings -------------------------------------------------------------------
-
-
-def table_to_json(table: KinematicTable, pad: str = "") -> str:
-    """The table as json.dumps(..., indent=2) prints it at indentation pad, with no final newline.
-
-    The text is formatted, not encoded: label texts and unit symbols hold
-    no character that JSON escapes.
-    """
-    item, key = pad + "    ", pad + "      "
-    coeff = json_coefficient(table.unit, key)
-    terms = [
-        f'{item}{{\n{key}"left": "{l.to_text()}",\n{key}"right": "{r.to_text()}",\n'
-        f'{key}"coeff": {coeff(c)}\n{item}}}'
-        for l, r, c in table.terms
-    ]
-    return (
-        f'{pad}{{\n{pad}  "schema": "flagkin/table/v1",\n{pad}  "n": {table.ctx.n},\n'
-        f'{pad}  "p": {table.ctx.p},\n{pad}  "input": "{table.input.to_text()}",\n'
-        f'{pad}  "terms": {json_array(terms, pad + "  ")}\n{pad}}}'
-    )
-
-
-def csv_rows(table: KinematicTable) -> list[str]:
-    """One "left,right,num,den,units" line per term of the table."""
-    units = f"omega({table.unit})^-1"
-    return [
-        f"{l.to_text()},{r.to_text()},{num},{den},{units}"
-        for l, r, (num, den) in table.terms
-    ]
-
-
-def table_to_csv(table: KinematicTable) -> str:
-    return "\n".join(["left,right,num,den,units", *csv_rows(table)]) + "\n"
-
-
-def _label_to_latex(label: MeasureLabel) -> str:
-    if label.kind == "Phi":
-        return f"\\Phi_{{{label.k},{label.idx}}}"
-    if label.kind == "S":
-        return f"S_{{{label.k}}}^{{({label.idx})}}"
-    if label.kind == "PhiEx":
-        return "\\Phi_{ex}"
-    return f"S_{{{label.k}}}^{{(p)}}"
-
-
-def table_to_latex(table: KinematicTable) -> str:
-    coeff = latex_coefficient(table.unit)
-    rows = [
-        f"{_label_to_latex(l)} \\otimes {_label_to_latex(r)} & {coeff(c)} \\\\"
-        for l, r, c in table.terms
-    ]
-    return "\n".join(
-        [
-            f"% A({table.input.to_text()}), n={table.ctx.n}, p={table.ctx.p}",
-            "\\begin{tabular}{ll}",
-            *rows,
-            "\\end{tabular}",
-        ]
-    )

@@ -144,6 +144,11 @@ def base_change(ctx: FlagContext, k: int):
 # returns the rationals that multiply omega_n^-1.
 
 
+def family_unit(ctx: FlagContext, family: str) -> int:
+    """The m of a family's unit omega_m^-1: n for Phi and S, n - p for Sp."""
+    return ctx.n - ctx.p if family == "Sp" else ctx.n
+
+
 def _phi_scale(ctx: FlagContext, a: int, b: int) -> int:
     """C(q,b) C(p,a) a! b!, the multiple of omega_n Phi_{a+b,a}^* that is x^a y^b."""
     return binom(ctx.q, b) * binom(ctx.p, a) * math.factorial(a) * math.factorial(b)

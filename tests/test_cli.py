@@ -229,10 +229,9 @@ def test_basis_json_matches_the_encoder(capsys, n):
 
 def test_failed_render_keeps_the_output_file(tmp_path, capsys, monkeypatch):
     # rendering raises after the first table has been written to the temporary file
-    from flagkin import kinematics
     from flagkin.errors import FlagkinError
 
-    render = kinematics.table_to_latex
+    render = cli.table_to_latex
     calls = []
 
     def fails_on_the_second_table(table):
@@ -241,7 +240,7 @@ def test_failed_render_keeps_the_output_file(tmp_path, capsys, monkeypatch):
             raise FlagkinError("planted rendering failure")
         return render(table)
 
-    monkeypatch.setattr(kinematics, "table_to_latex", fails_on_the_second_table)
+    monkeypatch.setattr(cli, "table_to_latex", fails_on_the_second_table)
     target = tmp_path / "tables.tex"
     target.write_bytes(b"old\n")
     target.chmod(0o640)
@@ -377,6 +376,20 @@ def test_a_profiled_request_still_writes_the_profile():
     assert (proc.returncode, err) == (0, b"")
     assert out.startswith(b"flagkin 0.1.0\n")
     assert b" function calls " in out
+
+
+def test_verify_under_cprofile_prints_what_a_plain_run_prints(tmp_path):
+    # run as __main__ under cProfile, the module is not sys.modules["__main__"]
+    argv = ["verify", "--n", "3", "--p", "1"]
+    plain = _flagkin(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE).communicate(timeout=120)
+    profile = tmp_path / "verify.prof"
+    proc = _python(
+        "-m", "cProfile", "-o", str(profile), "-m", "flagkin.cli", *argv,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out, err) == (0, *plain)
+    assert out.startswith(b"verify n=3 p=1\n") and profile.stat().st_size > 0
 
 
 def test_a_large_table_through_a_pipe_matches_its_digest():
@@ -670,13 +683,12 @@ def test_presented_requests_load_no_oracle(request_name):
     assert not loaded & ORACLE_MODULES, sorted(loaded & ORACLE_MODULES)
 
 
-# Every request prints JSON by template: table, coproduct and product
-# through kinematics, dim and basis in cli.  So no request loads json.
-# Each request names the module it is seen to load.
+# Every request prints JSON by template, in cli.  So no request loads json.
+# Each request names the engine module it is seen to load.
 JSON_REQUESTS = {
     "table": (PRESENTED_REQUESTS["table"], "flagkin.kinematics"),
     "coproduct": ([*PRESENTED_REQUESTS["coproduct"], "--format", "json"], "flagkin.kinematics"),
-    "product": ([*PRESENTED_REQUESTS["product"], "--format", "json"], "flagkin.kinematics"),
+    "product": ([*PRESENTED_REQUESTS["product"], "--format", "json"], "flagkin.measures"),
     "dim": (["-m", "flagkin.cli", "dim", "--n", "5", "--format", "json"], "flagkin.rotation_algebra"),
     "dim --p": ([*PRESENTED_REQUESTS["dim --p"], "--format", "json"], "flagkin.invariant_algebras"),
     "basis": (
@@ -694,6 +706,14 @@ def test_json_requests_load_no_json_encoder(request_name):
     assert engine in loaded
     encoder = {m for m in loaded if m == "json" or m.startswith("json.")}
     assert not encoder, sorted(encoder)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_product_loads_no_kinematics(fmt):
+    # product prints with cli's formatters in the unit measures.family_unit gives
+    loaded = _loaded_modules(*PRESENTED_REQUESTS["product"], "--format", fmt)
+    assert "flagkin.measures" in loaded
+    assert "flagkin.kinematics" not in loaded
 
 
 CHORD_REQUESTS = {

@@ -9,7 +9,18 @@ from fractions import Fraction
 import pytest
 
 from flagkin import kinematics
-from flagkin.cli import _render_tables, main
+from flagkin.cli import (
+    _render_tables,
+    csv_rows,
+    json_coefficient,
+    latex_coefficient,
+    main,
+    table_to_csv,
+    table_to_json,
+    table_to_latex,
+    table_to_text,
+    text_coefficient,
+)
 from flagkin.errors import ExceptionalUnavailable, IndexOutOfRange
 from flagkin.invariant_algebras import FlagContext
 from flagkin.kinematics import (
@@ -18,14 +29,7 @@ from flagkin.kinematics import (
     closed_form_phi,
     coproduct,
     coproduct_tables,
-    csv_rows,
     hug_weil_coproduct,
-    json_coefficient,
-    latex_coefficient,
-    table_to_csv,
-    table_to_json,
-    table_to_latex,
-    text_coefficient,
 )
 from flagkin.measures import (
     PHI_EX,
@@ -389,7 +393,7 @@ def test_coefficient_formatters(table, left, right, text, latex, csv, num, den, 
     assert json_coefficient(m, "")(c) == json.dumps(reference, indent=2)
     assert latex_coefficient(m)(c) == latex
     # each rendering of the table prints the coefficient in its format
-    assert f"  {left} (x) {right}  :  {text}" in table.to_text().splitlines()
+    assert f"  {left} (x) {right}  :  {text}" in table_to_text(table).splitlines()
     term = {"left": str(left), "right": str(right), "coeff": reference}
     assert term in json.loads(table_to_json(table))["terms"]
     assert any(line.endswith(f" & {latex} \\\\") for line in table_to_latex(table).splitlines())

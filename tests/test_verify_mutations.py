@@ -380,6 +380,65 @@ FIRST_AT_NINE = {
 }
 
 
+# Per mutation, the suites that catch it at n <= 7, each with the first
+# (n, p) at which it fails; every other suite passes the whole grid.  A
+# change to a suite's method or range that moves a cell shows here.
+CAUGHT_BY = {
+    "PhiEx dual x2, its inverse x1/2": {"closed-form agreement": (3, 1)},
+    "_phi_scale x(a+1)": {"closed-form agreement": (3, 1), "structural laws": (3, 2)},
+    "_rep_term sign dropped": {"rotation relations": (3, 0), "oracle pairings": (3, 0)},
+    "c_constant x(i+1)": {"structural laws": (3, 1)},
+    "chord lead drops the diagonals": {"dimensions": (3, 0)},
+    "chord row: one orientation's sign flipped": {"convolution cross-check": (4, 0)},
+    "closed_form_S: one term undivided": {"closed-form agreement": (3, 0)},
+    "closed_form_phi: one term keyed (right, left)": {"closed-form agreement": (2, 0)},
+    "global_factor x2": {"structural laws": (2, 0)},
+    "hug_weil_coproduct: right C(q, l) dropped": {"closed-form agreement": (3, 0)},
+    "inverse base change: last sign flipped": {
+        "base changes": (2, 0),
+        "closed-form agreement": (3, 1),
+        "structural laws": (3, 1),
+    },
+    "top_pairing: one pair's sign flipped": {"oracle pairings": (2, 0)},
+    "u: blades with one first-block sigma negated": {"flag algebra relations": (3, 1)},
+    "u^2 constant x2": {"flag algebra relations": (3, 1), "closed-form agreement": (3, 1)},
+    "wedge keeps the left denominator": {
+        "ideal identities": (3, 0),
+        "flag algebra relations": (3, 1),
+    },
+}
+
+
+def _first_failures():
+    """Per suite that fails somewhere with n <= 7, the first (n, p) at which it does."""
+    first = {}
+    for n in range(2, 8):
+        for p in range(n):
+            ctx = FlagContext(n, p)
+            for name, suite in verify.VERIFY_SUITES:
+                if name in first:
+                    continue
+                try:
+                    detail = suite(ctx)
+                except FlagkinError as exc:
+                    detail = str(exc)
+                if detail is not None:
+                    first[name] = (n, p)
+    return first
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_suites_that_catch_each_mutation(monkeypatch, mutation):
+    clear_caches()
+    try:
+        with monkeypatch.context() as m:
+            MUTATIONS[mutation](m)
+            first = _first_failures()
+    finally:
+        clear_caches()
+    assert first == CAUGHT_BY[mutation], first
+
+
 def _first_table_counterexample(n):
     suites = dict(verify.VERIFY_SUITES)
     for p in range(n):
