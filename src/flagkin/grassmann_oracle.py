@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .errors import (
     BadIndexSet,
@@ -54,7 +54,7 @@ from .exterior import Multivector, _below_parity, _key, full_omega_mask, omega1,
 from .exterior import star1, star1_inv, top_pairing, wedge
 from .invariant_algebras import FlagContext, PresentedElement, embed_monomial
 from .measures import binom, phi_label, validate_label
-from .rotation_algebra import AlgebraElement, _chord_row, _rep_term
+from .rotation_algebra import AlgebraElement, _chord_row, _perm_sign, _rep_term
 from .scalars import Scalar
 
 
@@ -74,25 +74,23 @@ def generator(n: int, i: int, j: int) -> AlgebraElement:
     return AlgebraElement(n, body)
 
 
-def elementary_form(ctx: FlagContext, a: int, b: int) -> AlgebraElement:
-    """E_a(first block) E_b(second block) of the x_dd: the union of its terms' rows.
-
-    The term of an a-subset d1 and a b-subset d2 is the diagonal chord
-    monomial of d1 + d2, the one blade sigma_D ^ omega_D signed (-1)^C(a+b, 2).
-    """
-    row: dict[int, int] = {}
-    for d1 in itertools.combinations(ctx.block1(), a):
-        for d2 in itertools.combinations(ctx.block2(), b):
-            row.update(_chord_row(d1 + d2, ()))
-    return AlgebraElement(ctx.n, Multivector._of(row))
-
-
 def _subsets(block: range, s: int):
     """(mask, e) of each s-subset S of block; e counts the x in block - S, y in S with x < y."""
     whole = sum(1 << i for i in block)
     for subset in itertools.combinations(block, s):
         mask = sum(1 << i for i in subset)
         yield mask, (mask & _below_parity(whole ^ mask)).bit_count()
+
+
+def elementary_form(ctx: FlagContext, a: int, b: int) -> AlgebraElement:
+    """E_a(first block) E_b(second block) of the x_dd, one blade per term.
+
+    The term of an a-subset d1 and a b-subset d2 is the diagonal chord
+    monomial of D = d1 + d2, the one blade sigma_D ^ omega_D signed (-1)^C(a+b, 2).
+    """
+    sign, seconds = -1 if comb(a + b, 2) & 1 else 1, list(_subsets(ctx.block2(), b))
+    keys = (m1 | m2 for m1, _ in _subsets(ctx.block1(), a) for m2, _ in seconds)
+    return AlgebraElement(ctx.n, Multivector._of({d << 32 | d: sign for d in keys}))
 
 
 @lru_cache(maxsize=None)
@@ -140,10 +138,9 @@ def rotation_measure_rep(n: int, I, J) -> Multivector:
     for v in I + J:
         if not 2 <= v <= n:
             raise BadIndexSet(f"index {v} outside 2..{n}")
-    sign, smask, omask = _rep_term(n, I, J)
-    if not sign:
-        return Multivector.zero()
-    return Multivector._of({_key(smask, omask): sign})
+    sign = _perm_sign(I) * _perm_sign(J)  # 0 on a repeated index
+    rep, smask, omask = _rep_term(n, sum(1 << i for i in I), sum(1 << j for j in J))
+    return Multivector._of({_key(smask, omask): sign * rep}) if sign else Multivector.zero()
 
 
 # -- presented elements as forms -----------------------------------------------

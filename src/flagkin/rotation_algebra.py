@@ -6,10 +6,10 @@ chord monomials' lead keys, one int each, with no row built and no rank
 routine called (see graded_dimension); the +-1 rows themselves give the
 forms that the convolution suite checks.  The primal rotation-measure
 space is ranked by one stream of rows into the mod-p certificate, and the
-rotation relations are checked on blade keys against their witness, so
-every rank here is a certificate and none is an elimination.  No form is
-built here: grassmann_oracle realizes the generators x_{ij} as invariant
-forms.
+rotation relations are checked on blade keys, read from index masks,
+against their witness, so every rank here is a certificate and none is an
+elimination.  No form is built here: grassmann_oracle realizes the
+generators x_{ij} as invariant forms.
 AlgebraElement, a form with its n, stays here because perfbench/tracer.py
 reads AlgebraElement.__mul__.  This module loads neither fractions nor
 linalg; the functions that need them import them when they run.
@@ -286,34 +286,31 @@ def _perm_sign(seq) -> int:
     return -1 if inv & 1 else 1
 
 
-def _rep_term(n: int, I: tuple, J: tuple) -> tuple[int, int, int]:
-    """Sign (0 when I or J repeats an index), sigma mask and omega mask of S_{I,J}'s blade.
+def _rep_term(n: int, imask: int, jmask: int) -> tuple[int, int, int]:
+    """Sign, sigma mask and omega mask of S_{I,J}'s blade, I and J given as masks.
 
-    The sign of (J, J^c) is that of J times one inversion for each element
-    of the ascending J^c below each element of J.
+    The sign is that of (J, J^c) ascending, J^c = 2..n - J: one inversion per
+    c in J^c below a j in J.  Below j lie j - 2 indices, C(|J|, 2) of them in
+    J overall, so the parity is that of the odd j in J plus C(|J|, 2).
     """
-    sign = _perm_sign(I) * _perm_sign(J)
-    comp = sum(1 << v for v in range(2, n + 1) if v not in J)
-    if sum((comp & ((1 << j) - 1)).bit_count() for j in J) & 1:
-        sign = -sign
-    return sign, sum(1 << i for i in I), comp
+    t, odd = jmask.bit_count(), (jmask & 0xAAAAAAAA).bit_count()  # bits 1, 3, ..., 31
+    return -1 if (odd + t * (t - 1) // 2) & 1 else 1, imask, ((1 << n + 1) - 4) ^ jmask
 
 
-def _relation_sum(n: int, i_prime: tuple, j_prime: tuple) -> dict[int, int]:
-    """Row of the sum over l of (-1)^l times the blade of S_{I' + j_l, J' - j_l}."""
-    acc: dict[int, int] = {}
-    for l, j in enumerate(j_prime, 1):
-        sign, smask, omask = _rep_term(n, i_prime + (j,), j_prime[: l - 1] + j_prime[l:])
-        if sign:
-            key = smask << 32 | omask
-            acc[key] = acc.get(key, 0) + (sign if l % 2 == 0 else -sign)
-    return {key: c for key, c in acc.items() if c}
+def _relation_sum(n: int, imask: int, jmask: int) -> dict[int, int]:
+    """Row of the sum over l of (-1)^l times the blade of S_{I' + j_l, J' - j_l}, J' ascending.
 
-
-def _relation_witness(n: int, i_prime: tuple, j_prime: tuple) -> dict[int, int]:
-    """Row of dalpha ^ sigma_{I'} ^ omega_{(J')^c,1}, in the image of wedge-by-dalpha."""
-    comp = sum(1 << v for v in range(2, n + 1) if v not in j_prime)
-    return _dalpha_wedge(n, sum(1 << i for i in i_prime), comp)
+    I' + j is I' ascending, then j, signed by the bits of I' above j.  A j in
+    I' repeats an index, so its term vanishes; the other terms' sigma masks differ.
+    """
+    row = {}
+    for j in range(2, n + 1):
+        bit = 1 << j
+        if jmask & bit and not imask & bit:
+            sign, smask, omask = _rep_term(n, imask | bit, jmask ^ bit)
+            flip = ((jmask & bit - 1).bit_count() + 1 + (imask >> j).bit_count()) & 1
+            row[smask << 32 | omask] = -sign if flip else sign
+    return row
 
 
 def rotation_relation_check(n: int, i_prime, j_prime) -> bool:
@@ -326,7 +323,7 @@ def rotation_relation_check(n: int, i_prime, j_prime) -> bool:
     in J' - I', the l-th term and the j-term of the witness are the same
     blade, with sign ratio (-1)^(E(J')+k+1) whatever j is (E(J') counts the
     pairs x in J', c not in J' with c < x); a j in I' vanishes on both
-    sides; and reordering I' or J' multiplies the sum by its sign.
+    sides; and reordering I' or J' only signs the sum, so masks suffice.
     """
     i_prime, j_prime = tuple(i_prime), tuple(j_prime)
     k = len(j_prime) - 1
@@ -337,6 +334,6 @@ def rotation_relation_check(n: int, i_prime, j_prime) -> bool:
     for v in i_prime + j_prime:
         if not 2 <= v <= n:
             raise BadIndexSet(f"index {v} outside 2..{n}")
-    total = _relation_sum(n, i_prime, j_prime)
-    witness = _relation_witness(n, i_prime, j_prime)
-    return total == witness or total == {key: -c for key, c in witness.items()}
+    imask, jmask = sum(1 << i for i in i_prime), sum(1 << j for j in j_prime)
+    witness = _dalpha_wedge(n, imask, ((1 << n + 1) - 4) ^ jmask)
+    return _relation_sum(n, imask, jmask) in (witness, {key: -c for key, c in witness.items()})

@@ -3,7 +3,8 @@
 Every check returns its first counterexample as a string, or None when it
 holds.  VERIFY_SUITES lists the nine suites the command runs, in order; the
 acceptance tests call the same checks over their own (n, p) ranges.  Each
-suite covers every case at its (n, p) along one path; none samples.
+suite covers every case at its (n, p) along one path, the flag algebra's
+products by induction from its generators; none samples.
 
 Layer functions are looked up through their modules at call time, never
 bound here by name, so that a wrapper installed on a module attribute sees
@@ -19,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from . import grassmann_oracle, kinematics, measures, rotation_algebra
+from . import exterior, grassmann_oracle, kinematics, measures, rotation_algebra
 from .errors import IndexOutOfRange
 from .invariant_algebras import FlagContext, PresentedElement
 from .scalars import Scalar
@@ -74,16 +75,23 @@ def _suite_flag_algebra(ctx: FlagContext):
     """realize is an injective ring map on the basis monomials x^a y^b (and u).
 
     x and y realize to their blocks' sums of x_dd, which x -> -x would not
-    keep.  Every basis monomial realizes to a nonzero form, the forms have
-    pairwise disjoint blade supports, and every pair of total degree at most
-    n - 1 wedges to the realization of its presented product, in both orders.
+    keep.  The basis forms are nonzero, with pairwise disjoint blade supports.
+    Products within degree n - 1 are checked from the generators; a case is:
+    - a row 1, y or x against a monomial: both products realize to the wedge;
+    - u ^ u, on its one blade sigma_D ^ omega_D, D = 2..n, read by top_pairing
+      against sigma_1: realize(u u) holds that blade only;
+    - each other x^a y^b, m, against each m' from m on: m = g low, g = x if
+      a > 0 else y, and m m' and m' m are g (low m').
+    By induction on deg m + deg m', realize(m m') = g ^ realize(low m') (the
+    rows, linearly) = g ^ low ^ m' = realize(m) ^ m' (the rows, associativity);
+    and m' ^ m = m ^ m', since forms of equal sigma and omega degree commute.
     """
     realize, x, zero = grassmann_oracle.realize, grassmann_oracle.generator, grassmann_oracle.zero
     for name, key, block in (("x", (1, 0), ctx.block1()), ("y", (0, 1), ctx.block2())):
         diagonal = sum((x(ctx.n, d, d) for d in block), zero(ctx.n))
         if block and realize(ctx, PresentedElement(ctx, {key: 1})) != diagonal:
             return f"{name} does not realize to the sum of x_dd over its block"
-    exponents = itertools.product(range(ctx.p + 1), range(ctx.q + 1))
+    exponents = list(itertools.product(range(ctx.p + 1), range(ctx.q + 1)))
     basis = [(f"x^{a} y^{b}", a + b, PresentedElement(ctx, {(a, b): 1})) for a, b in exponents]
     if ctx.exceptional:
         basis.append(("u", ctx.middle, PresentedElement(ctx, {}, 1)))
@@ -98,18 +106,35 @@ def _suite_flag_algebra(ctx: FlagContext):
                 return f"{owner[key]} and {name} share a blade"
             owner[key] = name
         forms.append(form)
-    for i, (name1, deg1, m1) in enumerate(basis):
-        for j in range(i, len(basis)):
-            name2, deg2, m2 = basis[j]
-            if deg1 + deg2 > ctx.n - 1:
+    index = {key: i for i, key in enumerate(exponents)}
+    rows = [index[key] for key in ((0, 0), (0, 1), (1, 0)) if key in index]  # ascending
+    for i in rows:
+        for j in range(len(basis)):
+            if (j in rows and j < i) or basis[i][1] + basis[j][1] > ctx.n - 1:
                 continue
-            wedge = forms[i] * forms[j]
+            (name1, _, m1), (name2, _, m2) = basis[min(i, j)], basis[max(i, j)]
             try:
                 products = realize(ctx, m1 * m2), realize(ctx, m2 * m1)
             except IndexOutOfRange as exc:
                 return f"({name1}) * ({name2}): {exc}"
-            if products != (wedge, wedge):
+            if not products[0] == products[1] == forms[i] * forms[j]:
                 return f"({name1}) * ({name2}) differs from the wedge of their forms"
+    if ctx.exceptional:
+        u, d = forms[-1].body, exterior.full_omega_mask(ctx.n)
+        want = exterior.top_pairing(ctx.n, exterior.sigma(1).wedge(u), u)
+        square = realize(ctx, basis[-1][2] * basis[-1][2]).body
+        if set(square.row) - {d << 32 | d} or (square.row.get(d << 32 | d, 0), square.den) != want:
+            return "(u) * (u) differs from the wedge of their forms"
+    for i, ((a, b), (name, deg, m)) in enumerate(zip(exponents, basis)):
+        if a + b < 2:
+            continue
+        gname, _, g = basis[index[(1, 0) if a else (0, 1)]]
+        lname, _, low = basis[index[(a - 1, b) if a else (0, b - 1)]]
+        if g * low != m:
+            return f"{name} != ({gname}) * ({lname})"
+        for name2, deg2, m2 in basis[i:]:
+            if deg + deg2 <= ctx.n - 1 and not m * m2 == g * (low * m2) == m2 * m:
+                return f"({name}) * ({name2}) is not ({gname}) * (({lname}) * ({name2}))"
     return None
 
 

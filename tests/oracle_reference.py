@@ -8,7 +8,9 @@ and determinants by wedges, eta by multiplying out its
 (alpha sigma_i + omega_i1) factors one by one, and the generating identity
 by wedging each eta component with each tau~ component and reading the
 top coefficient of the product, which must be a multiple of the top
-blade.  The tests compare both routes.
+blade.  flag_algebra_pairs wedges every pair of the flag algebra's basis
+forms, where the flag algebra suite checks the products from the
+generators.  The tests compare both routes.
 """
 
 import itertools
@@ -16,9 +18,10 @@ import operator
 from functools import reduce
 from math import gcd
 
-from flagkin.errors import DegreeMismatch
+from flagkin.errors import DegreeMismatch, IndexOutOfRange
 from flagkin.exterior import Multivector, full_omega_mask, full_sigma_mask, omega1, sigma, star1_inv
-from flagkin.grassmann_oracle import generator, tau_tilde, zero
+from flagkin.grassmann_oracle import generator, realize, tau_tilde, zero
+from flagkin.invariant_algebras import PresentedElement
 from flagkin.rotation_algebra import AlgebraElement, _perm_sign
 
 
@@ -103,3 +106,29 @@ def generating_identity_polynomial(ctx):
             out[key] = out[key] + prod if key in out else prod
     coefficients = ((key, top_coefficient(n, form)) for key, form in out.items())
     return tuple(sorted((key, c) for key, c in coefficients if c[0]))
+
+
+def flag_algebra_pairs(ctx):
+    """The first pair of basis monomials whose product does not realize to the wedge of their forms.
+
+    Every pair (x^a y^b and u) of total degree at most n - 1 is wedged, and
+    its presented product is realized in both orders; None when all agree.
+    """
+    exponents = itertools.product(range(ctx.p + 1), range(ctx.q + 1))
+    basis = [(f"x^{a} y^{b}", a + b, PresentedElement(ctx, {(a, b): 1})) for a, b in exponents]
+    if ctx.exceptional:
+        basis.append(("u", ctx.middle, PresentedElement(ctx, {}, 1)))
+    forms = [realize(ctx, element) for _, _, element in basis]
+    for i, (name1, deg1, m1) in enumerate(basis):
+        for j in range(i, len(basis)):
+            name2, deg2, m2 = basis[j]
+            if deg1 + deg2 > ctx.n - 1:
+                continue
+            wedge = forms[i] * forms[j]
+            try:
+                products = realize(ctx, m1 * m2), realize(ctx, m2 * m1)
+            except IndexOutOfRange as exc:
+                return f"({name1}) * ({name2}): {exc}"
+            if products != (wedge, wedge):
+                return f"({name1}) * ({name2}) differs from the wedge of their forms"
+    return None

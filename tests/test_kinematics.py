@@ -245,6 +245,26 @@ def test_closed_form_agreement_builds_each_closed_form_table_once(monkeypatch, n
     assert validated == inputs["closed_form_phi"] + inputs["closed_form_S"] + sp_bases
 
 
+@pytest.mark.parametrize("n", range(2, 12))
+def test_phi_tables_are_invariant_under_complement_duality(n):
+    # (v, E) -> (v, v + E^perp) takes the (n, p) flag manifold to the
+    # (n, n-1-p) one and swaps x and y, so it maps Phi[k,a] to Phi[k,k-a]
+    # and fixes PhiEx: the Phi tables of p and n-1-p agree under that map
+    def mirror(label):
+        return label if label == PHI_EX else phi_label(label.k, label.k - label.idx)
+
+    def terms(tables, rename):
+        return {
+            rename(label): {(rename(l), rename(r)): c for l, r, c in table.terms}
+            for label, table in tables.items()
+        }
+
+    for p in range(n):
+        dual = coproduct_tables(FlagContext(n, n - 1 - p), "Phi")
+        want = terms(dual, lambda label: label)
+        assert terms(coproduct_tables(FlagContext(n, p), "Phi"), mirror) == want, (n, p)
+
+
 def test_globalized_area_formula_middle_coefficient():
     ctx = FlagContext(4, 1)
     table = coproduct(ctx, s_label(2, 0), "S")

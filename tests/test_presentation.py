@@ -19,6 +19,8 @@ from flagkin.measures import (
 )
 from flagkin.verify import _suite_flag_algebra
 
+from oracle_reference import flag_algebra_pairs
+
 CONTEXTS = [(n, p) for n in range(2, 9) for p in range(n)]
 
 
@@ -31,6 +33,13 @@ def test_tables_equal_oracle(n, p):
     # Tables are products of presented duals; the suite checks that realizing
     # the presentation by forms is an injective ring map.
     assert _suite_flag_algebra(FlagContext(n, p)) is None
+
+
+def test_flag_suite_and_its_pairwise_reference_agree_to_eleven():
+    for n in range(2, 12):
+        for p in range(n):
+            ctx = FlagContext(n, p)
+            assert _suite_flag_algebra(ctx) is None and flag_algebra_pairs(ctx) is None, (n, p)
 
 
 @pytest.mark.parametrize("n,p", [(n, p) for n, p in CONTEXTS if n <= 6])

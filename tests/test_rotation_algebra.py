@@ -18,8 +18,8 @@ from flagkin.rotation_algebra import (
     _chord_row,
     _dalpha_image_columns,
     _dalpha_rows,
+    _dalpha_wedge,
     _relation_sum,
-    _relation_witness,
     chord_basis,
     chord_count,
     chord_text,
@@ -330,9 +330,10 @@ def test_relation_witness_matches_echelon(n):
             ech.add(row)
         for ip in itertools.combinations(idx, k - 1):
             for jp in itertools.combinations(idx, k + 1):
-                total = _relation_sum(n, ip, jp)
+                imask, jmask = sum(1 << i for i in ip), sum(1 << j for j in jp)
+                total = _relation_sum(n, imask, jmask)
                 assert total == _rep_sum(n, ip, jp).row, (ip, jp)
-                witness = _relation_witness(n, ip, jp)
+                witness = _dalpha_wedge(n, imask, sum(1 << v for v in idx if v not in jp))
                 negated = {key: -c for key, c in witness.items()}
                 by_witness = total in (witness, negated)
                 by_echelon = not ech.reduce(total)

@@ -22,6 +22,7 @@ from flagkin.invariant_algebras import FlagContext, PresentedElement
 from flagkin.rotation_algebra import AlgebraElement
 
 from flagkin_caches import clear_caches
+from oracle_reference import flag_algebra_pairs
 
 
 def _patch(monkeypatch, name, wrap, home=measures):
@@ -234,6 +235,22 @@ def _elementary_forms_negated_at_odd_a(monkeypatch):
     _patch(monkeypatch, "elementary_form", wrap, grassmann_oracle)
 
 
+def _presented_product_doubled_on_one_pair(monkeypatch):
+    # (x^1 y^1) (x^0 y^2), in either order, doubled: neither factor is a
+    # generator, so only the flag algebra suite's presentation checks see it
+    original = PresentedElement.__mul__
+    pair = ({(1, 1): 1}, {(0, 2): 1})
+
+    def mul(self, other):
+        out = original(self, other)
+        plain = self.den == other.den == 1 and not (self.u or other.u)
+        if plain and (self.xy, other.xy) in (pair, pair[::-1]):
+            return PresentedElement(self.ctx, {key: 2 * c for key, c in out.xy.items()}, 0, out.den)
+        return out
+
+    monkeypatch.setattr(PresentedElement, "__mul__", mul)
+
+
 MUTATIONS = {
     "u^2 constant x2": _u_square_doubled,
     "_phi_scale x(a+1)": _phi_scale_times_a_plus_1,
@@ -250,6 +267,7 @@ MUTATIONS = {
     "hug_weil_coproduct: right C(q, l) dropped": _hug_weil_right_scale_dropped,
     "top_pairing: one pair's sign flipped": _top_pairing_sign_flipped_on_sigma_2,
     "u: blades with one first-block sigma negated": _u_blades_with_one_first_sigma_negated,
+    "presented product doubled on one non-generator pair": _presented_product_doubled_on_one_pair,
 }
 
 
@@ -343,6 +361,20 @@ def test_realization_mutations_fail_flag_algebra_relations_first(monkeypatch, mu
     assert detail == first, detail
 
 
+def test_presented_product_mutation_fails_the_presentation_checks_first(monkeypatch):
+    clear_caches()
+    try:
+        with monkeypatch.context() as m:
+            _presented_product_doubled_on_one_pair(m)
+            detail = _first_counterexample()
+    finally:
+        clear_caches()
+    assert detail == (
+        "n=5 p=1 flag algebra relations: "
+        "(x^0 y^2) * (x^1 y^1) is not (x^0 y^1) * ((x^0 y^1) * (x^1 y^1))"
+    ), detail
+
+
 # The first counterexample of the table suites at n = 9, p = 0..8: the
 # messages by which the closed forms and the coalgebra laws report each
 # mutation.  The oracle mutations change no table, so no table suite
@@ -377,6 +409,7 @@ FIRST_AT_NINE = {
     "wedge keeps the left denominator": None,
     "top_pairing: one pair's sign flipped": None,
     "u: blades with one first-block sigma negated": None,
+    "presented product doubled on one non-generator pair": None,
 }
 
 
@@ -399,13 +432,17 @@ CAUGHT_BY = {
         "closed-form agreement": (3, 1),
         "structural laws": (3, 1),
     },
-    "top_pairing: one pair's sign flipped": {"oracle pairings": (2, 0)},
+    "top_pairing: one pair's sign flipped": {
+        "flag algebra relations": (3, 1),
+        "oracle pairings": (2, 0),
+    },
     "u: blades with one first-block sigma negated": {"flag algebra relations": (3, 1)},
     "u^2 constant x2": {"flag algebra relations": (3, 1), "closed-form agreement": (3, 1)},
     "wedge keeps the left denominator": {
         "ideal identities": (3, 0),
         "flag algebra relations": (3, 1),
     },
+    "presented product doubled on one non-generator pair": {"flag algebra relations": (5, 1)},
 }
 
 
@@ -463,3 +500,29 @@ def test_table_suites_first_counterexample_at_nine(monkeypatch, mutation):
     finally:
         clear_caches()
     assert detail == FIRST_AT_NINE[mutation], detail
+
+
+def _detail(check, ctx):
+    try:
+        return check(ctx)
+    except FlagkinError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "mutation", sorted(m for m, row in CAUGHT_BY.items() if "flag algebra relations" in row)
+)
+def test_flag_algebra_reference_fails_with_the_suite(monkeypatch, mutation):
+    # the pairwise reference and the suite, at the suite's first failing (n, p)
+    ctx = FlagContext(*CAUGHT_BY[mutation]["flag algebra relations"])
+    clear_caches()
+    try:
+        with monkeypatch.context() as m:
+            MUTATIONS[mutation](m)
+            suite = _detail(verify._suite_flag_algebra, ctx)
+            reference = _detail(flag_algebra_pairs, ctx)
+    finally:
+        clear_caches()
+    assert suite is not None
+    # the reference reads no top blade, so top_pairing's mutation passes it
+    assert (reference is None) == mutation.startswith("top_pairing"), reference
